@@ -76,7 +76,7 @@ class StepStatus(str, Enum):
     SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Situation:
     """Context in which an encounter occurred."""
 
@@ -85,7 +85,7 @@ class Situation:
     source: SituationSource = SituationSource.USER
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoTasks:
     """Status of the three co-tasks implied by every task."""
 
@@ -94,7 +94,7 @@ class CoTasks:
     grounding: CoTaskState = CoTaskState.PENDING
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskSpec:
     """A goal, optionally decomposed into an ordered subtask tree."""
 
@@ -103,7 +103,7 @@ class TaskSpec:
     cotasks: CoTasks = field(default_factory=CoTasks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionStep:
     """One planned or executed action in agent-skill-constraints form."""
 
@@ -114,7 +114,7 @@ class ActionStep:
     observed_output: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forecast:
     """Anticipated outcome produced before any action is taken."""
 
@@ -122,7 +122,7 @@ class Forecast:
     success_probability: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundingEvidence:
     """One tool invocation used to check an outcome against reality."""
 
@@ -131,7 +131,7 @@ class GroundingEvidence:
     output: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Outcome:
     """What actually happened, and whether it counts as success."""
 
@@ -141,7 +141,7 @@ class Outcome:
     feedback: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EncounterMetrics:
     latency_ms: int = 0
     provider_calls: int = 0
@@ -149,7 +149,7 @@ class EncounterMetrics:
     replans: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KstarRecord:
     """One complete encounter.
 
@@ -198,7 +198,7 @@ class EncounterEvent(str, Enum):
     ENCODE = "Encode"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EncounterState:
     """Position of an in-flight encounter plus its replan count."""
 

@@ -7,17 +7,27 @@ is strictly append-only. The knowledge file is also append-only: item
 updates (usage bumps, confidence boosts) append a fresh version of the
 item and reload keeps the last version per id.
 
+Retrieval keeps one more rebuildable cache, built on the first ``retrieve``
+after open rather than at load: a token -> items inverted index for Jaccard
+scoring, or each item's vector and norm for embedder scoring. Updates
+never change an item's statement, so only new ids are added to it.
+
 Writes serialize on the store lock; completed records are immutable, so
 many readers may share them freely.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
-import re
+import math
 import threading
+from array import array
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
@@ -31,6 +41,7 @@ from .provider import (
     ProviderError,
     ProviderRequest,
     Role,
+    _TOKEN_PATTERN,
     cosine,
 )
 from .templates import DEFAULT_TEMPLATES, render
@@ -65,7 +76,7 @@ def _clamp(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KnowledgeItem:
     """An encoded lesson with provenance back to the records it came from."""
 
@@ -148,9 +159,6 @@ def read_consolidation(path) -> list[ConsolidationExample]:
 # Similarity
 # --------------------------------------------------------------------------
 
-_TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
-
-
 def _tokens(text: str) -> set[str]:
     return set(_TOKEN_PATTERN.findall(text.lower()))
 
@@ -170,6 +178,81 @@ def similarity(a: str, b: str, embedder: Optional[DeterministicEmbedder] = None)
     if not ta or not tb:
         return 0.0
     return len(ta & tb) / len(ta | tb)
+
+
+# The two retrieval indexes below rank exactly as ``similarity`` does,
+# ties included, from per-item state computed once per store lifetime.
+# Both return ids of the best k items, best first, with ties broken
+# toward the higher id; ``top`` may return fewer than k.
+
+
+class _TokenIndex:
+    """Jaccard top-k: token -> slots of the items whose statement holds it."""
+
+    def __init__(self):
+        self.ids: list[int] = []  # item id per slot
+        self.sizes = array("I")  # token-set size per slot
+        self.postings: dict[str, array] = {}
+
+    def add(self, item: KnowledgeItem) -> None:
+        slot = len(self.ids)
+        tokens = _tokens(item.statement)
+        self.ids.append(item.id)
+        self.sizes.append(len(tokens))
+        for token in tokens:
+            slots = self.postings.get(token)
+            if slots is None:
+                slots = self.postings[token] = array("I")
+            slots.append(slot)
+
+    def top(self, query: str, k: int) -> list[int]:
+        """Only items sharing a token with the query; all others score 0."""
+        query_tokens = _tokens(query)
+        overlap = Counter()
+        for token in query_tokens:
+            slots = self.postings.get(token)
+            if slots is not None:
+                overlap.update(slots)
+        nq, ids, sizes = len(query_tokens), self.ids, self.sizes
+        # c / (|q| + |t| - c) is the same int/int division as |q & t| / |q | t|
+        best = heapq.nsmallest(
+            k, ((-(c / (nq + sizes[s] - c)), -ids[s]) for s, c in overlap.items())
+        )
+        return [-negated for _, negated in best]
+
+
+class _VectorIndex:
+    """Embedder top-k over each item's vector and its norm."""
+
+    def __init__(self, embedder: DeterministicEmbedder):
+        self.embedder = embedder
+        self.ids: list[int] = []
+        self.vectors: list[tuple[float, ...]] = []
+        self.norms = array("d")
+        self.mismatched = 0  # vectors whose dimension is not the embedder's
+
+    def add(self, item: KnowledgeItem) -> None:
+        vec = item.embedding or self.embedder.embed(item.statement)
+        self.ids.append(item.id)
+        self.vectors.append(vec.values)
+        self.norms.append(math.sqrt(sum(x * x for x in vec.values)))  # as ``cosine``
+        if vec.dimension != self.embedder.dimension:
+            self.mismatched += 1
+
+    def top(self, query: str, k: int) -> list[int]:
+        """Every item, scored ``(cosine + 1) / 2``."""
+        values = self.embedder.embed(query).values
+        if self.mismatched:
+            raise ValueError("cannot compare embeddings of different dimensions")
+        nq = math.sqrt(sum(x * x for x in values))
+        # ``cosine``'s dot product over the query's nonzero buckets only, in
+        # bucket order: leaving out 0.0 terms never changes a float sum
+        nonzero = [(bucket, x) for bucket, x in enumerate(values) if x]
+        keys = []
+        for item_id, vec, na in zip(self.ids, self.vectors, self.norms):
+            c = sum([x * vec[b] for b, x in nonzero]) / (nq * na) if nq and na else 0.0
+            keys.append((-(c + 1.0) / 2.0, -item_id))
+        return [-negated for _, negated in heapq.nsmallest(k, keys)]
 
 
 # --------------------------------------------------------------------------
@@ -196,6 +279,8 @@ class EpisodicStore:
         self.lock = threading.RLock()
         self._records: list[KstarRecord] = []
         self._knowledge: dict[int, KnowledgeItem] = {}
+        self._next_knowledge_id = 1
+        self._index: _TokenIndex | _VectorIndex | None = None  # built by retrieve
         self._load()
 
     @classmethod
@@ -232,6 +317,7 @@ class EpisodicStore:
                             f"knowledge file corrupt at line {number}: {exc}"
                         ) from exc
                     self._knowledge[item.id] = item
+        self._next_knowledge_id = max(self._knowledge, default=0) + 1
 
     def _append_line(self, path: Path, line: str) -> None:
         try:
@@ -247,6 +333,10 @@ class EpisodicStore:
             self.knowledge_path,
             json.dumps(knowledge_item_to_dict(item), ensure_ascii=False, separators=(",", ":")),
         )
+        if item.id not in self._knowledge:
+            if self._index is not None:
+                self._index.add(item)
+            self._next_knowledge_id = max(self._next_knowledge_id, item.id + 1)
         self._knowledge[item.id] = item
 
     # -- records ------------------------------------------------------
@@ -258,9 +348,9 @@ class EpisodicStore:
 
     def get_record(self, record_id: int) -> Optional[KstarRecord]:
         with self.lock:
-            for record in self._records:
-                if record.id == record_id:
-                    return record
+            i = bisect_left(self._records, record_id, key=attrgetter("id"))
+            if i < len(self._records) and self._records[i].id == record_id:
+                return self._records[i]
         return None
 
     def next_record_id(self) -> int:
@@ -292,7 +382,7 @@ class EpisodicStore:
     def add_knowledge(self, item: KnowledgeItem) -> int:
         """Assign the next item id, embed if configured, and append."""
         with self.lock:
-            next_id = max(self._knowledge, default=0) + 1
+            next_id = self._next_knowledge_id
             if not item.statement.strip():
                 raise ValueError("knowledge statement must be non-empty")
             if not item.provenance:
@@ -331,24 +421,22 @@ class EpisodicStore:
         with self.lock:
             if k == 0 or not self._knowledge:
                 return []
-            if self.embedder is not None and query:
-                query_vec = self.embedder.embed(query)
-
-                def score(item: KnowledgeItem) -> float:
-                    vec = item.embedding or self.embedder.embed(item.statement)
-                    return (cosine(query_vec, vec) + 1.0) / 2.0
-
-            else:
-
-                def score(item: KnowledgeItem) -> float:
-                    return similarity(query, item.statement)
-
-            ranked = sorted(
-                self._knowledge.values(), key=lambda it: (-score(it), -it.id)
-            )
-            top = ranked[:k]
-            self._bump_usage([it.id for it in top])
-            return [self._knowledge[it.id] for it in top]
+            ranked = []
+            if query:
+                if self._index is None:
+                    index = _TokenIndex() if self.embedder is None else _VectorIndex(self.embedder)
+                    for item in self._knowledge.values():
+                        index.add(item)
+                    self._index = index
+                ranked = self._index.top(query, k)
+            if len(ranked) < k:
+                # the rest score 0: most recent first
+                taken = set(ranked)
+                ranked += heapq.nlargest(
+                    k - len(ranked), (i for i in self._knowledge if i not in taken)
+                )
+            self._bump_usage(ranked)
+            return [self._knowledge[i] for i in ranked]
 
     # -- consolidation --------------------------------------------------
 

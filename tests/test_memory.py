@@ -193,6 +193,41 @@ def test_confidence_never_leaves_unit_interval(tmp_path):
         assert 0.0 <= store.get_knowledge(item_id).confidence <= 1.0
 
 
+def test_add_knowledge_after_reload_continues_past_an_id_gap(tmp_path):
+    store_dir = tmp_path / "s"
+    store_dir.mkdir()
+    lines = [
+        {"id": 1, "statement": "a", "kind": "distilled", "provenance": [1], "confidence": 0.5},
+        {"id": 5, "statement": "b", "kind": "distilled", "provenance": [1], "confidence": 0.5},
+        {"id": 2, "statement": "c", "kind": "distilled", "provenance": [1], "confidence": 0.5},
+        {"id": 1, "statement": "a", "kind": "distilled", "provenance": [1], "confidence": 0.7},
+    ]
+    (store_dir / "knowledge.jsonl").write_text(
+        "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8"
+    )
+    store = EpisodicStore.open(store_dir)
+    assert _add_statement(store, "d") == 6
+    store.boost_confidence([2])
+    assert _add_statement(store, "e") == 7
+    assert _add_statement(EpisodicStore.open(store_dir), "f") == 8
+
+
+def test_get_record_hits_and_misses_across_id_gaps(tmp_path, rng):
+    store_dir = tmp_path / "s"
+    store_dir.mkdir()
+    records = [replace(make_record(rng), id=i) for i in (1, 2, 5, 9)]
+    (store_dir / "episodic.jsonl").write_text(
+        "".join(serialize_record(r) + "\n" for r in records), encoding="utf-8"
+    )
+    store = EpisodicStore.open(store_dir)
+    for record in records:
+        assert store.get_record(record.id) == record
+    for missing in (0, -1, 3, 4, 10):
+        assert store.get_record(missing) is None
+    assert store.store_record(make_record(rng)) == 10
+    assert store.get_record(10).id == 10
+
+
 # ---------------------------------------------------------------------------
 # Similarity
 # ---------------------------------------------------------------------------
@@ -308,6 +343,98 @@ def test_retrieve_embedder_path_matches_similarity_oracle(tmp_path):
         )[:5]
         got = store.retrieve(query, 5)
         assert [i.id for i in got] == [i.id for i in expected]
+
+
+@pytest.mark.parametrize("scorer", ["jaccard", "embedder"])
+def test_retrieval_index_matches_oracle_across_writes_and_reopens(tmp_path, scorer):
+    embedder = DeterministicEmbedder() if scorer == "embedder" else None
+    rng = random.Random(31337)
+    words = ("solve", "sum", "fraction", "root", "prime", "area", "angle", "mod")
+    store_dir = tmp_path / "s"
+    # an older store: items written without an embedder carry "embedding": null
+    older = EpisodicStore.open(store_dir)
+    for statement in ("solve sum", "?!", "prime root area"):
+        _add_statement(older, statement)
+    assert '"embedding":null' in (store_dir / "knowledge.jsonl").read_text()
+
+    def check(store, query, k):
+        expected = sorted(
+            store.knowledge,
+            key=lambda item: (-similarity(query, item.statement, embedder), -item.id),
+        )[:k]
+        assert [item.id for item in store.retrieve(query, k)] == [i.id for i in expected]
+
+    for _ in range(3):
+        store = EpisodicStore.open(store_dir, embedder=embedder)
+        size = len(store.knowledge)
+        check(store, "", size + 2)  # empty query: most recent first
+        check(store, "?!", 3)  # a query with no tokens
+        check(store, "zebra", size + 5)  # matches nothing; k past the store
+        check(store, "prime", size)  # k past the items that match
+        for _ in range(40):
+            roll = rng.random()
+            if roll < 0.05:
+                _add_statement(store, "?!")  # a statement with no tokens
+            elif roll < 0.4:
+                _add_statement(
+                    store, " ".join(rng.choice(words) for _ in range(rng.randint(1, 5)))
+                )
+            elif roll < 0.55:
+                store.boost_confidence([rng.choice(store.knowledge).id])
+            else:
+                query = " ".join(rng.choice(words) for _ in range(rng.randint(1, 3)))
+                check(store, query, rng.randint(1, len(store.knowledge) + 3))
+
+
+def test_concurrent_adds_and_retrieves_keep_the_index_exact(tmp_path):
+    import sys
+    import threading
+
+    store = EpisodicStore.open(tmp_path / "s")
+    _add_statement(store, "solve sum")
+    store.retrieve("solve", 1)  # build the index before the threads start
+    words = ("solve", "sum", "fraction", "root", "prime")
+    errors = []
+
+    def worker(seed):
+        local = random.Random(seed)
+        try:
+            for _ in range(25):
+                _add_statement(store, " ".join(local.sample(words, local.randint(1, 3))))
+                store.retrieve(local.choice(words), 3)
+        except Exception as exc:  # surface failures to the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert [item.id for item in store.knowledge] == list(range(1, 102))
+    for query in words:
+        expected = sorted(
+            store.knowledge, key=lambda item: (-similarity(query, item.statement), -item.id)
+        )[:10]
+        assert [i.id for i in store.retrieve(query, 10)] == [i.id for i in expected]
+
+
+def test_retrieve_with_embedder_rejects_an_embedding_of_another_dimension(tmp_path):
+    store = EpisodicStore.open(tmp_path / "s", embedder=DeterministicEmbedder())
+    _add_statement(store, "solve sums")
+    store.add_knowledge(
+        KnowledgeItem(
+            0, "short vector", KnowledgeKind.DISTILLED, (1,), 0.5,
+            embedding=DeterministicEmbedder(8).embed("short vector"),
+        )
+    )
+    with pytest.raises(ValueError, match="dimensions"):
+        store.retrieve("solve", 1)
 
 
 # ---------------------------------------------------------------------------
