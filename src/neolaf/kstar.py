@@ -16,7 +16,8 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Any, Optional
+from operator import itemgetter
+from typing import Any, Callable, Optional
 
 from .errors import NeolafError
 
@@ -409,30 +410,61 @@ def _parse_timestamp(raw: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def _need(obj: dict[str, Any], key: str, path: str) -> Any:
-    if key not in obj:
-        raise MalformedRecord(f"missing field {path}.{key}")
-    return obj[key]
+def enum_decoder(enum: type[Enum]) -> Callable[[Any], Any]:
+    """``enum(value)``, through a ``{value: member}`` table for a string value;
+    anything else, and every miss, goes to ``enum`` and raises its own error."""
+    members = {member.value: member for member in enum}
+    return lambda v: members[v] if isinstance(v, str) and v in members else enum(v)
 
 
-def _task_from_dict(obj: dict[str, Any], path: str) -> TaskSpec:
-    cot = _need(obj, "cotasks", path)
+_source = enum_decoder(SituationSource)
+_cotask_state = enum_decoder(CoTaskState)
+_step_status = enum_decoder(StepStatus)
+_forecast = itemgetter("expected_result", "success_probability")
+_evidence = itemgetter("tool_name", "input", "output")
+_metrics = itemgetter("latency_ms", "provider_calls", "tool_calls", "replans")
+
+
+def _decode(build: Callable[[Any], Any], obj: Any, path: str, *args: Any) -> Any:
+    """``build(obj)``; a missing key raises MalformedRecord naming the field, formatting
+    ``path`` with ``args`` only then. Builders index their fields in the order checked."""
     try:
-        cotasks = CoTasks(
-            planning=CoTaskState(_need(cot, "planning", path + ".cotasks")),
-            forecasting=CoTaskState(_need(cot, "forecasting", path + ".cotasks")),
-            grounding=CoTaskState(_need(cot, "grounding", path + ".cotasks")),
-        )
-    except ValueError as exc:
-        raise MalformedRecord(f"bad co-task state in {path}: {exc}") from exc
-    return TaskSpec(
-        goal=_need(obj, "goal", path),
-        subtasks=tuple(
-            _task_from_dict(t, f"{path}.subtasks[{i}]")
-            for i, t in enumerate(_need(obj, "subtasks", path))
-        ),
-        cotasks=cotasks,
-    )
+        return build(obj)
+    except KeyError as exc:
+        raise MalformedRecord(f"missing field {path.format(*args)}.{exc.args[0]}") from None
+
+
+def _situation(s: Any) -> Situation:
+    return Situation(s["description"], tuple(s["context_tags"]), _source(s["source"]))
+
+
+def _task(t: Any, path: str) -> TaskSpec:
+    try:
+        c = t["cotasks"]
+        try:
+            planning, forecasting = _cotask_state(c["planning"]), _cotask_state(c["forecasting"])
+            cotasks = CoTasks(planning, forecasting, _cotask_state(c["grounding"]))
+        except KeyError as exc:
+            raise MalformedRecord(f"missing field {path}.cotasks.{exc.args[0]}") from None
+        except ValueError as exc:
+            raise MalformedRecord(f"bad co-task state in {path}: {exc}") from exc
+        goal = t["goal"]
+        subtasks = [_task(u, f"{path}.subtasks[{i}]") for i, u in enumerate(t["subtasks"])]
+    except KeyError as exc:
+        raise MalformedRecord(f"missing field {path}.{exc.args[0]}") from None
+    return TaskSpec(goal, tuple(subtasks), cotasks)
+
+
+def _step(s: Any) -> ActionStep:
+    agent, skill, constraints, status = s["agent"], s["skill"], tuple(s["constraints"]), s["status"]
+    return ActionStep(agent, skill, constraints, _step_status(status), s.get("observed_output"))
+
+
+def _outcome(o: Any) -> Outcome:
+    actual, success, evidence = o["actual_result"], o["success"], o["grounding_evidence"]
+    evidence = [_decode(_evidence, e, "grounding_evidence[{}]", i) for i, e in enumerate(evidence)]
+    evidence = tuple([GroundingEvidence(*fields) for fields in evidence])
+    return Outcome(actual, success, evidence, o.get("feedback"))
 
 
 def record_from_dict(obj: dict[str, Any]) -> KstarRecord:
@@ -440,57 +472,21 @@ def record_from_dict(obj: dict[str, Any]) -> KstarRecord:
     if not isinstance(obj, dict):
         raise MalformedRecord("record must be a JSON object")
     try:
-        sit = _need(obj, "situation", "record")
-        fc = _need(obj, "forecast", "record")
-        out = _need(obj, "outcome", "record")
-        met = _need(obj, "metrics", "record")
+        sit, fc, out, met = obj["situation"], obj["forecast"], obj["outcome"], obj["metrics"]
         return KstarRecord(
-            id=_need(obj, "id", "record"),
-            timestamp=_parse_timestamp(_need(obj, "timestamp", "record")),
-            knowledge_used=tuple(_need(obj, "knowledge_used", "record")),
-            situation=Situation(
-                description=_need(sit, "description", "situation"),
-                context_tags=tuple(_need(sit, "context_tags", "situation")),
-                source=SituationSource(_need(sit, "source", "situation")),
-            ),
-            task=_task_from_dict(_need(obj, "task", "record"), "task"),
-            plan=tuple(
-                ActionStep(
-                    agent=_need(s, "agent", f"plan[{i}]"),
-                    skill=_need(s, "skill", f"plan[{i}]"),
-                    constraints=tuple(_need(s, "constraints", f"plan[{i}]")),
-                    status=StepStatus(_need(s, "status", f"plan[{i}]")),
-                    observed_output=s.get("observed_output"),
-                )
-                for i, s in enumerate(_need(obj, "plan", "record"))
-            ),
-            forecast=Forecast(
-                expected_result=_need(fc, "expected_result", "forecast"),
-                success_probability=_need(fc, "success_probability", "forecast"),
-            ),
-            outcome=Outcome(
-                actual_result=_need(out, "actual_result", "outcome"),
-                success=_need(out, "success", "outcome"),
-                grounding_evidence=tuple(
-                    GroundingEvidence(
-                        tool_name=_need(e, "tool_name", f"grounding_evidence[{i}]"),
-                        input=_need(e, "input", f"grounding_evidence[{i}]"),
-                        output=_need(e, "output", f"grounding_evidence[{i}]"),
-                    )
-                    for i, e in enumerate(_need(out, "grounding_evidence", "outcome"))
-                ),
-                feedback=out.get("feedback"),
-            ),
-            knowledge_delta=tuple(_need(obj, "knowledge_delta", "record")),
-            metrics=EncounterMetrics(
-                latency_ms=_need(met, "latency_ms", "metrics"),
-                provider_calls=_need(met, "provider_calls", "metrics"),
-                tool_calls=_need(met, "tool_calls", "metrics"),
-                replans=_need(met, "replans", "metrics"),
-            ),
+            id=obj["id"],
+            timestamp=_parse_timestamp(obj["timestamp"]),
+            knowledge_used=tuple(obj["knowledge_used"]),
+            situation=_decode(_situation, sit, "situation"),
+            task=_task(obj["task"], "task"),
+            plan=tuple([_decode(_step, s, "plan[{}]", i) for i, s in enumerate(obj["plan"])]),
+            forecast=Forecast(*_decode(_forecast, fc, "forecast")),
+            outcome=_decode(_outcome, out, "outcome"),
+            knowledge_delta=tuple(obj["knowledge_delta"]),
+            metrics=EncounterMetrics(*_decode(_metrics, met, "metrics")),
         )
-    except MalformedRecord:
-        raise
+    except KeyError as exc:
+        raise MalformedRecord(f"missing field record.{exc.args[0]}") from None
     except (TypeError, ValueError, AttributeError) as exc:
         raise MalformedRecord(f"bad field value: {exc}") from exc
 

@@ -7,6 +7,11 @@ is strictly append-only. The knowledge file is also append-only: item
 updates (usage bumps, confidence boosts) append a fresh version of the
 item and reload keeps the last version per id.
 
+Opening a store decodes and validates every line of both files once
+(fields present, enums known, timestamps with an offset; ``validate_record``
+runs at write time). A corrupt line, or a record id that does not increase,
+fails the open with a StorageError naming its file and line number.
+
 Retrieval keeps one more rebuildable cache, built on the first ``retrieve``
 after open rather than at load: a token -> items inverted index for Jaccard
 scoring, or each item's vector and norm for embedder scoring. Updates
@@ -27,12 +32,12 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, mul
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import NeolafError
-from .kstar import KstarRecord, deserialize_record, serialize_record, validate_record
+from .kstar import KstarRecord, deserialize_record, enum_decoder, serialize_record, validate_record
 from .provider import (
     CompletionProvider,
     DeterministicEmbedder,
@@ -72,6 +77,10 @@ class KnowledgeKind(str, Enum):
     DISTILLED = "distilled"
 
 
+def _json_line(obj: dict) -> str:
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
 def _clamp(value: float) -> float:
     return min(1.0, max(0.0, value))
 
@@ -104,16 +113,15 @@ def knowledge_item_to_dict(item: KnowledgeItem) -> dict:
     }
 
 
+_kind = enum_decoder(KnowledgeKind)
+
+
 def knowledge_item_from_dict(obj: dict) -> KnowledgeItem:
     embedding = obj.get("embedding")
     return KnowledgeItem(
-        id=obj["id"],
-        statement=obj["statement"],
-        kind=KnowledgeKind(obj["kind"]),
-        provenance=tuple(obj["provenance"]),
-        confidence=obj["confidence"],
-        usage_count=obj.get("usage_count", 0),
-        embedding=EmbeddingVector(values=tuple(embedding)) if embedding else None,
+        obj["id"], obj["statement"], _kind(obj["kind"]), tuple(obj["provenance"]),
+        obj["confidence"], obj.get("usage_count", 0),
+        EmbeddingVector(tuple(embedding)) if embedding else None,
     )
 
 
@@ -235,7 +243,7 @@ class _VectorIndex:
         vec = item.embedding or self.embedder.embed(item.statement)
         self.ids.append(item.id)
         self.vectors.append(vec.values)
-        self.norms.append(math.sqrt(sum(x * x for x in vec.values)))  # as ``cosine``
+        self.norms.append(math.sqrt(sum(map(mul, vec.values, vec.values))))  # as ``cosine``
         if vec.dimension != self.embedder.dimension:
             self.mismatched += 1
 
@@ -244,7 +252,7 @@ class _VectorIndex:
         values = self.embedder.embed(query).values
         if self.mismatched:
             raise ValueError("cannot compare embeddings of different dimensions")
-        nq = math.sqrt(sum(x * x for x in values))
+        nq = math.sqrt(sum(map(mul, values, values)))
         # ``cosine``'s dot product over the query's nonzero buckets only, in
         # bucket order: leaving out 0.0 terms never changes a float sum
         nonzero = [(bucket, x) for bucket, x in enumerate(values) if x]
@@ -258,6 +266,26 @@ class _VectorIndex:
 # --------------------------------------------------------------------------
 # Store
 # --------------------------------------------------------------------------
+
+
+def _knowledge_line(line: str) -> KnowledgeItem:
+    return knowledge_item_from_dict(json.loads(line))
+
+
+def _read_lines(path: Path, decode: Callable[[str], Any], what: str) -> Iterator[tuple[int, Any]]:
+    """Decode each non-blank line of ``path``, if it exists; a line that
+    fails raises StorageError naming ``what`` and the line number."""
+    if not path.exists():
+        return
+    with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
+        for number, raw in enumerate(fh, start=1):
+            try:
+                if not (line := raw.decode("utf-8").strip()):
+                    continue
+                value = decode(line)
+            except (NeolafError, ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise StorageError(f"{what} corrupt at line {number}: {exc}") from exc
+            yield number, value
 
 
 class EpisodicStore:
@@ -290,33 +318,16 @@ class EpisodicStore:
         return cls(directory / RECORD_LOG_NAME, directory / KNOWLEDGE_FILE_NAME, embedder)
 
     def _load(self) -> None:
-        if self.log_path.exists():
-            last_id = 0
-            with open(self.log_path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = deserialize_record(line)
-                    if record.id <= last_id:
-                        raise StorageError(
-                            f"record log corrupt: id {record.id} after {last_id}"
-                        )
-                    last_id = record.id
-                    self._records.append(record)
-        if self.knowledge_path.exists():
-            with open(self.knowledge_path, encoding="utf-8") as fh:
-                for number, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        item = knowledge_item_from_dict(json.loads(line))
-                    except (ValueError, KeyError, TypeError) as exc:
-                        raise StorageError(
-                            f"knowledge file corrupt at line {number}: {exc}"
-                        ) from exc
-                    self._knowledge[item.id] = item
+        last_id = 0
+        for number, record in _read_lines(self.log_path, deserialize_record, "record log"):
+            if record.id <= last_id:
+                raise StorageError(
+                    f"record log corrupt at line {number}: id {record.id} after {last_id}"
+                )
+            last_id = record.id
+            self._records.append(record)
+        for _, item in _read_lines(self.knowledge_path, _knowledge_line, "knowledge file"):
+            self._knowledge[item.id] = item
         self._next_knowledge_id = max(self._knowledge, default=0) + 1
 
     def _append_line(self, path: Path, line: str) -> None:
@@ -329,10 +340,7 @@ class EpisodicStore:
             raise StorageError(f"cannot append to {path}: {exc}") from exc
 
     def _write_knowledge(self, item: KnowledgeItem) -> None:
-        self._append_line(
-            self.knowledge_path,
-            json.dumps(knowledge_item_to_dict(item), ensure_ascii=False, separators=(",", ":")),
-        )
+        self._append_line(self.knowledge_path, _json_line(knowledge_item_to_dict(item)))
         if item.id not in self._knowledge:
             if self._index is not None:
                 self._index.add(item)
@@ -472,14 +480,7 @@ class EpisodicStore:
             try:
                 with open(out_path, "w", encoding="utf-8") as fh:
                     for example in examples:
-                        fh.write(
-                            json.dumps(
-                                consolidation_example_to_dict(example),
-                                ensure_ascii=False,
-                                separators=(",", ":"),
-                            )
-                            + "\n"
-                        )
+                        fh.write(_json_line(consolidation_example_to_dict(example)) + "\n")
             except OSError as exc:
                 raise StorageError(f"cannot write consolidation file: {exc}") from exc
         return examples

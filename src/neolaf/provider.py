@@ -387,7 +387,7 @@ class EmbeddingVector:
             object.__setattr__(self, "dimension", len(self.values))
         if len(self.values) != self.dimension:
             raise ValueError("embedding length must equal its dimension")
-        if any(not math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise ValueError("embedding values must be finite")
 
 

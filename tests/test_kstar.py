@@ -1,6 +1,8 @@
 """State machine, validation, and canonical codec tests."""
 
+import json
 import random
+from datetime import datetime, timezone
 
 import pytest
 
@@ -9,13 +11,18 @@ from neolaf.kstar import (
     CoTasks,
     CoTaskState,
     EncounterEvent,
+    EncounterMetrics,
     EncounterPhase,
     EncounterState,
     Forecast,
+    GroundingEvidence,
     IllegalTransition,
+    KstarRecord,
     MalformedRecord,
     Outcome,
     ReplanBudgetExhausted,
+    Situation,
+    SituationSource,
     StepStatus,
     TRANSITIONS,
     TaskSpec,
@@ -222,3 +229,150 @@ def test_timestamp_z_suffix_accepted():
     obj["timestamp"] = "2024-03-01T12:00:00Z"
     record = deserialize_record(json.dumps(obj))
     assert record.timestamp.utcoffset().total_seconds() == 0
+
+
+# --------------------------------------------------------------------------
+# Decoder contract: every missing, mistyped or unknown field is refused
+# with a message naming it.
+# --------------------------------------------------------------------------
+
+
+def _contract_record():
+    """Two plan steps, one grounding evidence item and a nested subtask."""
+    done = CoTasks(CoTaskState.DONE, CoTaskState.DONE, CoTaskState.DONE)
+    return KstarRecord(
+        id=4,
+        timestamp=datetime(2024, 3, 1, 12, 0, tzinfo=timezone.utc),
+        knowledge_used=(1, 2),
+        situation=Situation("add two fractions", ("math",), SituationSource.HARNESS),
+        task=TaskSpec(
+            "compute 1/3 + 1/6",
+            subtasks=(TaskSpec("find a common denominator", cotasks=done),),
+            cotasks=done,
+        ),
+        plan=(
+            ActionStep("self", "restate the sum", ("stay exact",), StepStatus.EXECUTED, "1/3 + 1/6"),
+            ActionStep("self", 'TOOL calc(expr="1/3+1/6")'),
+        ),
+        forecast=Forecast("1/2", 0.9),
+        outcome=Outcome("1/2", True, (GroundingEvidence("calc", '{"expr":"1/3+1/6"}', "1/2"),)),
+        knowledge_delta=(3,),
+        metrics=EncounterMetrics(12, 4, 1, 0),
+    )
+
+
+_TASK_KEYS = ("goal", "subtasks", "cotasks")
+_COTASK_KEYS = ("planning", "forecasting", "grounding")
+_STEP_KEYS = ("agent", "skill", "constraints", "status")
+
+# (where a sub-object sits in the record dict, the name errors give it,
+# its required keys)
+_SUB_OBJECTS = [
+    ((), "record", (
+        "id", "timestamp", "knowledge_used", "situation", "task", "plan",
+        "forecast", "outcome", "knowledge_delta", "metrics",
+    )),
+    (("situation",), "situation", ("description", "context_tags", "source")),
+    (("task",), "task", _TASK_KEYS),
+    (("task", "cotasks"), "task.cotasks", _COTASK_KEYS),
+    (("task", "subtasks", 0), "task.subtasks[0]", _TASK_KEYS),
+    (("task", "subtasks", 0, "cotasks"), "task.subtasks[0].cotasks", _COTASK_KEYS),
+    (("plan", 0), "plan[0]", _STEP_KEYS),
+    (("plan", 1), "plan[1]", _STEP_KEYS),
+    (("forecast",), "forecast", ("expected_result", "success_probability")),
+    (("outcome",), "outcome", ("actual_result", "success", "grounding_evidence")),
+    (("outcome", "grounding_evidence", 0), "grounding_evidence[0]", ("tool_name", "input", "output")),
+    (("metrics",), "metrics", ("latency_ms", "provider_calls", "tool_calls", "replans")),
+]
+_OPTIONAL = {("plan", 0, "observed_output"), ("plan", 1, "observed_output"), ("outcome", "feedback")}
+_REQUIRED = [
+    (where + (key,), f"missing field {name}.{key}")
+    for where, name, keys in _SUB_OBJECTS
+    for key in keys
+]
+
+
+def _key_paths(obj, where=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield where + (key,)
+            yield from _key_paths(value, where + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _key_paths(value, where + (i,))
+
+
+def _edited(path, value=None, delete=False):
+    """The contract record as JSON text, with one field replaced or deleted."""
+    obj = record_to_dict(_contract_record())
+    parent = obj
+    for step in path[:-1]:
+        parent = parent[step]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(obj)
+
+
+def _decode_error(text):
+    with pytest.raises(MalformedRecord) as excinfo:
+        deserialize_record(text)
+    return str(excinfo.value)
+
+
+def test_contract_covers_every_key_of_the_record():
+    paths = set(_key_paths(record_to_dict(_contract_record())))
+    assert paths == {path for path, _ in _REQUIRED} | _OPTIONAL
+
+
+@pytest.mark.parametrize(
+    "path, message", _REQUIRED, ids=[message.split()[-1] for _, message in _REQUIRED]
+)
+def test_each_missing_field_is_named(path, message):
+    assert _decode_error(_edited(path, delete=True)) == message
+
+
+@pytest.mark.parametrize("path", sorted(_OPTIONAL))
+def test_missing_optional_field_decodes_as_none(path):
+    record = deserialize_record(_edited(path, delete=True))
+    step_or_outcome = record.plan[path[1]] if path[0] == "plan" else record.outcome
+    assert getattr(step_or_outcome, path[-1]) is None
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("situation", "source"), "bogus",
+         "bad field value: 'bogus' is not a valid SituationSource"),
+        (("plan", 1, "status"), "bogus",
+         "bad field value: 'bogus' is not a valid StepStatus"),
+        (("plan", 0, "status"), ["executed"],
+         "bad field value: ['executed'] is not a valid StepStatus"),
+        (("task", "cotasks", "planning"), "bogus",
+         "bad co-task state in task: 'bogus' is not a valid CoTaskState"),
+        (("task", "subtasks", 0, "cotasks", "grounding"), "bogus",
+         "bad co-task state in task.subtasks[0]: 'bogus' is not a valid CoTaskState"),
+    ],
+)
+def test_unknown_enum_value_is_named(path, value, message):
+    assert _decode_error(_edited(path, value)) == message
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("plan",), [3]),
+        (("situation",), "x"),
+        (("timestamp",), 5),
+        (("task", "subtasks"), [[]]),
+        (("outcome", "grounding_evidence"), [None]),
+        (("metrics",), []),
+    ],
+)
+def test_mistyped_field_raises_malformed(path, value):
+    assert _decode_error(_edited(path, value))
+
+
+def test_record_that_is_not_an_object_is_refused():
+    assert _decode_error("[]") == "record must be a JSON object"

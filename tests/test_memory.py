@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from neolaf.kstar import (
+    DEFAULT_SUBTASK_DEPTH,
     ActionStep,
     CoTasks,
     CoTaskState,
@@ -14,6 +15,7 @@ from neolaf.kstar import (
     Forecast,
     GroundingEvidence,
     KstarRecord,
+    MalformedRecord,
     Outcome,
     Situation,
     SituationSource,
@@ -37,6 +39,7 @@ from neolaf.memory import (
 )
 from neolaf.provider import (
     DeterministicEmbedder,
+    EmbeddingVector,
     Message,
     ProviderRequest,
     Role,
@@ -152,6 +155,165 @@ def test_corrupt_knowledge_file_reports_line(tmp_path):
     EpisodicStore.open(store_dir)
     (store_dir / "knowledge.jsonl").write_text('{"id": 1}\n', encoding="utf-8")
     with pytest.raises(StorageError, match="line 1"):
+        EpisodicStore.open(store_dir)
+
+
+@pytest.mark.parametrize("line", ["[1]", "5", "null", '"statement"'])
+def test_knowledge_line_that_is_not_an_object_reports_line(tmp_path, line):
+    store_dir = tmp_path / "s"
+    EpisodicStore.open(store_dir).add_knowledge(
+        KnowledgeItem(0, "check denominators", KnowledgeKind.CORRECTIVE, (1,), 0.5)
+    )
+    with open(store_dir / "knowledge.jsonl", "a", encoding="utf-8") as fh:
+        fh.write("\n" + line + "\n")
+    with pytest.raises(StorageError, match="^knowledge file corrupt at line 3: "):
+        EpisodicStore.open(store_dir)
+
+
+@pytest.mark.parametrize(
+    "name, what", [("episodic.jsonl", "record log"), ("knowledge.jsonl", "knowledge file")]
+)
+def test_line_with_invalid_utf8_fails_the_open_naming_its_line(tmp_path, rng, name, what):
+    store_dir = tmp_path / "s"
+    store = EpisodicStore.open(store_dir)
+    store.store_record(make_record(rng))
+    store.add_knowledge(KnowledgeItem(0, "check", KnowledgeKind.CORRECTIVE, (1,), 0.5))
+    with open(store_dir / name, "ab") as fh:
+        fh.write(b'{"statement": "\xff"}\n')
+    with pytest.raises(StorageError, match=f"^{what} corrupt at line 2: 'utf-8' codec can't"):
+        EpisodicStore.open(store_dir)
+
+
+def _write_log(store_dir, lines):
+    (store_dir / "episodic.jsonl").write_text("".join(line + "\n" for line in lines), "utf-8")
+
+
+def _three_record_lines(store_dir, rng):
+    store = EpisodicStore.open(store_dir)
+    for _ in range(3):
+        store.store_record(make_record(rng))
+    return (store_dir / "episodic.jsonl").read_text(encoding="utf-8").splitlines()
+
+
+def _without_status_of_first_step(line):
+    obj = json.loads(line)
+    del obj["plan"][0]["status"]
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "corrupt, detail",
+    [
+        (_without_status_of_first_step, "missing field plan[0].status"),
+        (lambda line: line[:40], "invalid JSON: "),
+        (lambda line: "[]", "record must be a JSON object"),
+    ],
+    ids=["missing-field", "truncated", "not-an-object"],
+)
+def test_corrupt_record_line_fails_the_open_naming_its_line(tmp_path, rng, corrupt, detail):
+    store_dir = tmp_path / "s"
+    lines = _three_record_lines(store_dir, rng)
+    lines[1] = corrupt(lines[1])
+    _write_log(store_dir, lines)
+    with pytest.raises(StorageError) as excinfo:
+        EpisodicStore.open(store_dir)
+    assert str(excinfo.value).startswith("record log corrupt at line 2: " + detail)
+    assert isinstance(excinfo.value.__cause__, MalformedRecord)
+    assert str(excinfo.value) == f"record log corrupt at line 2: {excinfo.value.__cause__}"
+
+
+def test_out_of_order_record_id_names_its_line_counting_blank_lines(tmp_path, rng):
+    store_dir = tmp_path / "s"
+    first, second, third = _three_record_lines(store_dir, rng)
+    _write_log(store_dir, [first, "", third, second])
+    with pytest.raises(StorageError, match=r"^record log corrupt at line 4: id 2 after 3$"):
+        EpisodicStore.open(store_dir)
+
+
+def _nested_task(depth, cotasks):
+    """A chain of subtasks ``depth`` levels below its root."""
+    task = TaskSpec("leaf: réduire ½ → 0.5", cotasks=cotasks)
+    for level in range(depth):
+        task = TaskSpec(f"level {level}: 分解", subtasks=(task,), cotasks=cotasks)
+    return task
+
+
+def _edge_records():
+    """Records that between them use every enum member, empty tuples,
+    None for observed_output and feedback, the deepest allowed subtask
+    tree and non-ASCII text."""
+    from datetime import datetime, timedelta, timezone
+
+    when = datetime(2024, 2, 29, 23, 59, 59, 999_999, tzinfo=timezone(timedelta(hours=-5)))
+    states = list(CoTaskState)
+    steps = (
+        ActionStep("self", "plan only", (), StepStatus.PLANNED, None),
+        ActionStep("calc", "TOOL calc(expr=\"√2\")", ("exact", "échec"), StepStatus.EXECUTED, "1.414…"),
+        ActionStep("self", "retry", ("once",), StepStatus.FAILED, "DivisionByZero: ÷ 0"),
+        ActionStep("self", "give up", (), StepStatus.SKIPPED, None),
+    )
+    records = []
+    for i, source in enumerate(SituationSource):
+        cotasks = CoTasks(states[i], states[(i + 1) % 3], states[(i + 2) % 3])
+        grounded = cotasks.grounding is not CoTaskState.SKIPPED
+        success = i != 0
+        records.append(KstarRecord(
+            id=0,
+            timestamp=when + timedelta(days=i),
+            knowledge_used=() if i == 0 else (1, i + 1),
+            situation=Situation(f"situation {i}: ½ + ⅓ = ?", () if i == 0 else ("math", "ü"), source),
+            task=_nested_task(DEFAULT_SUBTASK_DEPTH if i == 0 else i, cotasks),
+            plan=steps[: i + 2],
+            forecast=Forecast("5/6 — exact", [0.0, 0.5, 1.0][i]),
+            outcome=Outcome(
+                "5/6" if success else "step failed: ÷ 0",
+                success,
+                (GroundingEvidence("calc", '{"expr":"½"}', "1/2 ✓"),) if success and grounded else (),
+                None if i != 1 else "könnte besser sein",
+            ),
+            knowledge_delta=() if i == 0 else (i,),
+            metrics=EncounterMetrics(0, 0, 0, 0) if i == 0 else EncounterMetrics(i, 7, 1, 2),
+        ))
+    return records
+
+
+def test_reopened_store_reproduces_every_line_and_item(tmp_path):
+    store_dir = tmp_path / "s"
+    store = EpisodicStore.open(store_dir)
+    for record in _edge_records():
+        store.store_record(record)
+    plain = store.add_knowledge(
+        KnowledgeItem(0, "vérifier les dénominateurs", KnowledgeKind.CORRECTIVE, (1,), 0.5)
+    )
+    store.add_knowledge(
+        KnowledgeItem(0, "分母を確認", KnowledgeKind.DISTILLED, (2, 3), 0.6,
+                      embedding=EmbeddingVector((0.6, -0.8, 0.0)))
+    )
+    store.add_knowledge(
+        KnowledgeItem(0, "lesson", KnowledgeKind.REINFORCEMENT, (3,), 0.8, usage_count=4)
+    )
+    store.boost_confidence([plain], 0.25)
+    with_embedder = EpisodicStore.open(tmp_path / "e", DeterministicEmbedder(dimension=8))
+    with_embedder.add_knowledge(
+        KnowledgeItem(0, "embed me ü", KnowledgeKind.DISTILLED, (1,), 0.6)
+    )
+
+    log = (store_dir / "episodic.jsonl").read_text(encoding="utf-8").splitlines()
+    reopened = EpisodicStore.open(store_dir)
+    assert [serialize_record(r) for r in reopened.records] == log
+    assert reopened.records == store.records
+    assert reopened.knowledge == store.knowledge
+    assert EpisodicStore.open(tmp_path / "e").knowledge == with_embedder.knowledge
+
+    nan_line = json.dumps({
+        "id": 9, "statement": "x", "kind": "distilled", "provenance": [1],
+        "confidence": 0.5, "usage_count": 0, "embedding": [float("nan"), 1.0],
+    })
+    with open(store_dir / "knowledge.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(nan_line + "\n")
+    with pytest.raises(
+        StorageError, match="^knowledge file corrupt at line 5: embedding values must be finite$"
+    ):
         EpisodicStore.open(store_dir)
 
 
