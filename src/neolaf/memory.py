@@ -8,14 +8,20 @@ updates (usage bumps, confidence boosts) append a fresh version of the
 item and reload keeps the last version per id.
 
 Opening a store decodes and validates every line of both files once
-(fields present, enums known, timestamps with an offset; ``validate_record``
-runs at write time). A corrupt line, or a record id that does not increase,
-fails the open with a StorageError naming its file and line number.
+(fields present, enums known, timestamps with an offset, integer ids;
+``validate_record`` runs at write time). A corrupt line, or a record id
+that does not increase, fails the open with a StorageError naming its file
+and line number.
 
 Retrieval keeps one more rebuildable cache, built on the first ``retrieve``
-after open rather than at load: a token -> items inverted index for Jaccard
-scoring, or each item's vector and norm for embedder scoring. Updates
-never change an item's statement, so only new ids are added to it.
+after open rather than at load. For embedder scoring it holds each item's
+vector and norm. For Jaccard scoring it gives each item a bit slot, in id
+order, and keeps one int bitmask per token and one per token-set size. A
+query adds its tokens' masks into bit-sliced overlap counts, and as a
+Jaccard score depends only on the overlap and the item's size, it ranks
+whole masks of equal score at a time, taking the highest slots (the newest
+ids) first. Updates never change an item's statement, and new items take
+the next id, so an add only sets the top slot's bits.
 
 Writes serialize on the store lock; completed records are immutable, so
 many readers may share them freely.
@@ -28,11 +34,12 @@ import json
 import math
 import threading
 from array import array
-from bisect import bisect_left
-from collections import Counter
+from bisect import bisect_left, insort
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
-from operator import attrgetter, mul
+from functools import partial, reduce
+from operator import attrgetter, mul, or_
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -194,50 +201,120 @@ def similarity(a: str, b: str, embedder: Optional[DeterministicEmbedder] = None)
 # toward the higher id; ``top`` may return fewer than k.
 
 
-class _TokenIndex:
-    """Jaccard top-k: token -> slots of the items whose statement holds it."""
+def _masks(rows: dict) -> dict:
+    """Each little-endian bit row as an int; a row is freed once converted."""
+    masks = {}
+    while rows:
+        key, row = rows.popitem()
+        masks[key] = int.from_bytes(row, "little")
+    return masks
 
-    def __init__(self):
-        self.ids: list[int] = []  # item id per slot
-        self.sizes = array("I")  # token-set size per slot
-        self.postings: dict[str, array] = {}
+
+class _TokenIndex:
+    """Jaccard top-k from bitmasks over slots, one slot per item, in id order.
+
+    Bit s of ``masks[token]`` is set when the item in slot s holds the token,
+    and bit s of ``sizes[n]`` when its statement has n distinct tokens. As
+    slots follow ids, the highest set bit of a mask is its most recent item.
+    """
+
+    def __init__(self, items: Iterable[KnowledgeItem]):
+        items = sorted(items, key=attrgetter("id"))
+        self.ids = [item.id for item in items]  # item id per slot, ascending
+        # Bits are set in one bytearray per mask, each converted once: OR-ing
+        # them into ints one at a time would copy a growing int per bit.
+        new_row = partial(bytearray, (len(items) >> 3) + 1)
+        token_rows: defaultdict[str, bytearray] = defaultdict(new_row)
+        size_rows: defaultdict[int, bytearray] = defaultdict(new_row)
+        for slot, item in enumerate(items):
+            byte, bit = slot >> 3, 1 << (slot & 7)
+            tokens = _tokens(item.statement)
+            for token in tokens:
+                token_rows[token][byte] |= bit
+            if tokens:
+                size_rows[len(tokens)][byte] |= bit
+        self.masks: dict[str, int] = _masks(token_rows)
+        self.sizes: dict[int, int] = _masks(size_rows)
+        self.size_order = sorted(self.sizes)
 
     def add(self, item: KnowledgeItem) -> None:
-        slot = len(self.ids)
-        tokens = _tokens(item.statement)
+        """Put ``item``, whose id is above every id held, in the top slot."""
+        bit = 1 << len(self.ids)
         self.ids.append(item.id)
-        self.sizes.append(len(tokens))
+        tokens = _tokens(item.statement)
         for token in tokens:
-            slots = self.postings.get(token)
-            if slots is None:
-                slots = self.postings[token] = array("I")
-            slots.append(slot)
+            self.masks[token] = self.masks.get(token, 0) | bit
+        if n := len(tokens):
+            if n not in self.sizes:
+                insort(self.size_order, n)
+            self.sizes[n] = self.sizes.get(n, 0) | bit
 
     def top(self, query: str, k: int) -> list[int]:
         """Only items sharing a token with the query; all others score 0."""
         query_tokens = _tokens(query)
-        overlap = Counter()
+        # Bit-sliced overlap counts (O'Neil & Quass, SIGMOD 1997): bit s of
+        # planes[i] is bit i of c, the number of query tokens slot s holds.
+        # Each token's mask is added into the planes with a ripple carry.
+        planes: list[int] = []
         for token in query_tokens:
-            slots = self.postings.get(token)
-            if slots is not None:
-                overlap.update(slots)
-        nq, ids, sizes = len(query_tokens), self.ids, self.sizes
-        # c / (|q| + |t| - c) is the same int/int division as |q & t| / |q | t|
-        best = heapq.nsmallest(
-            k, ((-(c / (nq + sizes[s] - c)), -ids[s]) for s, c in overlap.items())
-        )
-        return [-negated for _, negated in best]
+            carry = self.masks.get(token, 0)
+            for i, plane in enumerate(planes):
+                if not carry:
+                    break
+                planes[i], carry = plane ^ carry, plane & carry
+            if carry:
+                planes.append(carry)
+        if not planes:  # no item holds a query token
+            return []
+        # Split the items with c >= 1 by c, one plane at a time from the top.
+        groups = [(0, reduce(or_, planes, 0))]
+        for i in reversed(range(len(planes))):
+            split = []
+            for c, group in groups:
+                if ones := group & planes[i]:
+                    split.append((c | 1 << i, ones))
+                if zeros := group ^ ones:
+                    split.append((c, zeros))
+            groups = split
+        # A score depends only on (c, n), n = the item's token count, and for
+        # a fixed c it falls as n grows: walk each c's sizes in a heap, best
+        # score first. c / (|q| + n - c) is the same int/int division as
+        # |q & t| / |q | t|, so equal scores are equal floats.
+        nq, sizes, order = len(query_tokens), self.sizes, self.size_order
+        left = dict(groups)  # items not yet ranked, by c
+        heap = []
+        for c, _ in groups:
+            j = bisect_left(order, c)  # an item holding c query tokens has n >= c
+            heap.append((-(c / (nq + order[j] - c)), c, j))
+        heapq.heapify(heap)
+        ranked: list[int] = []
+        while heap and len(ranked) < k:
+            score, hits = heap[0][0], 0
+            while heap and heap[0][0] == score:  # every (c, n) pair of this score
+                _, c, j = heapq.heappop(heap)
+                found = left[c] & sizes[order[j]]
+                hits |= found
+                left[c] ^= found
+                if left[c]:
+                    heapq.heappush(heap, (-(c / (nq + order[j + 1] - c)), c, j + 1))
+            while hits and len(ranked) < k:  # ties: the higher slot, so id, first
+                slot = hits.bit_length() - 1
+                ranked.append(self.ids[slot])
+                hits ^= 1 << slot
+        return ranked
 
 
 class _VectorIndex:
     """Embedder top-k over each item's vector and its norm."""
 
-    def __init__(self, embedder: DeterministicEmbedder):
+    def __init__(self, embedder: DeterministicEmbedder, items: Iterable[KnowledgeItem]):
         self.embedder = embedder
         self.ids: list[int] = []
         self.vectors: list[tuple[float, ...]] = []
         self.norms = array("d")
         self.mismatched = 0  # vectors whose dimension is not the embedder's
+        for item in items:
+            self.add(item)
 
     def add(self, item: KnowledgeItem) -> None:
         vec = item.embedding or self.embedder.embed(item.statement)
@@ -268,8 +345,20 @@ class _VectorIndex:
 # --------------------------------------------------------------------------
 
 
+def _int_id(value):
+    """``value``, once its ``id`` is checked to be an int: a string id breaks
+    the comparisons of id order, and a float one the next id."""
+    if type(value.id) is not int:  # bool is an int subclass, and refused too
+        raise ValueError(f"id must be an integer, not {value.id!r}")
+    return value
+
+
+def _record_line(line: str) -> KstarRecord:
+    return _int_id(deserialize_record(line))
+
+
 def _knowledge_line(line: str) -> KnowledgeItem:
-    return knowledge_item_from_dict(json.loads(line))
+    return _int_id(knowledge_item_from_dict(json.loads(line)))
 
 
 def _read_lines(path: Path, decode: Callable[[str], Any], what: str) -> Iterator[tuple[int, Any]]:
@@ -319,7 +408,7 @@ class EpisodicStore:
 
     def _load(self) -> None:
         last_id = 0
-        for number, record in _read_lines(self.log_path, deserialize_record, "record log"):
+        for number, record in _read_lines(self.log_path, _record_line, "record log"):
             if record.id <= last_id:
                 raise StorageError(
                     f"record log corrupt at line {number}: id {record.id} after {last_id}"
@@ -339,13 +428,17 @@ class EpisodicStore:
         except OSError as exc:
             raise StorageError(f"cannot append to {path}: {exc}") from exc
 
-    def _write_knowledge(self, item: KnowledgeItem) -> None:
-        self._append_line(self.knowledge_path, _json_line(knowledge_item_to_dict(item)))
-        if item.id not in self._knowledge:
-            if self._index is not None:
-                self._index.add(item)
-            self._next_knowledge_id = max(self._next_knowledge_id, item.id + 1)
-        self._knowledge[item.id] = item
+    def _write_knowledge(self, *items: KnowledgeItem) -> None:
+        """Append one line per item in a single write, then apply them in order."""
+        self._append_line(
+            self.knowledge_path, "\n".join([_json_line(knowledge_item_to_dict(i)) for i in items])
+        )
+        for item in items:
+            if item.id not in self._knowledge:
+                if self._index is not None:
+                    self._index.add(item)
+                self._next_knowledge_id = max(self._next_knowledge_id, item.id + 1)
+            self._knowledge[item.id] = item
 
     # -- records ------------------------------------------------------
 
@@ -411,11 +504,12 @@ class EpisodicStore:
                         replace(item, confidence=_clamp(item.confidence + delta))
                     )
 
-    def _bump_usage(self, item_ids: Iterable[int]) -> None:
-        for item_id in item_ids:
-            item = self._knowledge.get(item_id)
-            if item is not None:
-                self._write_knowledge(replace(item, usage_count=item.usage_count + 1))
+    def _bump_usage(self, item_ids: list[int]) -> None:
+        """Append each ranked item again with its usage count + 1, in one write."""
+        items = self._knowledge
+        self._write_knowledge(
+            *[replace(items[i], usage_count=items[i].usage_count + 1) for i in item_ids]
+        )
 
     def retrieve(self, query: str, k: int) -> list[KnowledgeItem]:
         """Top-k knowledge items by similarity to the query.
@@ -432,10 +526,11 @@ class EpisodicStore:
             ranked = []
             if query:
                 if self._index is None:
-                    index = _TokenIndex() if self.embedder is None else _VectorIndex(self.embedder)
-                    for item in self._knowledge.values():
-                        index.add(item)
-                    self._index = index
+                    items = self._knowledge.values()
+                    self._index = (
+                        _TokenIndex(items) if self.embedder is None
+                        else _VectorIndex(self.embedder, items)
+                    )
                 ranked = self._index.top(query, k)
             if len(ranked) < k:
                 # the rest score 0: most recent first

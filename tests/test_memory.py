@@ -188,6 +188,16 @@ def _write_log(store_dir, lines):
     (store_dir / "episodic.jsonl").write_text("".join(line + "\n" for line in lines), "utf-8")
 
 
+def _write_knowledge_file(store_dir, items):
+    """A hand-written knowledge file: one distilled item per (id, statement)."""
+    store_dir.mkdir(parents=True, exist_ok=True)
+    (store_dir / "knowledge.jsonl").write_text("".join(
+        json.dumps({"id": item_id, "statement": statement, "kind": "distilled",
+                    "provenance": [1], "confidence": 0.5}) + "\n"
+        for item_id, statement in items
+    ), encoding="utf-8")
+
+
 def _three_record_lines(store_dir, rng):
     store = EpisodicStore.open(store_dir)
     for _ in range(3):
@@ -227,6 +237,31 @@ def test_out_of_order_record_id_names_its_line_counting_blank_lines(tmp_path, rn
     first, second, third = _three_record_lines(store_dir, rng)
     _write_log(store_dir, [first, "", third, second])
     with pytest.raises(StorageError, match=r"^record log corrupt at line 4: id 2 after 3$"):
+        EpisodicStore.open(store_dir)
+
+
+@pytest.mark.parametrize("bad_id", ["2", 2.5, True], ids=["string", "float", "bool"])
+def test_record_id_that_is_not_an_integer_names_its_line(tmp_path, rng, bad_id):
+    store_dir = tmp_path / "s"
+    lines = _three_record_lines(store_dir, rng)
+    obj = json.loads(lines[1])
+    obj["id"] = bad_id
+    lines[1] = json.dumps(obj)
+    _write_log(store_dir, lines)
+    with pytest.raises(
+        StorageError, match=rf"^record log corrupt at line 2: id must be an integer, not {bad_id!r}$"
+    ):
+        EpisodicStore.open(store_dir)
+
+
+@pytest.mark.parametrize("bad_id", ["2", 2.5, True], ids=["string", "float", "bool"])
+def test_knowledge_id_that_is_not_an_integer_names_its_line(tmp_path, bad_id):
+    store_dir = tmp_path / "s"
+    _write_knowledge_file(store_dir, [(1, "a"), (bad_id, "b")])
+    with pytest.raises(
+        StorageError,
+        match=rf"^knowledge file corrupt at line 2: id must be an integer, not {bad_id!r}$",
+    ):
         EpisodicStore.open(store_dir)
 
 
@@ -479,6 +514,76 @@ def test_retrieve_matches_bruteforce_oracle(tmp_path):
         )[:k]
         got = store.retrieve(query, k)
         assert [i.id for i in got] == [i.id for i in expected]
+
+
+def _ids(items):
+    return [item.id for item in items]
+
+
+def test_retrieve_ranks_by_id_when_the_file_is_not_in_id_order(tmp_path):
+    store_dir = tmp_path / "s"
+    _write_knowledge_file(store_dir, [(5, "alpha beta"), (2, "alpha beta"), (9, "alpha beta")])
+    store = EpisodicStore.open(store_dir)
+    assert _ids(store.retrieve("alpha", 3)) == [9, 5, 2]
+    assert _add_statement(store, "alpha beta") == 10  # after the index is built
+    assert _ids(store.retrieve("beta", 4)) == [10, 9, 5, 2]
+
+
+def test_retrieve_breaks_equal_scores_of_different_overlaps_by_recency(store):
+    # query of 4 tokens: c=1 of n=1 and c=2 of n=6 both score 1 / 4 = 2 / 8
+    low = _add_statement(store, "a")
+    mid = _add_statement(store, "b c u v w x")
+    high = _add_statement(store, "d")
+    _add_statement(store, "a b u v w x y")  # c=2 of n=7: 2 / 9
+    assert similarity("a b c d", "a") == similarity("a b c d", "b c u v w x")
+    assert _ids(store.retrieve("a b c d", 3)) == [high, mid, low]
+
+
+def test_retrieve_counts_query_tokens_no_item_holds(store):
+    blank = _add_statement(store, "?!")  # an item with no tokens at all
+    assert _ids(store.retrieve("zebra", 2)) == [blank]
+    # With "zebra" counted, 2 / (3 + 4 - 2) = 0.4 beats 1 / (3 + 1 - 1);
+    # without it they would tie at 0.5 and the newer item would lead.
+    wider = _add_statement(store, "p q r s")
+    narrow = _add_statement(store, "p")
+    assert _ids(store.retrieve("p q zebra", 3)) == [wider, narrow, blank]
+
+
+def test_retrieve_past_the_matching_items_ranks_them_then_the_rest(store):
+    three = _add_statement(store, "alpha beta gamma")
+    two = _add_statement(store, "alpha beta")
+    one = _add_statement(store, "alpha")
+    older = _add_statement(store, "zeta")
+    newer = _add_statement(store, "eta")
+    assert _ids(store.retrieve("alpha", 10)) == [one, two, three, newer, older]
+
+
+def test_retrieve_sees_adds_after_the_index_is_built_and_across_a_reopen(tmp_path):
+    store_dir = tmp_path / "s"
+    store = EpisodicStore.open(store_dir)
+    first = _add_statement(store, "solve sum")
+    assert _ids(store.retrieve("solve sum fraction", 1)) == [first]  # builds the index
+    # a token count and tokens the index has not seen, then a tie with ``first``
+    wide = _add_statement(store, "solve sum fraction root prime")
+    tie = _add_statement(store, "sum solve")
+    assert _ids(store.retrieve("solve sum fraction", 3)) == [tie, first, wide]
+    assert _ids(store.retrieve("root prime", 1)) == [wide]
+    reopened = EpisodicStore.open(store_dir)
+    later = _add_statement(reopened, "fraction")
+    assert _ids(reopened.retrieve("fraction", 2)) == [later, wide]
+    assert _add_statement(reopened, "root prime") == later + 1
+    assert _ids(reopened.retrieve("root prime", 4)) == [later + 1, wide, later, tie]
+
+
+def test_retrieve_appends_its_usage_bumps_in_one_write(store, monkeypatch):
+    for statement in ("alpha", "alpha beta", "gamma"):
+        _add_statement(store, statement)
+    writes = []
+    append = store._append_line
+    monkeypatch.setattr(store, "_append_line", lambda *args: (writes.append(args), append(*args)))
+    assert _ids(store.retrieve("alpha", 3)) == [1, 2, 3]
+    assert len(writes) == 1 and writes[0][1].count("\n") == 2
+    assert [item.usage_count for item in store.knowledge] == [1, 1, 1]
 
 
 def test_retrieve_with_embedder_uses_cached_embeddings(tmp_path):
