@@ -22,15 +22,7 @@ from .harness import (
 )
 from .kstar import serialize_record
 from .memory import EpisodicStore, render_plan
-from .provider import (
-    CompletionProvider,
-    ReplayProvider,
-    RemoteProvider,
-    ScriptedProvider,
-    load_script,
-    load_transcript,
-    provider_from_config,
-)
+from .provider import provider_from_config
 from .toolkit import default_registry
 
 DEFAULT_STORE_DIR = "neolaf_store"
@@ -103,16 +95,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _provider_from_args(args) -> CompletionProvider:
+def _provider_config(args) -> dict:
+    """The ``provider_from_config`` mapping the provider flags select."""
     script = getattr(args, "script", None)
     transcript = getattr(args, "transcript", None)
     if script and transcript:
         raise ValueError("--script and --transcript are mutually exclusive")
     if script:
-        return ScriptedProvider(load_script(script))
+        return {"type": "scripted", "script": script}
     if transcript:
-        return ReplayProvider(load_transcript(transcript))
-    return RemoteProvider.from_env()
+        return {"type": "replay", "transcript": transcript}
+    return {"type": "remote"}
 
 
 def _kit_from_args(args):
@@ -140,7 +133,7 @@ def _review_callback(steps) -> bool:
 
 def _cmd_solve(args) -> int:
     kit = _kit_from_args(args)
-    provider = _provider_from_args(args)
+    provider = provider_from_config(_provider_config(args))
     store = EpisodicStore.open(args.store)
     try:
         solution = solve(
@@ -161,7 +154,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_eval(args) -> int:
     kit = _kit_from_args(args)
-    provider = _provider_from_args(args)
+    provider = provider_from_config(_provider_config(args))
     problems = load_dataset(args.dataset, args.format)
     config = EvalConfig(name="eval", kit=kit, provider=provider)
     report = run_eval(
@@ -240,7 +233,7 @@ def _cmd_replay(args) -> int:
     import tempfile
 
     kit = _kit_from_args(args)
-    provider = ReplayProvider(load_transcript(args.transcript))
+    provider = provider_from_config(_provider_config(args))
     if args.store:
         store = EpisodicStore.open(args.store)
         solution = solve(args.problem, kit, provider, default_registry(), store)

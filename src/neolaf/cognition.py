@@ -7,7 +7,10 @@ below the kit threshold to the slow path, which walks the state machine
 through identify, decompose, plan, forecast, execute, evaluate, and
 encode, invoking tools for grounding and replanning on failure within
 budget. Accepted fast-path answers are also encoded as lightweight
-records so consolidation sees every encounter.
+records so consolidation sees every encounter. One ledger per encounter
+counts its provider and tool calls and times it from the start of the
+fast path, so a record's metrics cover the whole encounter (an escalated
+one's include the fast-path call and its time) and match its Solution.
 
 Request-builder functions are the complete prompt surface: fixtures and
 tests construct the exact requests the loop will make by calling them.
@@ -62,6 +65,7 @@ from .toolkit import (
     MalformedDirective,
     ToolDirective,
     ToolRegistry,
+    ToolResult,
     parse_tool_directive,
 )
 from . import calculator
@@ -400,23 +404,49 @@ def route(confidence: float, kit: StarterKit) -> Route:
 # --------------------------------------------------------------------------
 
 
-class _Counters:
-    def __init__(self):
+class _CountingProvider(CompletionProvider):
+    """The ledger of one encounter: its start time, every completion
+    attempt (successful or not) and every tool invocation."""
+
+    def __init__(self, inner: CompletionProvider):
+        self.inner = inner
+        self.name = inner.name
+        self.started = time.monotonic()
         self.provider_calls = 0
         self.tool_calls = 0
 
-
-class _CountingProvider(CompletionProvider):
-    """Counts every completion attempt, successful or not."""
-
-    def __init__(self, inner: CompletionProvider, counters: _Counters):
-        self.inner = inner
-        self.counters = counters
-        self.name = inner.name
-
     def complete(self, request: ProviderRequest) -> Completion:
-        self.counters.provider_calls += 1
+        self.provider_calls += 1
         return self.inner.complete(request)
+
+    def invoke(self, registry: ToolRegistry, allowlist, directive: ToolDirective):
+        self.tool_calls += 1
+        if directive.tool_name not in allowlist:
+            return ToolResult(
+                output="", ok=False,
+                error_detail=f"ToolNotAllowed: {directive.tool_name!r} is not in the kit allowlist",
+            )
+        return registry.invoke(directive.tool_name, directive.args)
+
+    def metrics(self, replans: int = 0) -> EncounterMetrics:
+        return EncounterMetrics(
+            latency_ms=int((time.monotonic() - self.started) * 1000),
+            provider_calls=self.provider_calls,
+            tool_calls=self.tool_calls,
+            replans=replans,
+        )
+
+
+def _solution(answer, explanation, route_taken, record_id, metrics) -> Solution:
+    return Solution(
+        answer=answer,
+        explanation=explanation,
+        route=route_taken,
+        record_id=record_id,
+        elapsed_ms=metrics.latency_ms,
+        provider_calls=metrics.provider_calls,
+        tool_calls=metrics.tool_calls,
+    )
 
 
 def _maybe_directive(line: str) -> Optional[ToolDirective]:
@@ -433,18 +463,6 @@ def _directive_input(directive: ToolDirective) -> str:
     return json.dumps(directive.args, ensure_ascii=False, sort_keys=True)
 
 
-def _invoke(registry, allowlist, directive, counters):
-    counters.tool_calls += 1
-    if directive.tool_name not in allowlist:
-        from .toolkit import ToolResult
-
-        return ToolResult(
-            output="", ok=False,
-            error_detail=f"ToolNotAllowed: {directive.tool_name!r} is not in the kit allowlist",
-        )
-    return registry.invoke(directive.tool_name, directive.args)
-
-
 def _step_line(step: ActionStep) -> str:
     parts = [step.agent, step.skill]
     if step.constraints:
@@ -452,7 +470,7 @@ def _step_line(step: ActionStep) -> str:
     return " | ".join(parts)
 
 
-def _execute_steps(kit, provider, registry, query, context, steps, counters):
+def _execute_steps(kit, ledger, registry, query, context, steps):
     """Run plan steps in order.
 
     A step whose skill is a tool directive is invoked directly; other
@@ -470,7 +488,7 @@ def _execute_steps(kit, provider, registry, query, context, steps, counters):
             continue
         directive = _maybe_directive(step.skill)
         if directive is not None:
-            result = _invoke(registry, kit.tool_allowlist, directive, counters)
+            result = ledger.invoke(registry, kit.tool_allowlist, directive)
             if result.ok:
                 evidence.append(
                     GroundingEvidence(directive.tool_name, _directive_input(directive), result.output)
@@ -487,7 +505,7 @@ def _execute_steps(kit, provider, registry, query, context, steps, counters):
                 failed = True
             continue
         try:
-            completion = provider.complete(
+            completion = ledger.complete(
                 execute_request(kit, query, context, _step_line(step), "\n".join(prior_outputs))
             )
         except ProviderError as exc:
@@ -503,7 +521,7 @@ def _execute_steps(kit, provider, registry, query, context, steps, counters):
             inner = _maybe_directive(line)
             if inner is None:
                 continue
-            result = _invoke(registry, kit.tool_allowlist, inner, counters)
+            result = ledger.invoke(registry, kit.tool_allowlist, inner)
             if result.ok:
                 evidence.append(
                     GroundingEvidence(inner.tool_name, _directive_input(inner), result.output)
@@ -555,7 +573,7 @@ def _numeric_checkable(answer: str) -> bool:
         return False
 
 
-def _evaluate(kit, provider, registry, query, steps, forecast, evidence, counters):
+def _evaluate(kit, ledger, registry, query, steps, forecast, evidence):
     """Decide success, grounding the answer where possible.
 
     Returns (outcome, grounding co-task state, answer). Numeric answers
@@ -592,7 +610,7 @@ def _evaluate(kit, provider, registry, query, steps, forecast, evidence, counter
     calc_available = "calc" in kit.tool_allowlist and registry.describe("calc") is not None
     if calc_available and _numeric_checkable(answer):
         directive = ToolDirective("calc", {"expr": answer})
-        result = _invoke(registry, kit.tool_allowlist, directive, counters)
+        result = ledger.invoke(registry, kit.tool_allowlist, directive)
         if result.ok:
             evidence.append(GroundingEvidence("calc", _directive_input(directive), result.output))
             outcome = Outcome(result.output, True, tuple(evidence), None)
@@ -606,7 +624,7 @@ def _evaluate(kit, provider, registry, query, steps, forecast, evidence, counter
         return outcome, CoTaskState.DONE, answer
 
     try:
-        completion = provider.complete(
+        completion = ledger.complete(
             evaluate_request(kit, query, forecast.expected_result, answer)
         )
         success, feedback = parse_verdict(completion.text)
@@ -632,12 +650,14 @@ def run_system2(
     evaluations until the budget runs out. Failures are also experience:
     the record is encoded either way, with corrective knowledge captured
     from each failed attempt before replanning supersedes it.
+
+    Called from ``solve``, ``provider`` is the encounter's ledger, so the
+    record and the Solution also count the fast-path call and its time;
+    a bare provider starts a ledger here.
     """
     if not query or not query.strip():
         raise ValueError("query must be non-empty")
-    started = time.monotonic()
-    counters = _Counters()
-    counted = _CountingProvider(provider, counters)
+    ledger = provider if isinstance(provider, _CountingProvider) else _CountingProvider(provider)
 
     if retrieved is None:
         retrieved = store.retrieve(query, kit.retrieval_k)
@@ -646,7 +666,7 @@ def run_system2(
 
     state = EncounterState()
     state = advance(state, EncounterEvent.IDENTIFY, kit.r_max)
-    description = counted.complete(situation_request(kit, query, context)).text.strip()
+    description = ledger.complete(situation_request(kit, query, context)).text.strip()
     situation = Situation(
         description=description or f"User query: {query}",
         context_tags=(),
@@ -654,7 +674,7 @@ def run_system2(
     )
 
     state = advance(state, EncounterEvent.DEFINE_TASK, kit.r_max)
-    subtasks = parse_subtasks(counted.complete(decompose_request(kit, query, context)).text)
+    subtasks = parse_subtasks(ledger.complete(decompose_request(kit, query, context)).text)
 
     state = advance(state, EncounterEvent.PLAN, kit.r_max)
     failure_note: Optional[str] = None
@@ -664,23 +684,23 @@ def run_system2(
         if failure_note is not None:
             joiner = "\n" if context else ""
             plan_context = f"{context}{joiner}Previous attempt failed: {failure_note}"
-        steps = parse_plan(counted.complete(plan_request(kit, query, plan_context)).text)
+        steps = parse_plan(ledger.complete(plan_request(kit, query, plan_context)).text)
         if plan_review is not None and not plan_review(steps):
             raise ReviewRejected("plan rejected by reviewer")
 
         state = advance(state, EncounterEvent.FORECAST, kit.r_max)
         forecast = parse_forecast(
-            counted.complete(forecast_request(kit, query, render_plan(steps))).text
+            ledger.complete(forecast_request(kit, query, render_plan(steps))).text
         )
 
         state = advance(state, EncounterEvent.BEGIN_EXECUTION, kit.r_max)
         executed, evidence = _execute_steps(
-            kit, counted, registry, query, plan_context, steps, counters
+            kit, ledger, registry, query, plan_context, steps
         )
 
         state = advance(state, EncounterEvent.EVALUATE, kit.r_max)
         outcome, grounding_state, answer = _evaluate(
-            kit, counted, registry, query, executed, forecast, evidence, counters
+            kit, ledger, registry, query, executed, forecast, evidence
         )
         if outcome.success or state.replan_count >= kit.r_max:
             break
@@ -718,19 +738,13 @@ def run_system2(
     new_items.extend(
         extract_knowledge(
             draft,
-            provider=counted,
+            provider=ledger,
             distill_template=kit.prompt_templates["distill"],
             system_prompt=kit.system_prompt,
         )
     )
 
-    latency_ms = int((time.monotonic() - started) * 1000)
-    metrics = EncounterMetrics(
-        latency_ms=latency_ms,
-        provider_calls=counters.provider_calls,
-        tool_calls=counters.tool_calls,
-        replans=state.replan_count,
-    )
+    metrics = ledger.metrics(replans=state.replan_count)
     with store.lock:
         record_id = store.next_record_id()
         delta = tuple(
@@ -749,19 +763,10 @@ def run_system2(
     explanation = "\n".join(
         step.observed_output for step in executed if step.observed_output
     )
-    solution = Solution(
-        answer=answer,
-        explanation=explanation,
-        route=Route.SYSTEM2,
-        record_id=stored_id,
-        elapsed_ms=latency_ms,
-        provider_calls=counters.provider_calls,
-        tool_calls=counters.tool_calls,
-    )
-    return solution, record
+    return _solution(answer, explanation, Route.SYSTEM2, stored_id, metrics), record
 
 
-def _lightweight_record(query, source, result: System1Result, used_ids, latency_ms):
+def _lightweight_record(query, source, result: System1Result, used_ids, metrics):
     answer_text = result.answer.strip() or "(no answer text)"
     return KstarRecord(
         id=0,
@@ -791,9 +796,7 @@ def _lightweight_record(query, source, result: System1Result, used_ids, latency_
         ),
         outcome=Outcome(actual_result=answer_text, success=True),
         knowledge_delta=(),
-        metrics=EncounterMetrics(
-            latency_ms=latency_ms, provider_calls=1, tool_calls=0, replans=0
-        ),
+        metrics=metrics,
     )
 
 
@@ -811,49 +814,34 @@ def solve(
     self-confidence falls below the kit threshold.
 
     With ``system1_only`` the fast answer is accepted unconditionally
-    (the comparison baseline). Either way the encounter is encoded.
+    (the comparison baseline). Either way the encounter is encoded, and
+    one ledger counts and times it for both the record and the Solution.
     """
     if not query or not query.strip():
         raise ValueError("query must be non-empty")
-    started = time.monotonic()
-    counters = _Counters()
-    counted = _CountingProvider(provider, counters)
+    ledger = _CountingProvider(provider)
 
     retrieved = store.retrieve(query, kit.retrieval_k)
     context = knowledge_context(retrieved, kit.context_token_budget)
-    result = system1_answer(query, context, kit, counted)
+    result = system1_answer(query, context, kit, ledger)
 
     decision = Route.SYSTEM1 if system1_only else route(result.confidence, kit)
     if decision is Route.SYSTEM1:
-        latency_ms = int((time.monotonic() - started) * 1000)
+        metrics = ledger.metrics()
         record = _lightweight_record(
-            query, source, result, tuple(item.id for item in retrieved), latency_ms
+            query, source, result, tuple(item.id for item in retrieved), metrics
         )
         record_id = store.store_record(record)
-        return Solution(
-            answer=result.answer,
-            explanation=result.explanation,
-            route=Route.SYSTEM1,
-            record_id=record_id,
-            elapsed_ms=latency_ms,
-            provider_calls=counters.provider_calls,
-            tool_calls=counters.tool_calls,
-        )
+        return _solution(result.answer, result.explanation, Route.SYSTEM1, record_id, metrics)
 
-    slow, _record = run_system2(
+    solution, _record = run_system2(
         query,
         kit,
-        provider,
+        ledger,
         registry,
         store,
         source=source,
         plan_review=plan_review,
         retrieved=retrieved,
     )
-    elapsed_ms = int((time.monotonic() - started) * 1000)
-    return replace(
-        slow,
-        elapsed_ms=elapsed_ms,
-        provider_calls=slow.provider_calls + counters.provider_calls,
-        tool_calls=slow.tool_calls + counters.tool_calls,
-    )
+    return solution

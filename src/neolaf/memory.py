@@ -496,13 +496,19 @@ class EpisodicStore:
             return next_id
 
     def boost_confidence(self, item_ids: Iterable[int], delta: float = REINFORCEMENT_BOOST) -> None:
+        """Append each known item again with its confidence raised by
+        ``delta``, in one write. Each repeat of an id appends a further
+        version; unknown ids are skipped."""
         with self.lock:
+            boosted: dict[int, KnowledgeItem] = {}
+            versions = []
             for item_id in item_ids:
-                item = self._knowledge.get(item_id)
+                item = boosted.get(item_id) or self._knowledge.get(item_id)
                 if item is not None:
-                    self._write_knowledge(
-                        replace(item, confidence=_clamp(item.confidence + delta))
-                    )
+                    boosted[item_id] = replace(item, confidence=_clamp(item.confidence + delta))
+                    versions.append(boosted[item_id])
+            if versions:
+                self._write_knowledge(*versions)
 
     def _bump_usage(self, item_ids: list[int]) -> None:
         """Append each ranked item again with its usage count + 1, in one write."""

@@ -83,6 +83,18 @@ def test_solve_runtime_error_exits_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_script_and_transcript_together_exit_two(tmp_path, capsys):
+    for command in (["solve", QUERY], ["eval", "--dataset", str(_dataset_path(tmp_path))]):
+        code = main([
+            *command,
+            "--script", str(_script_path(tmp_path)),
+            "--transcript", str(tmp_path / "transcript.json"),
+            "--store", str(tmp_path / "store"),
+        ])
+        assert code == 2
+        assert "--script and --transcript are mutually exclusive" in capsys.readouterr().err
+
+
 def test_solve_review_rejection(tmp_path, capsys, monkeypatch):
     # escalate to system-2 so a plan exists, then reject it
     kit = default_kit()

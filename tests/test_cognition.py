@@ -5,6 +5,7 @@ test states exactly which prompts it expects the agent to make.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,7 @@ from neolaf.cognition import (
     system1_answer,
     system1_request,
 )
+from neolaf.harness import load_dataset
 from neolaf.kstar import CoTaskState, StepStatus
 from neolaf.memory import (
     EpisodicStore,
@@ -48,9 +50,13 @@ from neolaf.provider import (
     Role,
     ScriptedProvider,
     fingerprint,
+    load_script,
 )
 from neolaf.templates import render
 from neolaf.toolkit import default_registry
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture
@@ -412,6 +418,31 @@ def test_solve_escalates_low_confidence(kit, store, no_network):
     assert solution.answer == "1/2"
     assert solution.provider_calls >= 4
     assert len(store.records) == 1
+    assert_record_matches(store, solution)
+
+
+def assert_record_matches(store, solution):
+    """The stored record counts and times the encounter as its Solution does."""
+    metrics = store.get_record(solution.record_id).metrics
+    assert (metrics.provider_calls, metrics.tool_calls, metrics.latency_ms) == (
+        solution.provider_calls, solution.tool_calls, solution.elapsed_ms
+    )
+
+
+@pytest.mark.parametrize("system1_only", (False, True))
+def test_solve_records_carry_their_solution_counts(kit, store, system1_only, no_network):
+    provider = ScriptedProvider(load_script(FIXTURES / "script.json"))
+    routes = []
+    for problem in load_dataset(FIXTURES / "math20", "math_dir"):
+        solution = solve(
+            problem.statement, kit, provider, default_registry(), store,
+            system1_only=system1_only,
+        )
+        assert_record_matches(store, solution)
+        routes.append(solution.route)
+    # the fixture escalates its six tool problems unless system1_only
+    assert routes.count(Route.SYSTEM2) == (0 if system1_only else 6)
+    assert len(store.records) == 20
 
 
 def test_solve_system1_only_accepts_anything(kit, store):

@@ -586,6 +586,31 @@ def test_retrieve_appends_its_usage_bumps_in_one_write(store, monkeypatch):
     assert [item.usage_count for item in store.knowledge] == [1, 1, 1]
 
 
+def test_boost_confidence_appends_its_versions_in_one_write(store, monkeypatch):
+    for statement in ("alpha", "beta", "gamma"):
+        _add_statement(store, statement)
+    writes = []
+    append = store._append_line
+    monkeypatch.setattr(store, "_append_line", lambda *args: (writes.append(args), append(*args)))
+    store.boost_confidence([1, 3, 99], 0.25)
+    assert len(writes) == 1 and writes[0][1].count("\n") == 1
+    assert [item.confidence for item in store.knowledge] == [0.75, 0.5, 0.75]
+    store.boost_confidence([99, 100], 0.25)  # nothing known: nothing written
+    assert len(writes) == 1
+
+
+def test_boost_confidence_appends_a_version_per_repeated_id(tmp_path):
+    store = EpisodicStore.open(tmp_path / "s")
+    item_id = _add_statement(store, "alpha", confidence=0.5)
+    store.boost_confidence([item_id, item_id], 0.1)
+    path = tmp_path / "s" / "knowledge.jsonl"
+    confidences = [json.loads(line)["confidence"] for line in path.read_text().splitlines()]
+    assert len(confidences) == 3
+    assert confidences[1:] == [pytest.approx(0.6), pytest.approx(0.7)]
+    assert store.get_knowledge(item_id).confidence == pytest.approx(0.5 + 2 * 0.1)
+    assert EpisodicStore.open(tmp_path / "s").get_knowledge(item_id) == store.get_knowledge(item_id)
+
+
 def test_retrieve_with_embedder_uses_cached_embeddings(tmp_path):
     store = EpisodicStore.open(tmp_path / "s", embedder=DeterministicEmbedder())
     a = _add_statement(store, "quadratic equation roots")
