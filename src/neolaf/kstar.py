@@ -13,7 +13,7 @@ thread; completed records are frozen dataclasses and safe to share.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from enum import Enum
 from operator import itemgetter
@@ -417,12 +417,33 @@ def enum_decoder(enum: type[Enum]) -> Callable[[Any], Any]:
     return lambda v: members[v] if isinstance(v, str) and v in members else enum(v)
 
 
+def _constructor(cls: type) -> Callable[..., Any]:
+    """``cls(*values)``, given every field in order, for a frozen slotted dataclass
+    whose ``__init__`` only sets its fields. That ``__init__`` looks up
+    ``object.__setattr__`` for each field; this sets each slot by its descriptor."""
+    count = len(fields(cls))
+    scope = {"new": object.__new__, "cls": cls}
+    scope.update({f"s{i}": getattr(cls, f.name).__set__ for i, f in enumerate(fields(cls))})
+    args = ", ".join(f"v{i}" for i in range(count))
+    body = "".join(f"    s{i}(obj, v{i})\n" for i in range(count))
+    exec(f"def build({args}):\n    obj = new(cls)\n{body}    return obj", scope)
+    return scope["build"]
+
+
 _source = enum_decoder(SituationSource)
-_cotask_state = enum_decoder(CoTaskState)
 _step_status = enum_decoder(StepStatus)
 _forecast = itemgetter("expected_result", "success_probability")
 _evidence = itemgetter("tool_name", "input", "output")
 _metrics = itemgetter("latency_ms", "provider_calls", "tool_calls", "replans")
+# One shared, immutable value per combination of co-task states, by their strings
+_COTASKS = {
+    (p.value, f.value, g.value): CoTasks(p, f, g)
+    for p in CoTaskState for f in CoTaskState for g in CoTaskState
+}
+_new_situation, _new_task, _new_step, _new_forecast, _new_evidence, _new_outcome = map(
+    _constructor, (Situation, TaskSpec, ActionStep, Forecast, GroundingEvidence, Outcome)
+)
+_new_metrics, _new_record = _constructor(EncounterMetrics), _constructor(KstarRecord)
 
 
 def _decode(build: Callable[[Any], Any], obj: Any, path: str, *args: Any) -> Any:
@@ -435,36 +456,47 @@ def _decode(build: Callable[[Any], Any], obj: Any, path: str, *args: Any) -> Any
 
 
 def _situation(s: Any) -> Situation:
-    return Situation(s["description"], tuple(s["context_tags"]), _source(s["source"]))
+    return _new_situation(s["description"], tuple(s["context_tags"]), _source(s["source"]))
 
 
-def _task(t: Any, path: str) -> TaskSpec:
+def _task_path(path: Any) -> str:
+    """``path`` as errors name it: a string, or (its parent's path, i) for subtask i."""
+    return path if isinstance(path, str) else f"{_task_path(path[0])}.subtasks[{path[1]}]"
+
+
+def _cotasks(c: Any, path: Any) -> CoTasks:
     try:
-        c = t["cotasks"]
-        try:
-            planning, forecasting = _cotask_state(c["planning"]), _cotask_state(c["forecasting"])
-            cotasks = CoTasks(planning, forecasting, _cotask_state(c["grounding"]))
-        except KeyError as exc:
-            raise MalformedRecord(f"missing field {path}.cotasks.{exc.args[0]}") from None
-        except ValueError as exc:
-            raise MalformedRecord(f"bad co-task state in {path}: {exc}") from exc
-        goal = t["goal"]
-        subtasks = [_task(u, f"{path}.subtasks[{i}]") for i, u in enumerate(t["subtasks"])]
+        return _COTASKS[c["planning"], c["forecasting"], c["grounding"]]
+    except (KeyError, TypeError):  # a missing field, a bad or unhashable state, not a dict
+        pass
+    try:  # each state in turn, so the first bad field raises
+        return CoTasks(*[CoTaskState(c[key]) for key in ("planning", "forecasting", "grounding")])
     except KeyError as exc:
-        raise MalformedRecord(f"missing field {path}.{exc.args[0]}") from None
-    return TaskSpec(goal, tuple(subtasks), cotasks)
+        raise MalformedRecord(f"missing field {_task_path(path)}.cotasks.{exc.args[0]}") from None
+    except ValueError as exc:
+        raise MalformedRecord(f"bad co-task state in {_task_path(path)}: {exc}") from exc
+
+
+def _task(t: Any, path: Any) -> TaskSpec:
+    try:
+        cotasks = _cotasks(t["cotasks"], path)
+        goal = t["goal"]
+        subtasks = tuple([_task(u, (path, i)) for i, u in enumerate(t["subtasks"])])
+    except KeyError as exc:
+        raise MalformedRecord(f"missing field {_task_path(path)}.{exc.args[0]}") from None
+    return _new_task(goal, subtasks, cotasks)
 
 
 def _step(s: Any) -> ActionStep:
     agent, skill, constraints, status = s["agent"], s["skill"], tuple(s["constraints"]), s["status"]
-    return ActionStep(agent, skill, constraints, _step_status(status), s.get("observed_output"))
+    return _new_step(agent, skill, constraints, _step_status(status), s.get("observed_output"))
 
 
 def _outcome(o: Any) -> Outcome:
     actual, success, evidence = o["actual_result"], o["success"], o["grounding_evidence"]
     evidence = [_decode(_evidence, e, "grounding_evidence[{}]", i) for i, e in enumerate(evidence)]
-    evidence = tuple([GroundingEvidence(*fields) for fields in evidence])
-    return Outcome(actual, success, evidence, o.get("feedback"))
+    evidence = tuple([_new_evidence(*values) for values in evidence])
+    return _new_outcome(actual, success, evidence, o.get("feedback"))
 
 
 def record_from_dict(obj: dict[str, Any]) -> KstarRecord:
@@ -473,17 +505,17 @@ def record_from_dict(obj: dict[str, Any]) -> KstarRecord:
         raise MalformedRecord("record must be a JSON object")
     try:
         sit, fc, out, met = obj["situation"], obj["forecast"], obj["outcome"], obj["metrics"]
-        return KstarRecord(
-            id=obj["id"],
-            timestamp=_parse_timestamp(obj["timestamp"]),
-            knowledge_used=tuple(obj["knowledge_used"]),
-            situation=_decode(_situation, sit, "situation"),
-            task=_task(obj["task"], "task"),
-            plan=tuple([_decode(_step, s, "plan[{}]", i) for i, s in enumerate(obj["plan"])]),
-            forecast=Forecast(*_decode(_forecast, fc, "forecast")),
-            outcome=_decode(_outcome, out, "outcome"),
-            knowledge_delta=tuple(obj["knowledge_delta"]),
-            metrics=EncounterMetrics(*_decode(_metrics, met, "metrics")),
+        return _new_record(  # the fields in order, and checked in this order
+            obj["id"],
+            _parse_timestamp(obj["timestamp"]),
+            tuple(obj["knowledge_used"]),
+            _decode(_situation, sit, "situation"),
+            _task(obj["task"], "task"),
+            tuple([_decode(_step, s, "plan[{}]", i) for i, s in enumerate(obj["plan"])]),
+            _new_forecast(*_decode(_forecast, fc, "forecast")),
+            _decode(_outcome, out, "outcome"),
+            tuple(obj["knowledge_delta"]),
+            _new_metrics(*_decode(_metrics, met, "metrics")),
         )
     except KeyError as exc:
         raise MalformedRecord(f"missing field record.{exc.args[0]}") from None
@@ -491,10 +523,25 @@ def record_from_dict(obj: dict[str, Any]) -> KstarRecord:
         raise MalformedRecord(f"bad field value: {exc}") from exc
 
 
+_scan_once = json.JSONDecoder().scan_once  # the C scanner json.loads calls
+
+
+def loads(text: str) -> Any:
+    """``json.loads(text)``: by the C scanner alone when ``text`` is one JSON value
+    with no whitespace around it, else (and for every error) by ``json.loads``."""
+    try:
+        value, end = _scan_once(text, 0)
+        if end == len(text):
+            return value
+    except (StopIteration, ValueError, TypeError):
+        pass
+    return json.loads(text)
+
+
 def deserialize_record(text: str) -> KstarRecord:
     """Parse canonical record text; inverse of :func:`serialize_record`."""
     try:
-        obj = json.loads(text)
+        obj = loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedRecord(f"invalid JSON: {exc.msg}", position=exc.pos) from exc
     return record_from_dict(obj)

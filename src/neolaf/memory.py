@@ -11,7 +11,10 @@ Opening a store decodes and validates every line of both files once
 (fields present, enums known, timestamps with an offset, integer ids;
 ``validate_record`` runs at write time). A corrupt line, or a record id
 that does not increase, fails the open with a StorageError naming its file
-and line number.
+and line number. The open pauses the (process-wide) cyclic collector, as
+nothing it builds is cyclic garbage, and then leaves it as the caller had it;
+if it was on, one young-generation pass moves what was built to the oldest.
+Decoded records share immutable ``CoTasks`` values, one per set of states.
 
 Retrieval keeps one more rebuildable cache, built on the first ``retrieve``
 after open rather than at load. For embedder scoring it holds each item's
@@ -29,6 +32,7 @@ many readers may share them freely.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import json
 import math
@@ -44,7 +48,9 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import NeolafError
-from .kstar import KstarRecord, deserialize_record, enum_decoder, serialize_record, validate_record
+from .kstar import (
+    KstarRecord, deserialize_record, enum_decoder, loads, serialize_record, validate_record,
+)
 from .provider import (
     CompletionProvider,
     DeterministicEmbedder,
@@ -161,13 +167,12 @@ def consolidation_example_from_dict(obj: dict) -> ConsolidationExample:
 
 
 def read_consolidation(path) -> list[ConsolidationExample]:
-    examples = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                examples.append(consolidation_example_from_dict(json.loads(line)))
-    return examples
+    """The examples of a consolidation file; a corrupt line raises
+    StorageError naming the file and the line."""
+    lines = _read_lines(
+        Path(path), _consolidation_line, f"consolidation file {path}", missing_ok=False
+    )
+    return [example for _, example in lines]
 
 
 # --------------------------------------------------------------------------
@@ -358,13 +363,20 @@ def _record_line(line: str) -> KstarRecord:
 
 
 def _knowledge_line(line: str) -> KnowledgeItem:
-    return _int_id(knowledge_item_from_dict(json.loads(line)))
+    return _int_id(knowledge_item_from_dict(loads(line)))
 
 
-def _read_lines(path: Path, decode: Callable[[str], Any], what: str) -> Iterator[tuple[int, Any]]:
-    """Decode each non-blank line of ``path``, if it exists; a line that
-    fails raises StorageError naming ``what`` and the line number."""
-    if not path.exists():
+def _consolidation_line(line: str) -> ConsolidationExample:
+    return consolidation_example_from_dict(loads(line))
+
+
+def _read_lines(
+    path: Path, decode: Callable[[str], Any], what: str, missing_ok: bool = True
+) -> Iterator[tuple[int, Any]]:
+    """Decode each non-blank line of ``path``; a line that fails raises
+    StorageError naming ``what`` and the line number. A missing file has
+    no lines if ``missing_ok``, as a store's files may not exist yet."""
+    if missing_ok and not path.exists():
         return
     with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
         for number, raw in enumerate(fh, start=1):
@@ -407,16 +419,28 @@ class EpisodicStore:
         return cls(directory / RECORD_LOG_NAME, directory / KNOWLEDGE_FILE_NAME, embedder)
 
     def _load(self) -> None:
-        last_id = 0
-        for number, record in _read_lines(self.log_path, _record_line, "record log"):
-            if record.id <= last_id:
-                raise StorageError(
-                    f"record log corrupt at line {number}: id {record.id} after {last_id}"
-                )
-            last_id = record.id
-            self._records.append(record)
-        for _, item in _read_lines(self.knowledge_path, _knowledge_line, "knowledge file"):
-            self._knowledge[item.id] = item
+        # None of the many containers built here is cyclic garbage, yet each
+        # collector pass would rescan them all: pause it, as the caller had it.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            last_id = 0
+            for number, record in _read_lines(self.log_path, _record_line, "record log"):
+                if record.id <= last_id:
+                    raise StorageError(
+                        f"record log corrupt at line {number}: id {record.id} after {last_id}"
+                    )
+                last_id = record.id
+                self._records.append(record)
+            for _, item in _read_lines(self.knowledge_path, _knowledge_line, "knowledge file"):
+                self._knowledge[item.id] = item
+        finally:
+            if enabled:
+                gc.enable()
+                # One pass over the two young generations moves what was built
+                # to the oldest; the passes that the next allocations start
+                # would scan all of it twice on the way, inside later calls.
+                gc.collect(1)
         self._next_knowledge_id = max(self._knowledge, default=0) + 1
 
     def _append_line(self, path: Path, line: str) -> None:

@@ -376,3 +376,72 @@ def test_mistyped_field_raises_malformed(path, value):
 
 def test_record_that_is_not_an_object_is_refused():
     assert _decode_error("[]") == "record must be a JSON object"
+
+
+# Record text is decoded by the JSON scanner directly when it is one value
+# with nothing around it; any other text must decode, or fail, as json.loads.
+
+
+def _contract_text():
+    return serialize_record(_contract_record())
+
+
+def test_record_text_that_is_not_one_object_fails_as_json_loads_does():
+    text = _contract_text()
+    n = len(text)
+    assert _decode_error(text + " x") == f"invalid JSON: Extra data (at position {n + 1})"
+    assert _decode_error(text + "{}") == f"invalid JSON: Extra data (at position {n})"
+    assert _decode_error(text[:-1]) == (
+        f"invalid JSON: Expecting ',' delimiter (at position {n - 1})"
+    )
+    assert _decode_error("[1]") == "record must be a JSON object"
+    assert _decode_error("NaN") == "record must be a JSON object"
+
+
+@pytest.mark.parametrize("before, after", [(" ", ""), ("\n", " \n"), ("\t", "\r\n")])
+def test_record_text_with_whitespace_around_it_decodes(before, after):
+    assert deserialize_record(before + _contract_text() + after) == _contract_record()
+
+
+def test_decoded_records_share_their_cotasks_values():
+    first, second = deserialize_record(_contract_text()), deserialize_record(_contract_text())
+    assert first.task.cotasks is second.task.subtasks[0].cotasks
+    assert first.task.cotasks == CoTasks(CoTaskState.DONE, CoTaskState.DONE, CoTaskState.DONE)
+
+
+def _cotasks_edited(**fields):
+    """The contract record as JSON text, with the task's co-task fields
+    replaced, or deleted where the value is None."""
+    obj = record_to_dict(_contract_record())
+    cotasks = obj["task"]["cotasks"]
+    for key, value in fields.items():
+        if value is None:
+            del cotasks[key]
+        else:
+            cotasks[key] = value
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"planning": []}, "bad co-task state in task: [] is not a valid CoTaskState"),
+        ({"planning": "bogus", "forecasting": None},
+         "bad co-task state in task: 'bogus' is not a valid CoTaskState"),
+        ({"planning": None, "grounding": "bogus"}, "missing field task.cotasks.planning"),
+        ({"grounding": None}, "missing field task.cotasks.grounding"),
+        ({"forecasting": 1}, "bad co-task state in task: 1 is not a valid CoTaskState"),
+    ],
+    ids=["unhashable", "bad-then-missing", "missing-then-bad", "missing", "not-a-string"],
+)
+def test_cotasks_outside_the_shared_table_fail_in_field_order(fields, message):
+    assert _decode_error(_cotasks_edited(**fields)) == message
+
+
+def test_error_in_a_nested_subtask_names_its_whole_path():
+    obj = record_to_dict(_contract_record())
+    leaf = obj["task"]["subtasks"][0]
+    leaf["subtasks"] = [dict(leaf), {"goal": "x", "subtasks": [], "cotasks": {}}]
+    assert _decode_error(json.dumps(obj)) == (
+        "missing field task.subtasks[0].subtasks[1].cotasks.planning"
+    )

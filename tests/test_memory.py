@@ -1,11 +1,13 @@
 """Episodic store, retrieval ranking, extraction rules, consolidation."""
 
+import gc
 import json
 import random
 from dataclasses import replace
 
 import pytest
 
+from neolaf import memory
 from neolaf.kstar import (
     DEFAULT_SUBTASK_DEPTH,
     ActionStep,
@@ -263,6 +265,105 @@ def test_knowledge_id_that_is_not_an_integer_names_its_line(tmp_path, bad_id):
         match=rf"^knowledge file corrupt at line 2: id must be an integer, not {bad_id!r}$",
     ):
         EpisodicStore.open(store_dir)
+
+
+_KNOWLEDGE_LINE = (
+    '{"id":1,"statement":"check","kind":"corrective","provenance":[1],"confidence":0.5}'
+)
+
+
+@pytest.mark.parametrize(
+    "line, detail",
+    [
+        (_KNOWLEDGE_LINE + " x", "Extra data: line 1 column 84 (char 83)"),
+        (_KNOWLEDGE_LINE + "{}", "Extra data: line 1 column 83 (char 82)"),
+        (_KNOWLEDGE_LINE[:-1], "Expecting ',' delimiter: line 1 column 82 (char 81)"),
+        ("[1]", "'list' object has no attribute 'get'"),
+        ("NaN", "'float' object has no attribute 'get'"),
+    ],
+    ids=["trailing-word", "trailing-object", "unterminated", "array", "nan"],
+)
+def test_knowledge_line_that_is_not_one_object_fails_as_json_loads_does(tmp_path, line, detail):
+    store_dir = tmp_path / "s"
+    store_dir.mkdir()
+    (store_dir / "knowledge.jsonl").write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(StorageError) as excinfo:
+        EpisodicStore.open(store_dir)
+    assert str(excinfo.value) == f"knowledge file corrupt at line 1: {detail}"
+
+
+@pytest.mark.parametrize(
+    "corrupt, detail",
+    [
+        (lambda line: line + " x", lambda n: f"invalid JSON: Extra data (at position {n + 1})"),
+        (lambda line: line + "{}", lambda n: f"invalid JSON: Extra data (at position {n})"),
+        (lambda line: line[:-1],
+         lambda n: f"invalid JSON: Expecting ',' delimiter (at position {n - 1})"),
+        (lambda line: "[1]", lambda n: "record must be a JSON object"),
+        (lambda line: "NaN", lambda n: "record must be a JSON object"),
+    ],
+    ids=["trailing-word", "trailing-object", "unterminated", "array", "nan"],
+)
+def test_record_line_that_is_not_one_object_fails_as_json_loads_does(
+    tmp_path, rng, corrupt, detail
+):
+    """``detail(n)`` is the error for a record line of n characters."""
+    store_dir = tmp_path / "s"
+    lines = _three_record_lines(store_dir, rng)
+    n = len(lines[1])
+    lines[1] = corrupt(lines[1])
+    _write_log(store_dir, lines)
+    with pytest.raises(StorageError) as excinfo:
+        EpisodicStore.open(store_dir)
+    assert str(excinfo.value) == "record log corrupt at line 2: " + detail(n)
+
+
+def _store_with_one_line_each(store_dir, rng):
+    store = EpisodicStore.open(store_dir)
+    store.store_record(make_record(rng))
+    store.add_knowledge(KnowledgeItem(0, "check", KnowledgeKind.CORRECTIVE, (1,), 0.5))
+
+
+@pytest.mark.parametrize("corrupt", [None, "episodic.jsonl", "knowledge.jsonl"])
+def test_open_pauses_the_collector_and_then_restarts_it(tmp_path, rng, monkeypatch, corrupt):
+    store_dir = tmp_path / "s"
+    _store_with_one_line_each(store_dir, rng)
+    if corrupt:
+        with open(store_dir / corrupt, "a", encoding="utf-8") as fh:
+            fh.write("{\n")
+    enabled_while_decoding = []
+    for name in ("_record_line", "_knowledge_line"):
+        decode = getattr(memory, name)
+        monkeypatch.setattr(memory, name, lambda line, decode=decode: (
+            enabled_while_decoding.append(gc.isenabled()) or decode(line)
+        ))
+    assert gc.isenabled()
+    if corrupt:
+        with pytest.raises(StorageError, match="corrupt at line 2"):
+            EpisodicStore.open(store_dir)
+    else:
+        EpisodicStore.open(store_dir)
+    assert enabled_while_decoding and not any(enabled_while_decoding)
+    assert gc.isenabled()
+
+
+def test_open_leaves_what_it_built_in_the_oldest_generation(tmp_path, rng):
+    store_dir = tmp_path / "s"
+    _store_with_one_line_each(store_dir, rng)
+    store = EpisodicStore.open(store_dir)
+    oldest = {id(obj) for obj in gc.get_objects(generation=2)}
+    assert id(store.records[0]) in oldest and id(store.knowledge[0]) in oldest
+
+
+def test_open_leaves_a_paused_collector_paused(tmp_path, rng):
+    store_dir = tmp_path / "s"
+    _store_with_one_line_each(store_dir, rng)
+    gc.disable()
+    try:
+        assert len(EpisodicStore.open(store_dir).records) == 1
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def _nested_task(depth, cotasks):
@@ -829,6 +930,27 @@ def test_consolidation_lines_round_trip(store, tmp_path):
     assert "1/2" in example.completion
     line_obj = json.loads(out.read_text().splitlines()[0])
     assert consolidation_example_from_dict(line_obj) == example
+
+
+def test_corrupt_consolidation_line_names_the_file_and_the_line(store, tmp_path):
+    store.store_record(_sample_record(success=True))
+    out = tmp_path / "data.jsonl"
+    store.consolidate(out_path=out)
+    with open(out, "a", encoding="utf-8") as fh:
+        fh.write('\n{"prompt": "p", "completion": "c"}\n')
+    with pytest.raises(StorageError) as excinfo:
+        read_consolidation(out)
+    assert str(excinfo.value) == (
+        f"consolidation file {out} corrupt at line 3: 'source_record'"
+    )
+    out.write_text(out.read_text(encoding="utf-8").replace('{"prompt": "p"', "{"), "utf-8")
+    with pytest.raises(StorageError, match=r"consolidation file .* corrupt at line 3: Expecting"):
+        read_consolidation(out)
+
+
+def test_missing_consolidation_file_is_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        read_consolidation(tmp_path / "absent.jsonl")
 
 
 def test_consolidate_custom_filter(store):
