@@ -8,14 +8,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from .cognition import ReviewRejected, Solution, default_kit, load_kit, solve
+from .cognition import ReviewRejected, Solution, default_kit, kit_from_dict, load_kit, solve
 from .errors import NeolafError
 from .harness import (
     EvalConfig,
     compare,
-    comparison_to_dicts,
     load_dataset,
     render_comparison,
     run_eval,
@@ -176,15 +176,20 @@ def _cmd_eval(args) -> int:
 def _load_eval_config(path) -> EvalConfig:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    if "kit_path" in obj:
-        kit = load_kit(obj["kit_path"])
-    else:
-        from .cognition import kit_from_dict
-
-        kit = kit_from_dict(obj.get("kit", {}))
-    provider = provider_from_config(obj["provider"])
+    if not isinstance(obj, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    if not isinstance(obj.get("provider"), dict):
+        raise ValueError(f"config file {path} needs an object in field 'provider'")
+    name = obj.get("name", Path(path).stem)
+    if not isinstance(name, str) or not isinstance(obj.get("kit_path", ""), str):
+        raise ValueError(f"config file {path}: fields 'name' and 'kit_path' must be text")
+    try:
+        kit = load_kit(obj["kit_path"]) if "kit_path" in obj else kit_from_dict(obj.get("kit", {}))
+        provider = provider_from_config(obj["provider"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config file {path}: {exc}") from exc
     return EvalConfig(
-        name=obj.get("name", Path(path).stem),
+        name=name,
         kit=kit,
         provider=provider,
         system1_only=obj.get("system1_only", False),
@@ -197,7 +202,7 @@ def _cmd_compare(args) -> int:
     problems = load_dataset(args.dataset, args.format)
     rows = compare(configs, problems, limit=args.limit)
     if args.json:
-        print(json.dumps(comparison_to_dicts(rows), ensure_ascii=False, indent=2))
+        print(json.dumps([asdict(row) for row in rows], ensure_ascii=False, indent=2))
     else:
         print(render_comparison(rows))
     return 0

@@ -18,11 +18,13 @@ tests construct the exact requests the loop will make by calling them.
 
 from __future__ import annotations
 
+import json
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .errors import NeolafError
@@ -124,52 +126,34 @@ def default_kit(**overrides) -> StarterKit:
 
 
 def kit_to_dict(kit: StarterKit) -> dict:
-    return {
-        "agent_name": kit.agent_name,
-        "system_prompt": kit.system_prompt,
-        "route_threshold": kit.route_threshold,
-        "d_max": kit.d_max,
-        "r_max": kit.r_max,
-        "retrieval_k": kit.retrieval_k,
-        "context_token_budget": kit.context_token_budget,
-        "tool_allowlist": list(kit.tool_allowlist),
-        "prompt_templates": dict(kit.prompt_templates),
-    }
+    return asdict(kit)
 
 
 def kit_from_dict(obj: dict) -> StarterKit:
-    """Build a kit from a JSON document; absent fields take defaults,
-    absent template slots fall back to the built-in templates."""
-    templates = dict(DEFAULT_TEMPLATES)
-    templates.update(obj.get("prompt_templates", {}))
-    base = default_kit()
-    return StarterKit(
-        agent_name=obj.get("agent_name", base.agent_name),
-        system_prompt=obj.get("system_prompt", base.system_prompt),
-        route_threshold=obj.get("route_threshold", base.route_threshold),
-        d_max=obj.get("d_max", base.d_max),
-        r_max=obj.get("r_max", base.r_max),
-        retrieval_k=obj.get("retrieval_k", base.retrieval_k),
-        context_token_budget=obj.get("context_token_budget", base.context_token_budget),
-        tool_allowlist=tuple(obj.get("tool_allowlist", base.tool_allowlist)),
-        prompt_templates=templates,
-    )
+    """Build a kit from a JSON document; unknown keys are ignored, absent
+    fields take defaults, absent template slots the built-in templates."""
+    if not isinstance(obj, dict):
+        raise ValueError("a kit must be a JSON object")
+    templates = obj.get("prompt_templates", {})
+    if not isinstance(templates, dict):
+        raise ValueError("kit field 'prompt_templates' must be a JSON object")
+    values = {f.name: obj[f.name] for f in fields(StarterKit) if f.name in obj}
+    values["prompt_templates"] = {**DEFAULT_TEMPLATES, **templates}
+    return StarterKit(**values)
 
 
 def load_kit(path) -> StarterKit:
-    import json
-
     with open(path, encoding="utf-8") as fh:
-        return kit_from_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        return kit_from_dict(data)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"kit file {path}: {exc}") from exc
 
 
 def save_kit(kit: StarterKit, path) -> None:
-    import json
-    from pathlib import Path
-
     Path(path).write_text(
-        json.dumps(kit_to_dict(kit), ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
+        json.dumps(asdict(kit), ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
     )
 
 
@@ -458,8 +442,6 @@ def _maybe_directive(line: str) -> Optional[ToolDirective]:
 
 
 def _directive_input(directive: ToolDirective) -> str:
-    import json
-
     return json.dumps(directive.args, ensure_ascii=False, sort_keys=True)
 
 

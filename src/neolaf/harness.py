@@ -22,7 +22,7 @@ import re
 import statistics
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -278,49 +278,20 @@ class EvalReport:
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "config_name": report.config_name,
-        "per_problem": [
-            {
-                "problem_id": r.problem_id,
-                "answer": r.answer,
-                "correct": r.correct,
-                "route": r.route,
-                "elapsed_ms": r.elapsed_ms,
-                "provider_calls": r.provider_calls,
-                "tool_calls": r.tool_calls,
-                "explanation": r.explanation,
-            }
-            for r in report.per_problem
-        ],
-        "aggregate": {
-            "n": report.aggregate.n,
-            "n_correct": report.aggregate.n_correct,
-            "accuracy": report.aggregate.accuracy,
-            "mean_elapsed_ms": report.aggregate.mean_elapsed_ms,
-            "median_elapsed_ms": report.aggregate.median_elapsed_ms,
-        },
-    }
+    return asdict(report)
 
 
 def report_from_dict(obj: dict) -> EvalReport:
-    aggregate = obj["aggregate"]
     return EvalReport(
         config_name=obj["config_name"],
         per_problem=tuple(ProblemResult(**row) for row in obj["per_problem"]),
-        aggregate=Aggregate(
-            n=aggregate["n"],
-            n_correct=aggregate["n_correct"],
-            accuracy=aggregate["accuracy"],
-            mean_elapsed_ms=aggregate["mean_elapsed_ms"],
-            median_elapsed_ms=aggregate["median_elapsed_ms"],
-        ),
+        aggregate=Aggregate(**obj["aggregate"]),
     )
 
 
 def save_report(report: EvalReport, path) -> None:
     Path(path).write_text(
-        json.dumps(report_to_dict(report), ensure_ascii=False, indent=2) + "\n",
+        json.dumps(asdict(report), ensure_ascii=False, indent=2) + "\n",
         encoding="utf-8",
     )
 
@@ -366,8 +337,11 @@ def run_eval(
 
     Problems without an extractable reference are skipped. By default
     one store is shared across the run so learning accumulates;
-    ``fresh_store`` isolates each problem in its own store. Provider
-    failures mark the problem incorrect and the run continues.
+    ``fresh_store`` isolates each problem in its own store. The shared
+    store is ``store_dir`` itself, fresh ones are ``problem-<i>`` under it;
+    without ``store_dir`` both go in a temporary directory, the shared one
+    as ``shared``. Provider failures mark the problem incorrect and the
+    run continues.
     """
     usable = [p for p in problems if p.reference_answer]
     if limit is not None:
@@ -375,18 +349,12 @@ def run_eval(
 
     rows: list[ProblemResult] = []
     with tempfile.TemporaryDirectory(prefix="neolaf-eval-") as scratch:
-
-        def make_store(index: int) -> EpisodicStore:
-            if store_dir is not None and not fresh_store:
-                return EpisodicStore.open(store_dir)
-            base = Path(store_dir) if store_dir is not None else Path(scratch)
-            if fresh_store:
-                return EpisodicStore.open(base / f"problem-{index}")
-            return EpisodicStore.open(base / "shared")
-
-        shared = None if fresh_store else make_store(0)
+        base = Path(scratch) if store_dir is None else Path(store_dir)
+        if not fresh_store:
+            store = EpisodicStore.open(base / "shared" if store_dir is None else base)
         for index, problem in enumerate(usable):
-            store = make_store(index) if fresh_store else shared
+            if fresh_store:
+                store = EpisodicStore.open(base / f"problem-{index}")
             started = time.monotonic()
             try:
                 solution = solve(
@@ -479,19 +447,6 @@ def compare(
                 )
             )
     return tuple(rows)
-
-
-def comparison_to_dicts(rows: Sequence[ComparisonRow]) -> list[dict]:
-    return [
-        {
-            "config_name": r.config_name,
-            "accuracy": r.accuracy,
-            "mean_elapsed_ms": r.mean_elapsed_ms,
-            "provider_calls": r.provider_calls,
-            "error": r.error,
-        }
-        for r in rows
-    ]
 
 
 def render_comparison(rows: Sequence[ComparisonRow]) -> str:

@@ -40,7 +40,7 @@ import threading
 from array import array
 from bisect import bisect_left, insort
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import partial, reduce
 from operator import attrgetter, mul, or_
@@ -146,15 +146,6 @@ class ConsolidationExample:
     completion: str
     source_record: int
     tags: tuple[str, ...] = ()
-
-
-def consolidation_example_to_dict(example: ConsolidationExample) -> dict:
-    return {
-        "prompt": example.prompt,
-        "completion": example.completion,
-        "source_record": example.source_record,
-        "tags": list(example.tags),
-    }
 
 
 def consolidation_example_from_dict(obj: dict) -> ConsolidationExample:
@@ -605,7 +596,7 @@ class EpisodicStore:
             try:
                 with open(out_path, "w", encoding="utf-8") as fh:
                     for example in examples:
-                        fh.write(_json_line(consolidation_example_to_dict(example)) + "\n")
+                        fh.write(_json_line(asdict(example)) + "\n")
             except OSError as exc:
                 raise StorageError(f"cannot write consolidation file: {exc}") from exc
         return examples

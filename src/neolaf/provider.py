@@ -9,9 +9,10 @@ and hands it to a provider. Three completion providers ship in-tree:
   parameters never affect the key.
 * ``ReplayProvider``: plays back a captured transcript strictly in call
   order, for re-running live sessions offline.
-* ``RemoteProvider``: a chat-completion style HTTP client configured
-  from arguments or the ``NEOLAF_PROVIDER_URL`` / ``NEOLAF_PROVIDER_KEY``
-  / ``NEOLAF_PROVIDER_MODEL`` environment variables. One retry with
+* ``RemoteProvider``: a chat-completion style HTTP client. Built by
+  ``provider_from_config``, each of its settings falls back to the
+  ``NEOLAF_PROVIDER_URL`` / ``NEOLAF_PROVIDER_KEY`` /
+  ``NEOLAF_PROVIDER_MODEL`` environment variable. One retry with
   backoff on rate limiting. When given a capture list it records each
   exchange so the session can be replayed later.
 
@@ -26,10 +27,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
@@ -185,15 +187,6 @@ class TranscriptEntry:
     text: str
 
 
-def request_to_dict(request: ProviderRequest) -> dict:
-    return {
-        "messages": [{"role": m.role.value, "content": m.content} for m in request.messages],
-        "temperature": request.temperature,
-        "max_tokens": request.max_tokens,
-        "stop_sequences": list(request.stop_sequences),
-    }
-
-
 def request_from_dict(obj: dict) -> ProviderRequest:
     return ProviderRequest(
         messages=tuple(
@@ -211,16 +204,19 @@ def load_transcript(path) -> list[TranscriptEntry]:
         data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError(f"transcript file {path} must hold a JSON array")
-    return [
-        TranscriptEntry(request=request_from_dict(e["request"]), text=e["text"])
-        for e in data
-    ]
+    entries = []
+    for number, entry in enumerate(data):
+        try:
+            entries.append(TranscriptEntry(request_from_dict(entry["request"]), entry["text"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"transcript file {path} corrupt at entry {number}: {exc}") from exc
+    return entries
 
 
 def save_transcript(entries: Sequence[TranscriptEntry], path) -> None:
-    data = [{"request": request_to_dict(e.request), "text": e.text} for e in entries]
     Path(path).write_text(
-        json.dumps(data, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
+        json.dumps([asdict(e) for e in entries], ensure_ascii=False, indent=2) + "\n",
+        encoding="utf-8",
     )
 
 
@@ -277,16 +273,6 @@ class RemoteProvider(CompletionProvider):
         self.timeout = timeout
         self.retry_delay = retry_delay
         self.capture = capture
-
-    @classmethod
-    def from_env(cls, environ=None, **kwargs) -> "RemoteProvider":
-        import os
-
-        env = environ if environ is not None else os.environ
-        url = env.get(ENV_URL, "")
-        if not url:
-            raise ValueError(f"{ENV_URL} is not set; cannot build a remote provider")
-        return cls(url=url, model=env.get(ENV_MODEL, ""), api_key=env.get(ENV_KEY, ""), **kwargs)
 
     def _post(self, request: ProviderRequest) -> tuple[str, int, int]:
         import requests
@@ -349,26 +335,34 @@ class RemoteProvider(CompletionProvider):
         return completion
 
 
+def _config_path(config: dict, name: str) -> str:
+    if not isinstance(config.get(name), str):
+        raise ValueError(f"{config['type']} provider config needs a path in field {name!r}")
+    return config[name]
+
+
 def provider_from_config(config: dict) -> CompletionProvider:
     """Build a provider from a config mapping with a ``type`` field.
 
     Types: ``scripted`` (field ``script``: path), ``replay`` (field
-    ``transcript``: path), ``remote`` (fields ``url``, ``model``,
-    ``api_key``, falling back to the environment variables).
+    ``transcript``: path), ``remote`` (fields ``url``, ``model`` and
+    ``api_key``, each falling back to its environment variable when
+    absent). A missing or misshapen field raises ValueError naming it.
     """
     kind = config.get("type")
     if kind == "scripted":
-        return ScriptedProvider(load_script(config["script"]))
+        return ScriptedProvider(load_script(_config_path(config, "script")))
     if kind == "replay":
-        return ReplayProvider(load_transcript(config["transcript"]))
+        return ReplayProvider(load_transcript(_config_path(config, "transcript")))
     if kind == "remote":
-        if "url" in config:
-            return RemoteProvider(
-                url=config["url"],
-                model=config.get("model", ""),
-                api_key=config.get("api_key", ""),
-            )
-        return RemoteProvider.from_env()
+        url = config.get("url", os.environ.get(ENV_URL, ""))
+        if not url:
+            raise ValueError(f"remote provider config has no 'url' and {ENV_URL} is not set")
+        return RemoteProvider(
+            url=url,
+            model=config.get("model", os.environ.get(ENV_MODEL, "")),
+            api_key=config.get("api_key", os.environ.get(ENV_KEY, "")),
+        )
     raise ValueError(f"unknown provider type {kind!r}")
 
 

@@ -1,7 +1,11 @@
 """Command-line surface tests: exit codes and each subcommand."""
 
 import json
+from types import SimpleNamespace
 
+import pytest
+
+from neolaf import cognition
 from neolaf.cli import main
 from neolaf.cognition import default_kit, system1_request
 from neolaf.provider import (
@@ -149,7 +153,8 @@ def test_eval_missing_dataset_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_compare_configs(tmp_path, capsys):
+def test_compare_configs(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cognition, "time", SimpleNamespace(monotonic=lambda: 0.0))
     script = _script_path(tmp_path)
     configs = []
     for name in ("one", "two"):
@@ -175,9 +180,89 @@ def test_compare_configs(tmp_path, capsys):
         "--configs", ",".join(configs),
         "--dataset", str(_dataset_path(tmp_path)),
     ])
-    rows = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert [r["config_name"] for r in rows] == ["one", "two"]
+    assert capsys.readouterr().out == """\
+[
+  {
+    "config_name": "one",
+    "accuracy": 1.0,
+    "mean_elapsed_ms": 0.0,
+    "provider_calls": 1,
+    "error": null
+  },
+  {
+    "config_name": "two",
+    "accuracy": 1.0,
+    "mean_elapsed_ms": 0.0,
+    "provider_calls": 1,
+    "error": null
+  }
+]
+"""
+
+
+def test_compare_config_kit_path(tmp_path, capsys):
+    # confidence 0.6 is accepted only under the linked kit's threshold
+    script = _script_path(tmp_path, confidence="0.6")
+    kit_path = tmp_path / "kit.json"
+    kit_path.write_text(json.dumps({"route_threshold": 0.5}), encoding="utf-8")
+    config_path = tmp_path / "linked.json"
+    config_path.write_text(json.dumps({
+        "kit_path": str(kit_path),
+        "provider": {"type": "scripted", "script": str(script)},
+    }), encoding="utf-8")
+    code = main([
+        "compare", "--json",
+        "--configs", str(config_path),
+        "--dataset", str(_dataset_path(tmp_path)),
+    ])
+    assert code == 0
+    [row] = json.loads(capsys.readouterr().out)
+    assert row["config_name"] == "linked"
+    assert row["accuracy"] == 1.0
+
+
+@pytest.mark.parametrize("config, field", [
+    ({}, "provider"),
+    ({"provider": {"type": "scripted"}}, "script"),
+    ({"provider": [1]}, "provider"),
+    ({"name": 5, "provider": {}}, "name"),
+    ({"kit": {"prompt_templates": "plan"}, "provider": {}}, "prompt_templates"),
+])
+def test_malformed_compare_config_exits_two(tmp_path, capsys, config, field):
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    code = main([
+        "compare",
+        "--configs", str(config_path),
+        "--dataset", str(_dataset_path(tmp_path)),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(config_path) in err and repr(field) in err
+
+
+def test_malformed_kit_file_exits_two(tmp_path, capsys):
+    kit_path = tmp_path / "kit.json"
+    kit_path.write_text("[1]", encoding="utf-8")
+    code = main([
+        "solve", QUERY,
+        "--kit", str(kit_path),
+        "--script", str(_script_path(tmp_path)),
+        "--store", str(tmp_path / "store"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"kit file {kit_path}: a kit must be a JSON object" in err
+
+
+def test_malformed_transcript_file_exits_two(tmp_path, capsys):
+    transcript = tmp_path / "transcript.json"
+    transcript.write_text(json.dumps([{"text": "x"}]), encoding="utf-8")
+    code = main(["replay", QUERY, "--transcript", str(transcript)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(transcript) in err and "'request'" in err
 
 
 def test_memory_commands(tmp_path, capsys):

@@ -4,6 +4,7 @@ Scripts are built with the same request builders the loop uses, so each
 test states exactly which prompts it expects the agent to make.
 """
 
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -52,7 +53,7 @@ from neolaf.provider import (
     fingerprint,
     load_script,
 )
-from neolaf.templates import render
+from neolaf.templates import DEFAULT_TEMPLATES, render
 from neolaf.toolkit import default_registry
 
 
@@ -251,6 +252,44 @@ def test_kit_file_round_trip(tmp_path, kit):
     assert partial.route_threshold == 0.5
     assert partial.prompt_templates == kit.prompt_templates
     assert kit_to_dict(kit)["agent_name"] == kit.agent_name
+
+
+def test_default_kit_file_text(tmp_path):
+    path = tmp_path / "kit.json"
+    save_kit(default_kit(), path)
+    templates = ",\n".join(
+        f"    {json.dumps(name)}: {json.dumps(text, ensure_ascii=False)}"
+        for name, text in DEFAULT_TEMPLATES.items()
+    )
+    assert path.read_text(encoding="utf-8") == (
+        '{\n'
+        '  "agent_name": "neolaf",\n'
+        '  "system_prompt": "You are a careful problem-solving agent. '
+        'Follow the requested output format exactly.",\n'
+        '  "route_threshold": 0.75,\n'
+        '  "d_max": 3,\n'
+        '  "r_max": 2,\n'
+        '  "retrieval_k": 4,\n'
+        '  "context_token_budget": 256,\n'
+        '  "tool_allowlist": [\n'
+        '    "calc"\n'
+        '  ],\n'
+        '  "prompt_templates": {\n' + templates + '\n'
+        '  }\n'
+        '}\n'
+    )
+
+
+def test_kit_from_dict_ignores_unknown_keys_and_merges_templates():
+    kit = kit_from_dict({
+        "agent_name": "tuned",
+        "not_a_kit_field": 1,
+        "prompt_templates": {"plan": "PLAN {query}", "extra": "x"},
+    })
+    assert kit.agent_name == "tuned"
+    assert kit.prompt_templates == {**DEFAULT_TEMPLATES, "plan": "PLAN {query}", "extra": "x"}
+    assert list(kit.prompt_templates) == [*DEFAULT_TEMPLATES, "extra"]
+    assert replace(kit, agent_name="neolaf", prompt_templates=DEFAULT_TEMPLATES) == default_kit()
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,19 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from neolaf.cognition import default_kit, system1_request
 from neolaf.harness import (
+    Aggregate,
     EvalConfig,
+    EvalReport,
     FormatError,
     NoFinalAnswer,
     Problem,
+    ProblemResult,
     answers_equal,
     compare,
     extract_final_answer,
@@ -21,7 +25,9 @@ from neolaf.harness import (
     report_from_dict,
     report_to_dict,
     run_eval,
+    save_report,
 )
+from neolaf.memory import EpisodicStore
 from neolaf.provider import ScriptedProvider, fingerprint
 
 
@@ -269,6 +275,80 @@ def test_report_round_trip(tmp_path):
     loaded = load_report(tmp_path / "r.json")
     assert loaded == report
     assert report_from_dict(report_to_dict(report)) == report
+
+
+def test_report_file_text(tmp_path):
+    report = EvalReport(
+        config_name="golden",
+        per_problem=(
+            ProblemResult("a", "\u00bd", True, "system1", 3, 1, 0, "known"),
+            ProblemResult("b", "", False, "error", 0, 0, 0, "provider error: x"),
+        ),
+        aggregate=Aggregate(n=2, n_correct=1, accuracy=0.5,
+                            mean_elapsed_ms=1.5, median_elapsed_ms=1.5),
+    )
+    path = tmp_path / "r.json"
+    save_report(report, path)
+    assert path.read_text(encoding="utf-8") == """\
+{
+  "config_name": "golden",
+  "per_problem": [
+    {
+      "problem_id": "a",
+      "answer": "\u00bd",
+      "correct": true,
+      "route": "system1",
+      "elapsed_ms": 3,
+      "provider_calls": 1,
+      "tool_calls": 0,
+      "explanation": "known"
+    },
+    {
+      "problem_id": "b",
+      "answer": "",
+      "correct": false,
+      "route": "error",
+      "elapsed_ms": 0,
+      "provider_calls": 0,
+      "tool_calls": 0,
+      "explanation": "provider error: x"
+    }
+  ],
+  "aggregate": {
+    "n": 2,
+    "n_correct": 1,
+    "accuracy": 0.5,
+    "mean_elapsed_ms": 1.5,
+    "median_elapsed_ms": 1.5
+  }
+}
+"""
+    assert load_report(path) == report
+
+
+@pytest.mark.parametrize("fresh_store", [False, True])
+@pytest.mark.parametrize("persistent", [False, True])
+def test_run_eval_store_layouts(tmp_path, monkeypatch, fresh_store, persistent):
+    opened = []
+    real_open = EpisodicStore.open
+
+    def recording_open(directory):
+        opened.append(Path(directory))
+        return real_open(directory)
+
+    monkeypatch.setattr(EpisodicStore, "open", recording_open)
+    store_dir = tmp_path / "stores" if persistent else None
+    report = run_eval(_confident_config(), _problems(), fresh_store=fresh_store,
+                      store_dir=store_dir)
+    assert report.aggregate.accuracy == 1.0
+    base = store_dir if persistent else opened[0].parent
+    if not persistent:
+        assert base.name.startswith("neolaf-eval-")
+        assert not base.exists()  # the temporary directory is removed
+    if fresh_store:
+        assert opened == [base / "problem-0", base / "problem-1"]
+    else:
+        assert opened == [base if persistent else base / "shared"]
 
 
 def test_fresh_store_isolation(tmp_path):

@@ -932,6 +932,19 @@ def test_consolidation_lines_round_trip(store, tmp_path):
     assert consolidation_example_from_dict(line_obj) == example
 
 
+def test_consolidation_line_text(store, tmp_path):
+    record = _sample_record(success=True)
+    store.store_record(replace(record, situation=replace(
+        record.situation, description="add \u00bd and \u2153", context_tags=("fractions", "arith"))))
+    out = tmp_path / "data.jsonl"
+    store.consolidate(out_path=out)
+    assert out.read_text(encoding="utf-8") == (
+        '{"prompt":"add \u00bd and \u2153\\ncompute 1/3 + 1/6",'
+        '"completion":"1. self | TOOL calc(expr=\\"1/3+1/6\\")\\n1/2",'
+        '"source_record":1,"tags":["fractions","arith"]}\n'
+    )
+
+
 def test_corrupt_consolidation_line_names_the_file_and_the_line(store, tmp_path):
     store.store_record(_sample_record(success=True))
     out = tmp_path / "data.jsonl"

@@ -27,6 +27,7 @@ from neolaf.provider import (
     fingerprint,
     load_script,
     load_transcript,
+    provider_from_config,
     save_script,
     save_transcript,
 )
@@ -130,6 +131,41 @@ def test_transcript_file_round_trip(tmp_path):
     save_transcript(entries, path)
     loaded = load_transcript(path)
     assert loaded == entries
+
+
+def test_transcript_file_text(tmp_path):
+    request = ProviderRequest(
+        messages=(Message(Role.SYSTEM, "be brief"), Message(Role.USER, "2+2 \u2192 ?")),
+        max_tokens=16,
+        stop_sequences=("\n",),
+    )
+    path = tmp_path / "transcript.json"
+    save_transcript([TranscriptEntry(request, "4")], path)
+    assert path.read_text(encoding="utf-8") == """\
+[
+  {
+    "request": {
+      "messages": [
+        {
+          "role": "system",
+          "content": "be brief"
+        },
+        {
+          "role": "user",
+          "content": "2+2 \u2192 ?"
+        }
+      ],
+      "temperature": 0.0,
+      "max_tokens": 16,
+      "stop_sequences": [
+        "\\n"
+      ]
+    },
+    "text": "4"
+  }
+]
+"""
+    assert load_transcript(path) == [TranscriptEntry(request, "4")]
 
 
 def test_replay_concurrent_cursor_advancement():
@@ -244,18 +280,30 @@ def test_remote_provider_unreachable_is_transport_error():
         provider.complete(req("ping"))
 
 
-def test_remote_provider_from_env():
-    env = {
-        "NEOLAF_PROVIDER_URL": "http://example.invalid/api",
-        "NEOLAF_PROVIDER_KEY": "secret",
-        "NEOLAF_PROVIDER_MODEL": "model-x",
-    }
-    provider = RemoteProvider.from_env(environ=env)
-    assert provider.url == env["NEOLAF_PROVIDER_URL"]
+def test_remote_provider_from_env(monkeypatch):
+    monkeypatch.setenv("NEOLAF_PROVIDER_URL", "http://example.invalid/api")
+    monkeypatch.setenv("NEOLAF_PROVIDER_KEY", "secret")
+    monkeypatch.setenv("NEOLAF_PROVIDER_MODEL", "model-x")
+    provider = provider_from_config({"type": "remote"})
+    assert isinstance(provider, RemoteProvider)
+    assert provider.url == "http://example.invalid/api"
     assert provider.api_key == "secret"
     assert provider.model == "model-x"
+    monkeypatch.delenv("NEOLAF_PROVIDER_URL")
     with pytest.raises(ValueError):
-        RemoteProvider.from_env(environ={})
+        provider_from_config({"type": "remote"})
+
+
+def test_remote_provider_config_falls_back_per_field(monkeypatch):
+    monkeypatch.setenv("NEOLAF_PROVIDER_URL", "http://env.invalid/api")
+    monkeypatch.setenv("NEOLAF_PROVIDER_KEY", "env-key")
+    monkeypatch.setenv("NEOLAF_PROVIDER_MODEL", "env-model")
+    provider = provider_from_config({"type": "remote", "url": "http://config.invalid/api"})
+    assert (provider.url, provider.model, provider.api_key) == (
+        "http://config.invalid/api", "env-model", "env-key")
+    provider = provider_from_config({"type": "remote", "model": "m", "api_key": "k"})
+    assert (provider.url, provider.model, provider.api_key) == (
+        "http://env.invalid/api", "m", "k")
 
 
 # ---------------------------------------------------------------------------
