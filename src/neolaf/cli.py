@@ -115,8 +115,7 @@ def _kit_from_args(args):
 def _print_solution(solution: Solution) -> None:
     print(f"answer: {solution.answer}")
     print(f"route: {solution.route.value}")
-    if solution.record_id is not None:
-        print(f"record: {solution.record_id}")
+    print(f"record: {solution.record_id}")
     print(f"elapsed_ms: {solution.elapsed_ms}  provider_calls: {solution.provider_calls}  "
           f"tool_calls: {solution.tool_calls}")
     if solution.explanation:
@@ -174,16 +173,19 @@ def _cmd_eval(args) -> int:
 
 
 def _load_eval_config(path) -> EvalConfig:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    if not isinstance(obj.get("provider"), dict):
-        raise ValueError(f"config file {path} needs an object in field 'provider'")
-    name = obj.get("name", Path(path).stem)
-    if not isinstance(name, str) or not isinstance(obj.get("kit_path", ""), str):
-        raise ValueError(f"config file {path}: fields 'name' and 'kit_path' must be text")
     try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError("must hold a JSON object")
+        if not isinstance(obj.get("provider"), dict):
+            raise ValueError("needs an object in field 'provider'")
+        name = obj.get("name", Path(path).stem)
+        if not isinstance(name, str) or not isinstance(obj.get("kit_path", ""), str):
+            raise ValueError("fields 'name' and 'kit_path' must be text")
+        system1_only = obj.get("system1_only", False)
+        if not isinstance(system1_only, bool):
+            raise ValueError("field 'system1_only' must be true or false")
         kit = load_kit(obj["kit_path"]) if "kit_path" in obj else kit_from_dict(obj.get("kit", {}))
         provider = provider_from_config(obj["provider"])
     except (TypeError, ValueError) as exc:
@@ -192,7 +194,7 @@ def _load_eval_config(path) -> EvalConfig:
         name=name,
         kit=kit,
         provider=provider,
-        system1_only=obj.get("system1_only", False),
+        system1_only=system1_only,
     )
 
 

@@ -12,8 +12,9 @@ counts its provider and tool calls and times it from the start of the
 fast path, so a record's metrics cover the whole encounter (an escalated
 one's include the fast-path call and its time) and match its Solution.
 
-Request-builder functions are the complete prompt surface: fixtures and
-tests construct the exact requests the loop will make by calling them.
+Request-builder functions are the complete prompt surface, one per
+template slot, distillation included: fixtures and tests construct the
+exact requests the loop will make by calling them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -30,7 +31,6 @@ from typing import Callable, Optional, Sequence
 from .errors import NeolafError
 from .kstar import (
     DEFAULT_REPLAN_BUDGET,
-    DEFAULT_SUBTASK_DEPTH,
     ActionStep,
     CoTasks,
     CoTaskState,
@@ -50,6 +50,7 @@ from .kstar import (
 from .memory import (
     EpisodicStore,
     ValidationFailed,
+    _clamp,
     extract_knowledge,
     forecast_matched,
     render_plan,
@@ -92,13 +93,11 @@ class Route(str, Enum):
 class StarterKit:
     """The innate configuration an agent is instantiated from."""
 
-    agent_name: str = "neolaf"
     system_prompt: str = (
         "You are a careful problem-solving agent. Follow the requested "
         "output format exactly."
     )
     route_threshold: float = 0.75
-    d_max: int = DEFAULT_SUBTASK_DEPTH
     r_max: int = DEFAULT_REPLAN_BUDGET
     retrieval_k: int = 4
     context_token_budget: int = 256
@@ -108,8 +107,8 @@ class StarterKit:
     def __post_init__(self):
         if not 0.0 <= self.route_threshold <= 1.0:
             raise ValueError("route_threshold must be in [0, 1]")
-        if self.d_max < 1 or self.r_max < 0:
-            raise ValueError("d_max must be >= 1 and r_max >= 0")
+        if self.r_max < 0:
+            raise ValueError("r_max must be >= 0")
         if self.retrieval_k < 0:
             raise ValueError("retrieval_k must be >= 0")
         if self.context_token_budget < 1:
@@ -125,28 +124,42 @@ def default_kit(**overrides) -> StarterKit:
     return StarterKit(**overrides)
 
 
-def kit_to_dict(kit: StarterKit) -> dict:
-    return asdict(kit)
+# The JSON values a kit field accepts, by the type of the field's default.
+_KIT_JSON_TYPES = {
+    str: (str, "text"),
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    tuple: ((list, tuple), "an array"),
+    dict: (dict, "a JSON object"),
+}
 
 
 def kit_from_dict(obj: dict) -> StarterKit:
     """Build a kit from a JSON document; unknown keys are ignored, absent
-    fields take defaults, absent template slots the built-in templates."""
+    fields take defaults, absent template slots the built-in templates.
+    A value must have its default's type, except that a float field takes
+    an integer too."""
     if not isinstance(obj, dict):
         raise ValueError("a kit must be a JSON object")
-    templates = obj.get("prompt_templates", {})
-    if not isinstance(templates, dict):
-        raise ValueError("kit field 'prompt_templates' must be a JSON object")
-    values = {f.name: obj[f.name] for f in fields(StarterKit) if f.name in obj}
-    values["prompt_templates"] = {**DEFAULT_TEMPLATES, **templates}
+    values = {}
+    for f in fields(StarterKit):
+        if f.name not in obj:
+            continue
+        default = f.default_factory() if f.default is MISSING else f.default
+        accepted, described = _KIT_JSON_TYPES[type(default)]
+        value = obj[f.name]
+        # bool is an int subclass, but no kit field takes true or false
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValueError(f"kit field {f.name!r} must be {described}, not {value!r}")
+        values[f.name] = value
+    values["prompt_templates"] = {**DEFAULT_TEMPLATES, **values.get("prompt_templates", {})}
     return StarterKit(**values)
 
 
 def load_kit(path) -> StarterKit:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
     try:
-        return kit_from_dict(data)
+        with open(path, encoding="utf-8") as fh:
+            return kit_from_dict(json.load(fh))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"kit file {path}: {exc}") from exc
 
@@ -162,7 +175,7 @@ class Solution:
     answer: str
     explanation: str
     route: Route
-    record_id: Optional[int]
+    record_id: int
     elapsed_ms: int
     provider_calls: int
     tool_calls: int
@@ -223,6 +236,12 @@ def evaluate_request(kit, query, expected, actual):
     return _request(kit, "evaluate", query=query, expected=expected, actual=actual)
 
 
+def distill_request(kit, query, plan_text, expected, actual):
+    return _request(
+        kit, "distill", query=query, plan=plan_text, expected=expected, actual=actual
+    )
+
+
 # --------------------------------------------------------------------------
 # Response parsing
 # --------------------------------------------------------------------------
@@ -261,10 +280,7 @@ def _parse_float(text: Optional[str]) -> Optional[float]:
     m = _FLOAT_RE.search(text)
     if m is None:
         return None
-    try:
-        return float(m.group(0))
-    except ValueError:
-        return None
+    return float(m.group(0))
 
 
 _STEP_RE = re.compile(r"^\s*STEP\s+\d+\s*:\s*(.*)$", re.IGNORECASE)
@@ -318,7 +334,7 @@ def parse_forecast(text: str) -> Forecast:
         probability = 0.5
     return Forecast(
         expected_result=expected,
-        success_probability=min(1.0, max(0.0, probability)),
+        success_probability=_clamp(probability),
     )
 
 
@@ -374,7 +390,7 @@ def system1_answer(
     return System1Result(
         answer=sections.get("ANSWER") or completion.text.strip(),
         explanation=sections.get("EXPLANATION") or "",
-        confidence=min(1.0, max(0.0, confidence)),
+        confidence=_clamp(confidence),
     )
 
 
@@ -717,14 +733,14 @@ def run_system2(
     for a_steps, a_forecast, a_outcome in failed_attempts:
         snapshot = replace(draft, plan=a_steps, forecast=a_forecast, outcome=a_outcome)
         new_items.extend(extract_knowledge(snapshot))
-    new_items.extend(
-        extract_knowledge(
-            draft,
-            provider=ledger,
-            distill_template=kit.prompt_templates["distill"],
-            system_prompt=kit.system_prompt,
-        )
-    )
+    try:
+        lesson = ledger.complete(
+            distill_request(kit, query, render_plan(executed), forecast.expected_result,
+                            outcome.actual_result)
+        ).text
+    except ProviderError:
+        lesson = ""
+    new_items.extend(extract_knowledge(draft, lesson))
 
     metrics = ledger.metrics(replans=state.replan_count)
     with store.lock:

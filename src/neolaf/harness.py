@@ -22,7 +22,7 @@ import re
 import statistics
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -33,7 +33,7 @@ from .errors import NeolafError
 from .kstar import SituationSource
 from .memory import EpisodicStore
 from .provider import CompletionProvider, ProviderError
-from .toolkit import ToolRegistry, default_registry
+from .toolkit import default_registry
 
 
 class FormatError(NeolafError):
@@ -281,24 +281,11 @@ def report_to_dict(report: EvalReport) -> dict:
     return asdict(report)
 
 
-def report_from_dict(obj: dict) -> EvalReport:
-    return EvalReport(
-        config_name=obj["config_name"],
-        per_problem=tuple(ProblemResult(**row) for row in obj["per_problem"]),
-        aggregate=Aggregate(**obj["aggregate"]),
-    )
-
-
 def save_report(report: EvalReport, path) -> None:
     Path(path).write_text(
         json.dumps(asdict(report), ensure_ascii=False, indent=2) + "\n",
         encoding="utf-8",
     )
-
-
-def load_report(path) -> EvalReport:
-    with open(path, encoding="utf-8") as fh:
-        return report_from_dict(json.load(fh))
 
 
 @dataclass
@@ -308,7 +295,6 @@ class EvalConfig:
     name: str
     kit: StarterKit
     provider: CompletionProvider
-    registry: ToolRegistry = field(default_factory=default_registry)
     system1_only: bool = False
 
 
@@ -348,6 +334,7 @@ def run_eval(
         usable = usable[: max(0, limit)]
 
     rows: list[ProblemResult] = []
+    registry = default_registry()
     with tempfile.TemporaryDirectory(prefix="neolaf-eval-") as scratch:
         base = Path(scratch) if store_dir is None else Path(store_dir)
         if not fresh_store:
@@ -361,7 +348,7 @@ def run_eval(
                     problem.statement,
                     config.kit,
                     config.provider,
-                    config.registry,
+                    registry,
                     store,
                     source=SituationSource.HARNESS,
                     system1_only=config.system1_only,
@@ -416,7 +403,6 @@ def compare(
     configs: Sequence[EvalConfig],
     problems: Sequence[Problem],
     limit: Optional[int] = None,
-    fresh_store: bool = False,
 ) -> tuple[ComparisonRow, ...]:
     """Run every configuration over the same problems.
 
@@ -427,7 +413,7 @@ def compare(
     rows = []
     for config in configs:
         try:
-            report = run_eval(config, problems, limit=limit, fresh_store=fresh_store)
+            report = run_eval(config, problems, limit=limit)
             rows.append(
                 ComparisonRow(
                     config_name=config.name,

@@ -21,8 +21,8 @@ from typing import Any, Callable, Optional
 
 from .errors import NeolafError
 
-# Default bounds for the starter kit. A subtask tree deeper than this is
-# rejected, and an encounter may replan at most this many times.
+# A subtask tree deeper than this is rejected, and an encounter replans at
+# most this many times unless its starter kit sets another budget.
 DEFAULT_SUBTASK_DEPTH = 3
 DEFAULT_REPLAN_BUDGET = 2
 
@@ -252,7 +252,6 @@ def advance(
 def _walk_task(
     task: TaskSpec,
     depth: int,
-    max_depth: int,
     path: str,
     seen: set[int],
     violations: list[str],
@@ -263,17 +262,15 @@ def _walk_task(
     seen.add(id(task))
     if not task.goal.strip():
         violations.append(f"{path}.goal empty")
-    if depth > max_depth:
-        violations.append(f"{path} exceeds subtask depth {max_depth}")
+    if depth > DEFAULT_SUBTASK_DEPTH:
+        violations.append(f"{path} exceeds subtask depth {DEFAULT_SUBTASK_DEPTH}")
         return
     for i, sub in enumerate(task.subtasks):
-        _walk_task(sub, depth + 1, max_depth, f"{path}.subtasks[{i}]", seen, violations)
+        _walk_task(sub, depth + 1, f"{path}.subtasks[{i}]", seen, violations)
     seen.discard(id(task))
 
 
-def validate_record(
-    record: KstarRecord, max_depth: int = DEFAULT_SUBTASK_DEPTH
-) -> list[str]:
+def validate_record(record: KstarRecord) -> list[str]:
     """Check every schema invariant and return all violations found.
 
     An empty list means the record is valid. Violations are data, not
@@ -294,7 +291,7 @@ def validate_record(
     if len(set(s.context_tags)) != len(s.context_tags):
         v.append("situation.context_tags must be deduplicated")
 
-    _walk_task(record.task, 0, max_depth, "task", set(), v)
+    _walk_task(record.task, 0, "task", set(), v)
 
     if not record.plan:
         v.append("plan empty: at least one action step is required")

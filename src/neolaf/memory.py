@@ -1,5 +1,7 @@
 """Episodic memory: append-only record log, knowledge retrieval,
-knowledge extraction, and consolidation export.
+knowledge extraction, and consolidation export. Nothing here talks to a
+model: extraction turns a record, and the lesson the agent distilled
+from it, into knowledge items.
 
 The two JSON Lines files under a store directory are the single source
 of truth; the in-memory indexes are rebuildable caches. The record log
@@ -51,18 +53,7 @@ from .errors import NeolafError
 from .kstar import (
     KstarRecord, deserialize_record, enum_decoder, loads, serialize_record, validate_record,
 )
-from .provider import (
-    CompletionProvider,
-    DeterministicEmbedder,
-    EmbeddingVector,
-    Message,
-    ProviderError,
-    ProviderRequest,
-    Role,
-    _TOKEN_PATTERN,
-    cosine,
-)
-from .templates import DEFAULT_TEMPLATES, render
+from .provider import DeterministicEmbedder, EmbeddingVector, _TOKEN_PATTERN, cosine
 
 # Fixed starter-kit constants for the knowledge update rules.
 CORRECTIVE_CONFIDENCE = 0.5
@@ -383,18 +374,9 @@ def _read_lines(
 class EpisodicStore:
     """Append-only store of encounter records plus the knowledge index."""
 
-    def __init__(
-        self,
-        log_path,
-        knowledge_path=None,
-        embedder: Optional[DeterministicEmbedder] = None,
-    ):
-        self.log_path = Path(log_path)
-        self.knowledge_path = (
-            Path(knowledge_path)
-            if knowledge_path is not None
-            else self.log_path.with_name(KNOWLEDGE_FILE_NAME)
-        )
+    def __init__(self, directory, embedder: Optional[DeterministicEmbedder] = None):
+        self.log_path = Path(directory) / RECORD_LOG_NAME
+        self.knowledge_path = Path(directory) / KNOWLEDGE_FILE_NAME
         self.embedder = embedder
         self.lock = threading.RLock()
         self._records: list[KstarRecord] = []
@@ -407,7 +389,7 @@ class EpisodicStore:
     def open(cls, directory, embedder: Optional[DeterministicEmbedder] = None) -> "EpisodicStore":
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        return cls(directory / RECORD_LOG_NAME, directory / KNOWLEDGE_FILE_NAME, embedder)
+        return cls(directory, embedder)
 
     def _load(self) -> None:
         # None of the many containers built here is cyclic garbage, yet each
@@ -520,7 +502,7 @@ class EpisodicStore:
             for item_id in item_ids:
                 item = boosted.get(item_id) or self._knowledge.get(item_id)
                 if item is not None:
-                    boosted[item_id] = replace(item, confidence=_clamp(item.confidence + delta))
+                    boosted[item_id] = replace(item, confidence=item.confidence + delta)
                     versions.append(boosted[item_id])
             if versions:
                 self._write_knowledge(*versions)
@@ -564,23 +546,17 @@ class EpisodicStore:
 
     # -- consolidation --------------------------------------------------
 
-    def consolidate(
-        self,
-        out_path=None,
-        keep: Optional[Callable[[KstarRecord], bool]] = None,
-    ) -> list[ConsolidationExample]:
-        """Export one instruction-completion example per kept record.
+    def consolidate(self, out_path=None) -> list[ConsolidationExample]:
+        """Export one instruction-completion example per successful record.
 
-        The default filter keeps successful encounters. When ``out_path``
-        is given, examples are written as one JSON object per line.
+        When ``out_path`` is given, examples are written as one JSON object
+        per line.
         """
-        if keep is None:
-            keep = lambda record: record.outcome.success
         with self.lock:
             records = list(self._records)
         examples = []
         for record in records:
-            if not keep(record):
+            if not record.outcome.success:
                 continue
             prompt = f"{record.situation.description}\n{record.task.goal}"
             completion = f"{render_plan(record.plan)}\n{record.outcome.actual_result}"
@@ -626,24 +602,18 @@ def forecast_matched(record: KstarRecord) -> bool:
     return predicted == record.outcome.success
 
 
-def extract_knowledge(
-    record: KstarRecord,
-    provider: Optional[CompletionProvider] = None,
-    distill_template: Optional[str] = None,
-    system_prompt: str = "",
-) -> list[KnowledgeItem]:
+def extract_knowledge(record: KstarRecord, lesson: str = "") -> list[KnowledgeItem]:
     """Turn one evaluated encounter into knowledge items.
 
     The rule layer is a pure function of the record: a success whose
     forecast held produces one reinforcement item; anything else
-    produces one corrective item stating expected vs actual. With a
-    provider, a distillation prompt adds one distilled item; provider
-    failures degrade to the rule-layer output alone.
+    produces one corrective item stating expected vs actual. A non-blank
+    ``lesson`` (the agent's distillation of the encounter) adds one
+    distilled item.
 
     Item ids are assigned by the store; provenance always points at the
     source record.
     """
-    items: list[KnowledgeItem] = []
     situation = record.situation.description.strip()
     if record.outcome.success and forecast_matched(record):
         statement = (
@@ -651,55 +621,30 @@ def extract_knowledge(
             f"[{'; '.join(s.skill for s in record.plan)}] "
             f"produced {record.outcome.actual_result}"
         )
-        items.append(
-            KnowledgeItem(
-                id=0,
-                statement=statement,
-                kind=KnowledgeKind.REINFORCEMENT,
-                provenance=(record.id,),
-                confidence=REINFORCEMENT_CONFIDENCE,
-            )
-        )
+        kind, confidence = KnowledgeKind.REINFORCEMENT, REINFORCEMENT_CONFIDENCE
     else:
         statement = (
             f"Correction for '{situation}': expected "
             f"{record.forecast.expected_result} but got {record.outcome.actual_result}"
         )
+        kind, confidence = KnowledgeKind.CORRECTIVE, CORRECTIVE_CONFIDENCE
+    items = [
+        KnowledgeItem(
+            id=0,
+            statement=statement,
+            kind=kind,
+            provenance=(record.id,),
+            confidence=confidence,
+        )
+    ]
+    if lesson.strip():
         items.append(
             KnowledgeItem(
                 id=0,
-                statement=statement,
-                kind=KnowledgeKind.CORRECTIVE,
+                statement=lesson.strip(),
+                kind=KnowledgeKind.DISTILLED,
                 provenance=(record.id,),
-                confidence=CORRECTIVE_CONFIDENCE,
+                confidence=DISTILLED_CONFIDENCE,
             )
         )
-    if provider is not None:
-        template = distill_template or DEFAULT_TEMPLATES["distill"]
-        body = render(
-            template,
-            query=record.task.goal,
-            plan=render_plan(record.plan),
-            expected=record.forecast.expected_result,
-            actual=record.outcome.actual_result,
-        )
-        messages = []
-        if system_prompt:
-            messages.append(Message(Role.SYSTEM, system_prompt))
-        messages.append(Message(Role.USER, body))
-        try:
-            completion = provider.complete(ProviderRequest(messages=tuple(messages)))
-            text = completion.text.strip()
-            if text:
-                items.append(
-                    KnowledgeItem(
-                        id=0,
-                        statement=text,
-                        kind=KnowledgeKind.DISTILLED,
-                        provenance=(record.id,),
-                        confidence=DISTILLED_CONFIDENCE,
-                    )
-                )
-        except ProviderError:
-            pass
     return items

@@ -167,10 +167,13 @@ class ScriptedProvider(CompletionProvider):
 
 def load_script(path) -> dict[str, str]:
     """Load a script file: a JSON object mapping fingerprint to text."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"script file {path} must hold a JSON object")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("must hold a JSON object")
+    except ValueError as exc:
+        raise ValueError(f"script file {path}: {exc}") from exc
     return data
 
 
@@ -200,10 +203,13 @@ def request_from_dict(obj: dict) -> ProviderRequest:
 
 def load_transcript(path) -> list[TranscriptEntry]:
     """Load a transcript file: a JSON array of {request, text} in call order."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, list):
-        raise ValueError(f"transcript file {path} must hold a JSON array")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, list):
+            raise ValueError("must hold a JSON array")
+    except ValueError as exc:
+        raise ValueError(f"transcript file {path}: {exc}") from exc
     entries = []
     for number, entry in enumerate(data):
         try:

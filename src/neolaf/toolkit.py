@@ -89,9 +89,6 @@ class ToolRegistry:
     def __init__(self):
         self._tools: dict[str, tuple[ToolDescriptor, ToolImpl]] = {}
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._tools)
-
     def describe(self, name: str) -> Optional[ToolDescriptor]:
         entry = self._tools.get(name)
         return entry[0] if entry else None

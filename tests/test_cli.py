@@ -228,6 +228,7 @@ def test_compare_config_kit_path(tmp_path, capsys):
     ({"provider": [1]}, "provider"),
     ({"name": 5, "provider": {}}, "name"),
     ({"kit": {"prompt_templates": "plan"}, "provider": {}}, "prompt_templates"),
+    ({"kit": {"route_threshold": "x"}, "provider": {}}, "route_threshold"),
 ])
 def test_malformed_compare_config_exits_two(tmp_path, capsys, config, field):
     config_path = tmp_path / "c.json"
@@ -240,6 +241,39 @@ def test_malformed_compare_config_exits_two(tmp_path, capsys, config, field):
     err = capsys.readouterr().err
     assert code == 2
     assert str(config_path) in err and repr(field) in err
+
+
+def test_system1_only_must_be_a_boolean(tmp_path, capsys):
+    # a string "false" is truthy: it must not select the fast-path-only baseline
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({
+        "provider": {"type": "scripted", "script": str(_script_path(tmp_path))},
+        "system1_only": "false",
+    }), encoding="utf-8")
+    code = main([
+        "compare",
+        "--configs", str(config_path),
+        "--dataset", str(_dataset_path(tmp_path)),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(config_path) in err and "'system1_only'" in err
+
+
+@pytest.mark.parametrize("option", ["--kit", "--script", "--transcript", "--configs"])
+def test_non_json_input_file_is_named(tmp_path, capsys, option):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json", encoding="utf-8")
+    if option == "--configs":
+        argv = ["compare", "--configs", str(bad), "--dataset", str(_dataset_path(tmp_path))]
+    else:
+        argv = ["solve", QUERY, option, str(bad), "--store", str(tmp_path / "store")]
+        if option == "--kit":
+            argv += ["--script", str(_script_path(tmp_path))]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(bad) in err and "Expecting value" in err
 
 
 def test_malformed_kit_file_exits_two(tmp_path, capsys):

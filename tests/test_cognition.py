@@ -5,7 +5,7 @@ test states exactly which prompts it expects the agent to make.
 """
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -18,10 +18,10 @@ from neolaf.cognition import (
     _step_line,
     decompose_request,
     default_kit,
+    distill_request,
     execute_request,
     forecast_request,
     kit_from_dict,
-    kit_to_dict,
     knowledge_context,
     load_kit,
     parse_forecast,
@@ -46,14 +46,11 @@ from neolaf.memory import (
     render_plan,
 )
 from neolaf.provider import (
-    Message,
-    ProviderRequest,
-    Role,
     ScriptedProvider,
     fingerprint,
     load_script,
 )
-from neolaf.templates import DEFAULT_TEMPLATES, render
+from neolaf.templates import DEFAULT_TEMPLATES
 from neolaf.toolkit import default_registry
 
 
@@ -72,19 +69,6 @@ def store(tmp_path):
 
 def fp(request) -> str:
     return fingerprint(request)
-
-
-def distill_request(kit, query, steps, expected, actual) -> ProviderRequest:
-    body = render(
-        kit.prompt_templates["distill"],
-        query=query,
-        plan=render_plan(steps),
-        expected=expected,
-        actual=actual,
-    )
-    return ProviderRequest(
-        messages=(Message(Role.SYSTEM, kit.system_prompt), Message(Role.USER, body))
-    )
 
 
 def happy_system2_script(kit, query, expr, context=""):
@@ -111,7 +95,7 @@ def happy_system2_script(kit, query, expr, context=""):
         fp(execute_request(kit, query, context, _step_line(steps[0]), "")): (
             "The expression is restated; ready to compute."
         ),
-        fp(distill_request(kit, query, steps, expected, answer)): (
+        fp(distill_request(kit, query, render_plan(steps), expected, answer)): (
             "Lesson: ground arithmetic with the exact calculator."
         ),
     }
@@ -251,7 +235,6 @@ def test_kit_file_round_trip(tmp_path, kit):
     partial = kit_from_dict({"route_threshold": 0.5})
     assert partial.route_threshold == 0.5
     assert partial.prompt_templates == kit.prompt_templates
-    assert kit_to_dict(kit)["agent_name"] == kit.agent_name
 
 
 def test_default_kit_file_text(tmp_path):
@@ -263,11 +246,9 @@ def test_default_kit_file_text(tmp_path):
     )
     assert path.read_text(encoding="utf-8") == (
         '{\n'
-        '  "agent_name": "neolaf",\n'
         '  "system_prompt": "You are a careful problem-solving agent. '
         'Follow the requested output format exactly.",\n'
         '  "route_threshold": 0.75,\n'
-        '  "d_max": 3,\n'
         '  "r_max": 2,\n'
         '  "retrieval_k": 4,\n'
         '  "context_token_budget": 256,\n'
@@ -281,15 +262,42 @@ def test_default_kit_file_text(tmp_path):
 
 
 def test_kit_from_dict_ignores_unknown_keys_and_merges_templates():
+    # agent_name and d_max were kit fields once: older kit files still load
     kit = kit_from_dict({
         "agent_name": "tuned",
+        "d_max": 3,
         "not_a_kit_field": 1,
         "prompt_templates": {"plan": "PLAN {query}", "extra": "x"},
     })
-    assert kit.agent_name == "tuned"
     assert kit.prompt_templates == {**DEFAULT_TEMPLATES, "plan": "PLAN {query}", "extra": "x"}
     assert list(kit.prompt_templates) == [*DEFAULT_TEMPLATES, "extra"]
-    assert replace(kit, agent_name="neolaf", prompt_templates=DEFAULT_TEMPLATES) == default_kit()
+    assert replace(kit, prompt_templates=DEFAULT_TEMPLATES) == default_kit()
+
+
+@pytest.mark.parametrize("name, value", [
+    ("system_prompt", 5),
+    ("route_threshold", "x"),
+    ("route_threshold", True),
+    ("r_max", "2"),
+    ("r_max", 2.0),
+    ("retrieval_k", None),
+    ("context_token_budget", [256]),
+    ("tool_allowlist", "calc"),
+])
+def test_kit_from_dict_names_a_field_of_the_wrong_type(name, value):
+    with pytest.raises(ValueError, match=f"kit field '{name}' must be"):
+        kit_from_dict({name: value})
+
+
+def test_kit_from_dict_takes_an_integer_for_a_float_field():
+    assert kit_from_dict({"route_threshold": 1}).route_threshold == 1
+
+
+def test_readme_kit_example_names_every_kit_field():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Starter kit files", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert list(json.loads(block)) == [f.name for f in fields(StarterKit)]
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +329,26 @@ def test_run_system2_grounds_answer_with_tool(kit, store, no_network):
     assert record.knowledge_delta == tuple(item.id for item in store.knowledge)
 
 
+def test_run_system2_unscripted_distill_still_encodes(kit, store, tmp_path, no_network):
+    query = "Compute 1/3 + 1/6 exactly."
+    script, _answer, steps = happy_system2_script(kit, query, "1/3+1/6")
+    _, full = run_system2(
+        query, kit, ScriptedProvider(script), default_registry(),
+        EpisodicStore.open(tmp_path / "full"),
+    )
+    del script[fp(distill_request(kit, query, render_plan(steps), "the exact value of 1/3+1/6",
+                                  "1/2"))]
+    solution, record = run_system2(
+        query, kit, ScriptedProvider(script), default_registry(), store
+    )
+    assert solution.answer == "1/2" and record.outcome.success
+    assert store.records == (record,)
+    # the rule item alone, and the failed distill call still counted
+    assert [item.kind for item in store.knowledge] == [KnowledgeKind.REINFORCEMENT]
+    assert record.knowledge_delta == (store.knowledge[0].id,)
+    assert record.metrics.provider_calls == full.metrics.provider_calls == 6
+
+
 def test_run_system2_failure_then_replan(kit, store, no_network):
     query = "Compute 5/8 - 1/8."
     context = ""
@@ -341,7 +369,7 @@ def test_run_system2_failure_then_replan(kit, store, no_network):
         fp(forecast_request(kit, query, render_plan(good_steps))): (
             "EXPECTED: an exact fraction\nPROBABILITY: 0.8"
         ),
-        fp(distill_request(kit, query, good_steps, "an exact fraction", "1/2")): (
+        fp(distill_request(kit, query, render_plan(good_steps), "an exact fraction", "1/2")): (
             "Lesson: never divide by zero."
         ),
     }
@@ -384,7 +412,7 @@ def test_run_system2_budget_exhausted_encodes_failure(kit, store, no_network):
         fp(forecast_request(kit, query, render_plan(bad_steps))): forecast_text,
         fp(
             distill_request(
-                kit, query, bad_steps, "a number",
+                kit, query, render_plan(bad_steps), "a number",
                 f"step '{bad_steps[0].skill}' failed: {failure_note}",
             )
         ): "Lesson: division by zero cannot be repaired by retrying.",

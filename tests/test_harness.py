@@ -19,10 +19,8 @@ from neolaf.harness import (
     compare,
     extract_final_answer,
     load_dataset,
-    load_report,
     normalize_answer,
     render_comparison,
-    report_from_dict,
     report_to_dict,
     run_eval,
     save_report,
@@ -272,9 +270,8 @@ def test_run_eval_wrong_answers_counted():
 
 def test_report_round_trip(tmp_path):
     report = run_eval(_confident_config(), _problems(), out_path=tmp_path / "r.json")
-    loaded = load_report(tmp_path / "r.json")
-    assert loaded == report
-    assert report_from_dict(report_to_dict(report)) == report
+    written = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+    assert written == json.loads(json.dumps(report_to_dict(report)))
 
 
 def test_report_file_text(tmp_path):
@@ -323,7 +320,6 @@ def test_report_file_text(tmp_path):
   }
 }
 """
-    assert load_report(path) == report
 
 
 @pytest.mark.parametrize("fresh_store", [False, True])

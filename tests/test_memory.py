@@ -39,16 +39,8 @@ from neolaf.memory import (
     render_plan,
     similarity,
 )
-from neolaf.provider import (
-    DeterministicEmbedder,
-    EmbeddingVector,
-    Message,
-    ProviderRequest,
-    Role,
-    ScriptedProvider,
-    fingerprint,
-)
-from neolaf.templates import DEFAULT_TEMPLATES, render
+from neolaf.cognition import default_kit, distill_request
+from neolaf.provider import DeterministicEmbedder, EmbeddingVector, ScriptedProvider, fingerprint
 
 from conftest import make_record
 
@@ -131,7 +123,7 @@ def test_log_replay_is_byte_identical(tmp_path, rng):
 def test_store_error_when_log_unwritable(tmp_path, rng):
     log = tmp_path / "dir-not-file"
     log.mkdir()
-    store = EpisodicStore(tmp_path / "ok.jsonl")
+    store = EpisodicStore(tmp_path)
     store.log_path = log  # now appending hits a directory
     with pytest.raises(StorageError):
         store.store_record(make_record(rng))
@@ -865,32 +857,27 @@ def test_rule_layer_is_pure():
 
 
 def _distill_request(record):
-    body = render(
-        DEFAULT_TEMPLATES["distill"],
-        query=record.task.goal,
-        plan=render_plan(record.plan),
-        expected=record.forecast.expected_result,
-        actual=record.outcome.actual_result,
+    return distill_request(
+        default_kit(), record.task.goal, render_plan(record.plan),
+        record.forecast.expected_result, record.outcome.actual_result,
     )
-    return ProviderRequest(messages=(Message(Role.USER, body),))
 
 
 def test_distilled_item_from_scripted_provider():
     record = _sample_record()
     lesson = "Lesson: check denominators before adding fractions"
     provider = ScriptedProvider({fingerprint(_distill_request(record)): lesson})
-    items = extract_knowledge(record, provider=provider)
+    items = extract_knowledge(record, provider.complete(_distill_request(record)).text)
     assert len(items) == 2
     assert items[1].kind is KnowledgeKind.DISTILLED
     assert items[1].statement == lesson
     assert items[1].provenance == (7,)
 
 
-def test_provider_failure_degrades_to_rule_layer():
+def test_blank_lesson_adds_no_distilled_item():
     record = _sample_record()
-    items = extract_knowledge(record, provider=ScriptedProvider({}))
-    assert len(items) == 1
-    assert items[0].kind is KnowledgeKind.REINFORCEMENT
+    assert extract_knowledge(record, " \n") == extract_knowledge(record)
+    assert [item.kind for item in extract_knowledge(record)] == [KnowledgeKind.REINFORCEMENT]
 
 
 # ---------------------------------------------------------------------------
@@ -964,14 +951,3 @@ def test_corrupt_consolidation_line_names_the_file_and_the_line(store, tmp_path)
 def test_missing_consolidation_file_is_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_consolidation(tmp_path / "absent.jsonl")
-
-
-def test_consolidate_custom_filter(store):
-    for success in (True, False):
-        record = _sample_record(success=success)
-        record = replace(record, task=replace(record.task, cotasks=CoTasks(
-            CoTaskState.DONE, CoTaskState.DONE,
-            CoTaskState.DONE if success else CoTaskState.SKIPPED)))
-        store.store_record(record)
-    everything = store.consolidate(keep=lambda r: True)
-    assert len(everything) == 2
