@@ -138,7 +138,7 @@ def kit_from_dict(obj: dict) -> StarterKit:
     """Build a kit from a JSON document; unknown keys are ignored, absent
     fields take defaults, absent template slots the built-in templates.
     A value must have its default's type, except that a float field takes
-    an integer too."""
+    an integer too, and each entry of an array or object field must be text."""
     if not isinstance(obj, dict):
         raise ValueError("a kit must be a JSON object")
     values = {}
@@ -151,6 +151,12 @@ def kit_from_dict(obj: dict) -> StarterKit:
         # bool is an int subclass, but no kit field takes true or false
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise ValueError(f"kit field {f.name!r} must be {described}, not {value!r}")
+        if isinstance(value, (list, tuple, dict)):  # every entry a kit holds is text
+            for key, entry in value.items() if isinstance(value, dict) else enumerate(value):
+                if not isinstance(entry, str):
+                    raise ValueError(
+                        f"kit field {f.name!r} entry {key!r} must be text, not {entry!r}"
+                    )
         values[f.name] = value
     values["prompt_templates"] = {**DEFAULT_TEMPLATES, **values.get("prompt_templates", {})}
     return StarterKit(**values)

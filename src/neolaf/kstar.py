@@ -393,9 +393,14 @@ def record_to_dict(record: KstarRecord) -> dict[str, Any]:
     }
 
 
+# Every store line is ``json.dumps(obj, ensure_ascii=False, separators=(",", ":"))``;
+# ``json.dumps`` builds a new encoder per call for such arguments, so build it once.
+dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
 def serialize_record(record: KstarRecord) -> str:
     """Serialize to the canonical single-line JSON form."""
-    return json.dumps(record_to_dict(record), ensure_ascii=False, separators=(",", ":"))
+    return dumps(record_to_dict(record))
 
 
 def _parse_timestamp(raw: str) -> datetime:

@@ -28,16 +28,18 @@ whole masks of equal score at a time, taking the highest slots (the newest
 ids) first. Updates never change an item's statement, and new items take
 the next id, so an add only sets the top slot's bits.
 
-Writes serialize on the store lock; completed records are immutable, so
-many readers may share them freely.
+The store makes its directory when opened. Each append is one ``os.write`` of
+whole UTF-8 lines to a descriptor opened ``O_APPEND`` for that append alone (a
+short write is finished by another); nothing is fsynced. Writes serialize on the
+store lock; completed records are immutable, so many readers may share them freely.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
-import json
 import math
+import os
 import threading
 from array import array
 from bisect import bisect_left, insort
@@ -51,7 +53,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import NeolafError
 from .kstar import (
-    KstarRecord, deserialize_record, enum_decoder, loads, serialize_record, validate_record,
+    KstarRecord, deserialize_record, dumps, enum_decoder, loads, serialize_record, validate_record,
 )
 from .provider import DeterministicEmbedder, EmbeddingVector, _TOKEN_PATTERN, cosine
 
@@ -79,10 +81,6 @@ class KnowledgeKind(str, Enum):
     CORRECTIVE = "corrective"
     REINFORCEMENT = "reinforcement"
     DISTILLED = "distilled"
-
-
-def _json_line(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
 def _clamp(value: float) -> float:
@@ -375,6 +373,7 @@ class EpisodicStore:
     """Append-only store of encounter records plus the knowledge index."""
 
     def __init__(self, directory, embedder: Optional[DeterministicEmbedder] = None):
+        Path(directory).mkdir(parents=True, exist_ok=True)
         self.log_path = Path(directory) / RECORD_LOG_NAME
         self.knowledge_path = Path(directory) / KNOWLEDGE_FILE_NAME
         self.embedder = embedder
@@ -387,8 +386,6 @@ class EpisodicStore:
 
     @classmethod
     def open(cls, directory, embedder: Optional[DeterministicEmbedder] = None) -> "EpisodicStore":
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
         return cls(directory, embedder)
 
     def _load(self) -> None:
@@ -417,18 +414,21 @@ class EpisodicStore:
         self._next_knowledge_id = max(self._knowledge, default=0) + 1
 
     def _append_line(self, path: Path, line: str) -> None:
+        data = (line + "\n").encode("utf-8")
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-                fh.flush()
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise StorageError(f"cannot append to {path}: {exc}") from exc
 
     def _write_knowledge(self, *items: KnowledgeItem) -> None:
         """Append one line per item in a single write, then apply them in order."""
         self._append_line(
-            self.knowledge_path, "\n".join([_json_line(knowledge_item_to_dict(i)) for i in items])
+            self.knowledge_path, "\n".join([dumps(knowledge_item_to_dict(i)) for i in items])
         )
         for item in items:
             if item.id not in self._knowledge:
@@ -480,7 +480,6 @@ class EpisodicStore:
     def add_knowledge(self, item: KnowledgeItem) -> int:
         """Assign the next item id, embed if configured, and append."""
         with self.lock:
-            next_id = self._next_knowledge_id
             if not item.statement.strip():
                 raise ValueError("knowledge statement must be non-empty")
             if not item.provenance:
@@ -488,9 +487,10 @@ class EpisodicStore:
             embedding = item.embedding
             if embedding is None and self.embedder is not None:
                 embedding = self.embedder.embed(item.statement)
-            stored = replace(item, id=next_id, embedding=embedding)
+            stored = KnowledgeItem(self._next_knowledge_id, item.statement, item.kind,
+                                   item.provenance, item.confidence, item.usage_count, embedding)
             self._write_knowledge(stored)
-            return next_id
+            return stored.id
 
     def boost_confidence(self, item_ids: Iterable[int], delta: float = REINFORCEMENT_BOOST) -> None:
         """Append each known item again with its confidence raised by
@@ -570,9 +570,8 @@ class EpisodicStore:
             )
         if out_path is not None:
             try:
-                with open(out_path, "w", encoding="utf-8") as fh:
-                    for example in examples:
-                        fh.write(_json_line(asdict(example)) + "\n")
+                text = "".join([dumps(asdict(example)) + "\n" for example in examples])
+                Path(out_path).write_text(text, encoding="utf-8")
             except OSError as exc:
                 raise StorageError(f"cannot write consolidation file: {exc}") from exc
         return examples

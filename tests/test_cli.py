@@ -290,6 +290,20 @@ def test_malformed_kit_file_exits_two(tmp_path, capsys):
     assert f"kit file {kit_path}: a kit must be a JSON object" in err
 
 
+def test_kit_template_slot_that_is_not_text_exits_two(tmp_path, capsys):
+    kit_path = tmp_path / "kit.json"
+    kit_path.write_text(json.dumps({"prompt_templates": {"plan": 5, "confidence": 7}}))
+    code = main([
+        "solve", QUERY,
+        "--kit", str(kit_path),
+        "--script", str(_script_path(tmp_path)),
+        "--store", str(tmp_path / "store"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"kit file {kit_path}: kit field 'prompt_templates' entry 'plan'" in err
+
+
 def test_malformed_transcript_file_exits_two(tmp_path, capsys):
     transcript = tmp_path / "transcript.json"
     transcript.write_text(json.dumps([{"text": "x"}]), encoding="utf-8")

@@ -289,6 +289,16 @@ def test_kit_from_dict_names_a_field_of_the_wrong_type(name, value):
         kit_from_dict({name: value})
 
 
+@pytest.mark.parametrize("obj, named", [
+    ({"prompt_templates": {"plan": 5}}, "kit field 'prompt_templates' entry 'plan' must be text"),
+    ({"prompt_templates": {"extra": None}}, "entry 'extra' must be text"),
+    ({"tool_allowlist": ["calc", 5]}, "kit field 'tool_allowlist' entry 1 must be text"),
+])
+def test_kit_from_dict_names_an_entry_that_is_not_text(obj, named):
+    with pytest.raises(ValueError, match=named):
+        kit_from_dict(obj)
+
+
 def test_kit_from_dict_takes_an_integer_for_a_float_field():
     assert kit_from_dict({"route_threshold": 1}).route_threshold == 1
 

@@ -1,8 +1,12 @@
 """Episodic store, retrieval ranking, extraction rules, consolidation."""
 
+import errno
 import gc
 import json
+import os
 import random
+import re
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -127,6 +131,85 @@ def test_store_error_when_log_unwritable(tmp_path, rng):
     store.log_path = log  # now appending hits a directory
     with pytest.raises(StorageError):
         store.store_record(make_record(rng))
+
+
+def test_store_built_by_its_constructor_makes_its_directory(tmp_path, rng):
+    directory = tmp_path / "new" / "store"
+    store = EpisodicStore(directory)
+    store.store_record(make_record(rng))
+    _add_statement(store, "alpha")
+    reloaded = EpisodicStore(directory)
+    assert reloaded.records == store.records and reloaded.knowledge == store.knowledge
+
+
+def test_append_after_the_directory_is_deleted_fails(tmp_path, rng):
+    store = EpisodicStore.open(tmp_path / "s")
+    shutil.rmtree(tmp_path / "s")
+    with pytest.raises(StorageError, match="cannot append to"):
+        store.store_record(make_record(rng))
+    assert not (tmp_path / "s").exists()  # no new, partial store
+
+
+def _count_writes(monkeypatch):
+    """The bytes of each ``os.write`` the store makes from here on."""
+    writes, write = [], os.write
+
+    def counting(fd, data):
+        writes.append(data)
+        return write(fd, data)
+
+    monkeypatch.setattr(memory.os, "write", counting)
+    return writes
+
+
+def test_a_record_and_a_knowledge_add_are_one_write_each(store, rng, monkeypatch):
+    writes = _count_writes(monkeypatch)
+    record_id = store.store_record(make_record(rng))
+    assert writes == [(serialize_record(store.get_record(record_id)) + "\n").encode("utf-8")]
+    item_id = _add_statement(store, "alpha ½")
+    assert len(writes) == 2 and writes[1].count(b"\n") == 1
+    assert json.loads(writes[1]) == memory.knowledge_item_to_dict(store.get_knowledge(item_id))
+
+
+def test_short_writes_still_append_whole_lines(tmp_path, rng, monkeypatch):
+    records = [make_record(rng) for _ in range(3)]
+
+    def fill(directory):
+        store = EpisodicStore.open(directory)
+        for record in records:
+            store.store_record(record)
+        for statement in ("fraction ½ of ünits", "alpha", "fraction"):
+            _add_statement(store, statement)
+        store.boost_confidence([1, 3, 1])
+        store.retrieve("fraction", 2)
+        return store
+
+    expected = fill(tmp_path / "whole")
+    write = os.write
+    monkeypatch.setattr(memory.os, "write", lambda fd, data: write(fd, bytes(data[:7])))
+    capped = fill(tmp_path / "capped")
+    monkeypatch.undo()
+    for name in (memory.RECORD_LOG_NAME, memory.KNOWLEDGE_FILE_NAME):
+        assert (tmp_path / "capped" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+    reopened = EpisodicStore.open(tmp_path / "capped")
+    assert reopened.records == capped.records == expected.records
+    assert reopened.knowledge == capped.knowledge == expected.knowledge
+
+
+def test_failed_write_names_the_file_and_closes_it(store, rng, monkeypatch):
+    written, closed, close = [], [], os.close
+
+    def fail(fd, data):
+        written.append(fd)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(memory.os, "write", fail)
+    monkeypatch.setattr(memory.os, "close", lambda fd: (closed.append(fd), close(fd))[1])
+    with pytest.raises(StorageError, match=f"cannot append to {re.escape(str(store.log_path))}: "):
+        store.store_record(make_record(rng))
+    monkeypatch.undo()
+    assert len(written) == 1 and closed == written
+    assert store.records == ()
 
 
 def test_knowledge_survives_reload_with_last_version(tmp_path):
@@ -671,22 +754,18 @@ def test_retrieve_sees_adds_after_the_index_is_built_and_across_a_reopen(tmp_pat
 def test_retrieve_appends_its_usage_bumps_in_one_write(store, monkeypatch):
     for statement in ("alpha", "alpha beta", "gamma"):
         _add_statement(store, statement)
-    writes = []
-    append = store._append_line
-    monkeypatch.setattr(store, "_append_line", lambda *args: (writes.append(args), append(*args)))
+    writes = _count_writes(monkeypatch)
     assert _ids(store.retrieve("alpha", 3)) == [1, 2, 3]
-    assert len(writes) == 1 and writes[0][1].count("\n") == 2
+    assert len(writes) == 1 and writes[0].count(b"\n") == 3
     assert [item.usage_count for item in store.knowledge] == [1, 1, 1]
 
 
 def test_boost_confidence_appends_its_versions_in_one_write(store, monkeypatch):
     for statement in ("alpha", "beta", "gamma"):
         _add_statement(store, statement)
-    writes = []
-    append = store._append_line
-    monkeypatch.setattr(store, "_append_line", lambda *args: (writes.append(args), append(*args)))
+    writes = _count_writes(monkeypatch)
     store.boost_confidence([1, 3, 99], 0.25)
-    assert len(writes) == 1 and writes[0][1].count("\n") == 1
+    assert len(writes) == 1 and writes[0].count(b"\n") == 2
     assert [item.confidence for item in store.knowledge] == [0.75, 0.5, 0.75]
     store.boost_confidence([99, 100], 0.25)  # nothing known: nothing written
     assert len(writes) == 1
