@@ -38,7 +38,7 @@ from neolaf.cognition import (
     system1_request,
 )
 from neolaf.harness import load_dataset
-from neolaf.kstar import CoTaskState, StepStatus
+from neolaf.kstar import CoTaskState, GroundingEvidence, StepStatus
 from neolaf.memory import (
     EpisodicStore,
     KnowledgeItem,
@@ -51,7 +51,7 @@ from neolaf.provider import (
     load_script,
 )
 from neolaf.templates import DEFAULT_TEMPLATES
-from neolaf.toolkit import default_registry
+from neolaf.toolkit import ArgKind, ArgSpec, ToolDescriptor, ToolRegistry, default_registry
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -572,3 +572,145 @@ def test_store_grows_by_one_per_solve(kit, store, no_network):
     # second solve retrieves nothing (no knowledge from system-1 records)
     solve(queries[1], kit, provider, default_registry(), store)
     assert len(store.records) == 2
+
+
+
+# ---------------------------------------------------------------------------
+# The tool path: plan-step directives, directive lines in execute replies,
+# and the calc check of the final answer
+# ---------------------------------------------------------------------------
+
+TOOL_QUERY = "Work out the sum."
+
+
+def calc_evidence(expr, output):
+    return GroundingEvidence("calc", json.dumps({"expr": expr}), output)
+
+
+def one_attempt(kit, store, plan_text, replies=(), registry=None):
+    """Run one slow-path attempt (no replans) on ``plan_text``.
+
+    ``replies`` answers the execute requests of prose steps, as
+    (step index, prior outputs, reply text). Evaluate and distill are
+    unscripted, so they fail and are caught."""
+    query, steps = TOOL_QUERY, parse_plan(plan_text)
+    script = {
+        fp(situation_request(kit, query)): "A sum.",
+        fp(decompose_request(kit, query)): "- add",
+        fp(plan_request(kit, query)): plan_text,
+        fp(forecast_request(kit, query, render_plan(steps))): (
+            "EXPECTED: a number\nPROBABILITY: 0.8"
+        ),
+    }
+    for index, prior, reply in replies:
+        script[fp(execute_request(kit, query, "", _step_line(steps[index]), prior))] = reply
+    registry = registry or default_registry()
+    return run_system2(query, replace(kit, r_max=0), ScriptedProvider(script), registry, store)
+
+
+def step_results(record):
+    return [(step.status, step.observed_output) for step in record.plan]
+
+
+EXECUTED, FAILED, SKIPPED = StepStatus.EXECUTED, StepStatus.FAILED, StepStatus.SKIPPED
+
+
+@pytest.mark.parametrize("allowlist, expr, steps, evidence, success", [
+    (("calc",), "2+3", [(EXECUTED, "5")], (calc_evidence("2+3", "5"),), True),
+    ((), "2+3", [(FAILED, "ToolNotAllowed: 'calc' is not in the kit allowlist"), (SKIPPED, None)],
+     (), False),
+    (("calc",), "1/0", [(FAILED, "DivisionByZero: division by zero"), (SKIPPED, None)],
+     (), False),
+], ids=["succeeds", "refused-by-the-allowlist", "fails"])
+def test_plan_step_directive(kit, store, no_network, allowlist, expr, steps, evidence, success):
+    plan = f'STEP 1: self | TOOL calc(expr="{expr}") | exact'
+    if len(steps) == 2:
+        plan += "\nSTEP 2: self | report the sum"
+    solution, record = one_attempt(replace(kit, tool_allowlist=allowlist), store, plan)
+    assert step_results(record) == steps
+    assert record.outcome.grounding_evidence == evidence
+    assert record.outcome.success is success
+    # a refused tool is a tool call too
+    assert record.metrics.tool_calls == solution.tool_calls == 1
+    assert solution.answer == ("5" if success else "")
+
+
+def test_execute_reply_directives_all_run(kit, store, no_network):
+    reply = 'Two sums.\nTOOL calc(expr="1+1")\nTOOL calc (expr="9")\nTOOL calc(expr="2*3")'
+    observed = f"{reply}\n[calc] 2\n[calc] 6"
+    solution, record = one_attempt(
+        kit, store, "STEP 1: self | work it out\nSTEP 2: self | report the result",
+        replies=[(0, "", reply), (1, observed, "ANSWER: 6")],
+    )
+    # the near-miss line is prose; the other two are invoked in order
+    assert step_results(record) == [(EXECUTED, observed), (EXECUTED, "ANSWER: 6")]
+    assert record.outcome.grounding_evidence == (
+        calc_evidence("1+1", "2"), calc_evidence("2*3", "6"),
+    )
+    assert record.metrics.tool_calls == solution.tool_calls == 2
+    assert record.outcome.success and solution.answer == "6"
+    assert record.task.cotasks.grounding is CoTaskState.DONE
+
+
+def test_execute_reply_failing_directive_stops_the_step(kit, store, no_network):
+    reply = 'Two sums.\nTOOL calc(expr="1+1")\nTOOL calc(expr="1/0")\nTOOL calc(expr="3+3")'
+    solution, record = one_attempt(
+        kit, store, "STEP 1: self | work it out\nSTEP 2: self | report the result",
+        replies=[(0, "", reply)],
+    )
+    failed = f"{reply}\n[calc] 2\n[calc] failed: DivisionByZero: division by zero"
+    assert step_results(record) == [(FAILED, failed), (SKIPPED, None)]
+    # the line after the failure was not invoked
+    assert record.outcome.grounding_evidence == (calc_evidence("1+1", "2"),)
+    assert record.metrics.tool_calls == solution.tool_calls == 2
+    assert not record.outcome.success
+    assert record.outcome.feedback == failed
+
+
+def _failing_calc_registry():
+    def offline(args):
+        raise RuntimeError("offline")
+
+    registry = ToolRegistry()
+    registry.register(
+        ToolDescriptor("calc", "always fails", (ArgSpec("expr", ArgKind.STRING),)), offline
+    )
+    return registry
+
+
+def test_calc_check_grounds_a_bare_numeric_answer(kit, store, no_network):
+    solution, record = one_attempt(
+        kit, store, "STEP 1: self | add the numbers", replies=[(0, "", "ANSWER: 2+3")]
+    )
+    assert step_results(record) == [(EXECUTED, "ANSWER: 2+3")]
+    assert record.outcome.grounding_evidence == (calc_evidence("2+3", "5"),)
+    assert record.outcome.actual_result == "5" and record.outcome.success
+    assert record.metrics.tool_calls == solution.tool_calls == 1
+    assert solution.answer == "5"
+    assert record.task.cotasks.grounding is CoTaskState.DONE
+
+
+def test_calc_check_that_fails_fails_the_outcome(kit, store, no_network):
+    solution, record = one_attempt(
+        kit, store, "STEP 1: self | add the numbers", replies=[(0, "", "ANSWER: 2+3")],
+        registry=_failing_calc_registry(),
+    )
+    assert step_results(record) == [(EXECUTED, "ANSWER: 2+3")]
+    assert record.outcome.grounding_evidence == ()
+    assert record.outcome.actual_result == "answer '2+3' failed grounding"
+    assert record.outcome.feedback == "RuntimeError: offline"
+    assert not record.outcome.success
+    assert record.metrics.tool_calls == solution.tool_calls == 1
+    assert solution.answer == "2+3"
+    assert record.task.cotasks.grounding is CoTaskState.DONE
+
+
+def test_no_calc_check_without_calc_in_the_allowlist(kit, store, no_network):
+    solution, record = one_attempt(
+        replace(kit, tool_allowlist=()), store, "STEP 1: self | add the numbers",
+        replies=[(0, "", "ANSWER: 2+3")],
+    )
+    assert record.outcome.grounding_evidence == ()
+    assert record.outcome.feedback.startswith("evaluation unavailable: ")
+    assert record.metrics.tool_calls == solution.tool_calls == 0
+    assert record.task.cotasks.grounding is CoTaskState.SKIPPED

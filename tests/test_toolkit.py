@@ -125,3 +125,38 @@ def test_directive_empty_args_and_whitespace():
     assert parse_tool_directive("TOOL foo()") == ToolDirective("foo", {})
     directive = parse_tool_directive('  TOOL foo( a = "x" , b = 1 )  ')
     assert directive.args == {"a": "x", "b": 1}
+
+
+@pytest.mark.parametrize("line", [
+    'TOOL calc expr="1")',
+    'TOOL calc (expr="1")',
+    'TOOL calc(expr="1",)',
+    'TOOL calc(expr="1)',
+    'TOOL calc(expr="a\\q")',
+    'TOOL calc(expr="1", expr="2")',
+    'TOOL calc(expr="1") and more',
+    'TOOL calc(expr="1"',
+    "TOOL calc(n=1.)",
+    "TOOL calc(n=+1)",
+    "TOOL Calc()",
+], ids=[
+    "missing-paren", "space-before-paren", "trailing-comma", "unterminated-string",
+    "bad-escape", "duplicate-key", "trailing-text", "missing-close", "bare-point",
+    "plus-sign", "upper-case-name",
+])
+def test_malformed_directive_classes(line):
+    with pytest.raises(MalformedDirective) as excinfo:
+        parse_tool_directive(line)
+    assert 0 <= excinfo.value.position <= len(line)
+
+
+@pytest.mark.parametrize("line, args", [
+    ("TOOL f(n=01, x=-0.50)", {"n": 1, "x": -0.5}),
+    ('TOOL f(s="", t="\\\\\\"")', {"s": "", "t": '\\"'}),
+    ('TOOL \t f(\tk\t=\t"a b"\t,m=2\t)', {"k": "a b", "m": 2}),
+    ('TOOL f(s="(x, y=\\"z\\")")', {"s": '(x, y="z")'}),
+])
+def test_directive_accepted_forms(line, args):
+    directive = parse_tool_directive(line)
+    assert directive == ToolDirective("f", args)
+    assert [type(v) for v in directive.args.values()] == [type(v) for v in args.values()]
