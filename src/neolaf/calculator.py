@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .errors import NeolafError
 
@@ -295,6 +295,14 @@ def eval_expression(expr: str) -> NumericValue:
         raise ParseError(MAX_EXPRESSION_LENGTH,
                          f"an expression of at most {MAX_EXPRESSION_LENGTH} characters")
     return _Parser(expr).parse()
+
+
+def try_eval(text: str) -> Optional[NumericValue]:
+    """The value of ``text`` as an expression, or None when it is not one."""
+    try:
+        return eval_expression(text)
+    except CalculatorError:
+        return None
 
 
 def render_value(value: NumericValue) -> str:

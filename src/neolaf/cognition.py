@@ -49,11 +49,11 @@ from .kstar import (
 )
 from .memory import (
     EpisodicStore,
-    ValidationFailed,
     _clamp,
     extract_knowledge,
     forecast_matched,
     render_plan,
+    step_line,
 )
 from .provider import (
     Completion,
@@ -78,10 +78,6 @@ DEFAULT_MAX_TOKENS = 1024
 
 class ReviewRejected(NeolafError):
     """The human reviewer declined the proposed plan."""
-
-
-class EncodingFailed(NeolafError):
-    """The finished encounter failed validation at encode time (a bug)."""
 
 
 class Route(str, Enum):
@@ -410,9 +406,13 @@ def route(confidence: float, kit: StarterKit) -> Route:
 # --------------------------------------------------------------------------
 
 
+# A lone surrogate (JSON allows "\ud800") cannot be encoded as UTF-8.
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
 class _CountingProvider(CompletionProvider):
     """The ledger of one encounter: its start time, every completion
-    attempt (successful or not) and every tool invocation."""
+    attempt (successful or not) and every tool call."""
 
     def __init__(self, inner: CompletionProvider):
         self.inner = inner
@@ -422,17 +422,28 @@ class _CountingProvider(CompletionProvider):
         self.tool_calls = 0
 
     def complete(self, request: ProviderRequest) -> Completion:
+        """Every completion of the encounter passes here, so a reply's lone
+        surrogates become U+FFFD before anything stores them."""
         self.provider_calls += 1
-        return self.inner.complete(request)
+        completion = self.inner.complete(request)
+        if _SURROGATE_RE.search(completion.text):
+            completion = replace(completion, text=_SURROGATE_RE.sub("\ufffd", completion.text))
+        return completion
 
-    def invoke(self, registry: ToolRegistry, allowlist, directive: ToolDirective):
+    def call_tool(self, kit, registry: ToolRegistry, directive: ToolDirective,
+                  evidence: list) -> ToolResult:
+        """Count and make one tool call. A tool outside the kit allowlist
+        is refused; a call that succeeds appends its evidence, whose input
+        is the arguments as sorted-key JSON."""
         self.tool_calls += 1
-        if directive.tool_name not in allowlist:
-            return ToolResult(
-                output="", ok=False,
-                error_detail=f"ToolNotAllowed: {directive.tool_name!r} is not in the kit allowlist",
-            )
-        return registry.invoke(directive.tool_name, directive.args)
+        name = directive.tool_name
+        if name not in kit.tool_allowlist:
+            return ToolResult("", False, f"ToolNotAllowed: {name!r} is not in the kit allowlist")
+        result = registry.invoke(name, directive.args)
+        if result.ok:
+            args = json.dumps(directive.args, ensure_ascii=False, sort_keys=True)
+            evidence.append(GroundingEvidence(name, args, result.output))
+        return result
 
     def metrics(self, replans: int = 0) -> EncounterMetrics:
         return EncounterMetrics(
@@ -463,25 +474,38 @@ def _maybe_directive(line: str) -> Optional[ToolDirective]:
         return None
 
 
-def _directive_input(directive: ToolDirective) -> str:
-    return json.dumps(directive.args, ensure_ascii=False, sort_keys=True)
+def _step_outcome(kit, ledger, registry, query, context, step, prior_outputs, evidence):
+    """Run one step and return (ok, observed output).
 
-
-def _step_line(step: ActionStep) -> str:
-    parts = [step.agent, step.skill]
-    if step.constraints:
-        parts.append(", ".join(step.constraints))
-    return " | ".join(parts)
+    A step whose skill is a tool directive is that tool call. Any other
+    step goes to the provider, and each directive line of the reply is
+    called in turn, its output folded into the observed output; the
+    first failing line fails the step.
+    """
+    directive = _maybe_directive(step.skill)
+    if directive is not None:
+        result = ledger.call_tool(kit, registry, directive, evidence)
+        return result.ok, (result.output if result.ok else result.error_detail or "tool failed")
+    request = execute_request(kit, query, context, step_line(step), "\n".join(prior_outputs))
+    try:
+        text = ledger.complete(request).text
+    except ProviderError as exc:
+        return False, f"provider error: {exc}"
+    parts = [text.strip()] if text.strip() else []
+    for line in text.splitlines():
+        directive = _maybe_directive(line)
+        if directive is None:
+            continue
+        result = ledger.call_tool(kit, registry, directive, evidence)
+        if not result.ok:
+            parts.append(f"[{directive.tool_name}] failed: {result.error_detail}")
+            return False, "\n".join(parts)
+        parts.append(f"[{directive.tool_name}] {result.output}")
+    return True, "\n".join(parts) or "(no output)"
 
 
 def _execute_steps(kit, ledger, registry, query, context, steps):
-    """Run plan steps in order.
-
-    A step whose skill is a tool directive is invoked directly; other
-    steps go to the provider, and directive lines in the response are
-    invoked with their outputs folded into the step's observed output.
-    The first failure marks the step failed and skips the rest.
-    """
+    """Run plan steps in order; the first failure skips the rest."""
     evidence: list[GroundingEvidence] = []
     out_steps: list[ActionStep] = []
     prior_outputs: list[str] = []
@@ -490,63 +514,14 @@ def _execute_steps(kit, ledger, registry, query, context, steps):
         if failed:
             out_steps.append(replace(step, status=StepStatus.SKIPPED))
             continue
-        directive = _maybe_directive(step.skill)
-        if directive is not None:
-            result = ledger.invoke(registry, kit.tool_allowlist, directive)
-            if result.ok:
-                evidence.append(
-                    GroundingEvidence(directive.tool_name, _directive_input(directive), result.output)
-                )
-                prior_outputs.append(result.output)
-                out_steps.append(
-                    replace(step, status=StepStatus.EXECUTED, observed_output=result.output)
-                )
-            else:
-                out_steps.append(
-                    replace(step, status=StepStatus.FAILED,
-                            observed_output=result.error_detail or "tool failed")
-                )
-                failed = True
-            continue
-        try:
-            completion = ledger.complete(
-                execute_request(kit, query, context, _step_line(step), "\n".join(prior_outputs))
-            )
-        except ProviderError as exc:
-            out_steps.append(
-                replace(step, status=StepStatus.FAILED, observed_output=f"provider error: {exc}")
-            )
-            failed = True
-            continue
-        text = completion.text.strip()
-        parts = [text] if text else []
-        step_failed = False
-        for line in completion.text.splitlines():
-            inner = _maybe_directive(line)
-            if inner is None:
-                continue
-            result = ledger.invoke(registry, kit.tool_allowlist, inner)
-            if result.ok:
-                evidence.append(
-                    GroundingEvidence(inner.tool_name, _directive_input(inner), result.output)
-                )
-                parts.append(f"[{inner.tool_name}] {result.output}")
-            else:
-                parts.append(f"[{inner.tool_name}] failed: {result.error_detail}")
-                step_failed = True
-                break
-        observed = "\n".join(parts) or "(no output)"
-        out_steps.append(
-            replace(
-                step,
-                status=StepStatus.FAILED if step_failed else StepStatus.EXECUTED,
-                observed_output=observed,
-            )
+        ok, observed = _step_outcome(
+            kit, ledger, registry, query, context, step, prior_outputs, evidence
         )
-        if step_failed:
-            failed = True
-        else:
+        status = StepStatus.EXECUTED if ok else StepStatus.FAILED
+        out_steps.append(replace(step, status=status, observed_output=observed))
+        if ok:
             prior_outputs.append(observed)
+        failed = not ok
     return tuple(out_steps), evidence
 
 
@@ -567,14 +542,6 @@ def _final_answer(steps, evidence) -> str:
             if lines:
                 return lines[-1]
     return ""
-
-
-def _numeric_checkable(answer: str) -> bool:
-    try:
-        calculator.eval_expression(answer)
-        return True
-    except calculator.CalculatorError:
-        return False
 
 
 def _evaluate(kit, ledger, registry, query, steps, forecast, evidence):
@@ -612,11 +579,9 @@ def _evaluate(kit, ledger, registry, query, steps, forecast, evidence):
         return outcome, CoTaskState.DONE, answer
 
     calc_available = "calc" in kit.tool_allowlist and registry.describe("calc") is not None
-    if calc_available and _numeric_checkable(answer):
-        directive = ToolDirective("calc", {"expr": answer})
-        result = ledger.invoke(registry, kit.tool_allowlist, directive)
+    if calc_available and calculator.try_eval(answer) is not None:
+        result = ledger.call_tool(kit, registry, ToolDirective("calc", {"expr": answer}), evidence)
         if result.ok:
-            evidence.append(GroundingEvidence("calc", _directive_input(directive), result.output))
             outcome = Outcome(result.output, True, tuple(evidence), None)
             return outcome, CoTaskState.DONE, result.output
         outcome = Outcome(
@@ -756,10 +721,7 @@ def run_system2(
             for item in new_items
         )
         record = replace(draft, knowledge_delta=delta, metrics=metrics)
-        try:
-            stored_id = store.store_record(record)
-        except ValidationFailed as exc:
-            raise EncodingFailed(str(exc)) from exc
+        stored_id = store.store_record(record)
         record = replace(record, id=stored_id)
         if record.outcome.success and forecast_matched(record) and used_ids:
             store.boost_confidence(used_ids)

@@ -150,21 +150,12 @@ def normalize_answer(raw: str) -> str:
     return s.strip()
 
 
-def _try_number(text: str):
-    if not text:
-        return None
-    try:
-        return calculator.eval_expression(text)
-    except calculator.CalculatorError:
-        return None
-
-
 def answers_equal(a: str, b: str) -> bool:
     """Equality after normalization, with a numeric fallback."""
     na, nb = normalize_answer(a), normalize_answer(b)
     if na == nb:
         return True
-    va, vb = _try_number(na), _try_number(nb)
+    va, vb = calculator.try_eval(na), calculator.try_eval(nb)
     if va is None or vb is None:
         return False
     if isinstance(va, Fraction) and isinstance(vb, Fraction):

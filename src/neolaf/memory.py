@@ -582,13 +582,17 @@ class EpisodicStore:
 # --------------------------------------------------------------------------
 
 
+def step_line(step) -> str:
+    """One step as ``agent | skill | c1, c2`` (no constraints part if none)."""
+    parts = [step.agent, step.skill]
+    if step.constraints:
+        parts.append(", ".join(step.constraints))
+    return " | ".join(parts)
+
+
 def render_plan(plan) -> str:
     """Human-readable one-line-per-step rendering of a plan."""
-    return "\n".join(
-        f"{i + 1}. {step.agent} | {step.skill}"
-        + (f" | {', '.join(step.constraints)}" if step.constraints else "")
-        for i, step in enumerate(plan)
-    )
+    return "\n".join(f"{i}. {step_line(step)}" for i, step in enumerate(plan, 1))
 
 
 def forecast_matched(record: KstarRecord) -> bool:

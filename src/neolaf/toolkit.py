@@ -24,7 +24,8 @@ from typing import Callable, Optional
 from .calculator import eval_expression, render_value
 from .errors import NeolafError
 
-_NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
+_NAME = r"[a-z][a-z0-9_]*"  # tool and argument names
+_NAME_RE = re.compile(_NAME)
 
 
 class DuplicateToolName(NeolafError):
@@ -36,7 +37,8 @@ class DuplicateToolName(NeolafError):
 class MalformedDirective(NeolafError):
     """A ``TOOL `` line that fails the directive grammar.
 
-    ``position`` is the character offset within the stripped line.
+    ``position`` is the character offset, within the stripped line, of
+    the part that failed: the name, an argument, or the closing ``)``.
     """
 
     def __init__(self, message: str, position: int):
@@ -147,51 +149,14 @@ def default_registry() -> ToolRegistry:
 # --------------------------------------------------------------------------
 
 _DIRECTIVE_PREFIX = "TOOL "
-_KEY_RE = re.compile(r"[a-z][a-z0-9_]*")
-_NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?")
-
-
-class _DirectiveScanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, regex: re.Pattern, what: str) -> str:
-        m = regex.match(self.text, self.pos)
-        if m is None:
-            raise MalformedDirective(f"expected {what}", self.pos)
-        self.pos = m.end()
-        return m.group(0)
-
-    def expect(self, char: str) -> None:
-        if self.peek() != char:
-            raise MalformedDirective(f"expected {char!r}", self.pos)
-        self.pos += 1
-
-    def quoted_string(self) -> str:
-        self.expect('"')
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise MalformedDirective("unterminated string", self.pos)
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == '"':
-                return "".join(out)
-            if ch == "\\":
-                if self.pos >= len(self.text) or self.text[self.pos] not in '"\\':
-                    raise MalformedDirective("bad escape in string", self.pos)
-                out.append(self.text[self.pos])
-                self.pos += 1
-            else:
-                out.append(ch)
+# Only spaces and tabs may separate tokens.
+_HEAD_RE = re.compile(rf"TOOL [ \t]*({_NAME})\(")
+_ARG_RE = re.compile(
+    rf'[ \t]*({_NAME})[ \t]*=[ \t]*'
+    r'(?:"((?:[^"\\]|\\["\\])*)"|(-?\d+(?:\.\d+)?))[ \t]*(,?)'
+)
+_CLOSE_RE = re.compile(r"[ \t]*\)")
+_ESCAPE_RE = re.compile(r'\\(["\\])')
 
 
 def parse_tool_directive(action_text: str) -> Optional[ToolDirective]:
@@ -204,34 +169,24 @@ def parse_tool_directive(action_text: str) -> Optional[ToolDirective]:
     line = action_text.strip()
     if "\n" in line or not line.startswith(_DIRECTIVE_PREFIX):
         return None
-    scanner = _DirectiveScanner(line)
-    scanner.pos = len(_DIRECTIVE_PREFIX)
-    scanner.skip_ws()
-    name = scanner.take(_KEY_RE, "a tool name")
-    scanner.expect("(")
+    head = _HEAD_RE.match(line)
+    if head is None:
+        raise MalformedDirective("expected a tool name and '('", len(_DIRECTIVE_PREFIX))
     args: dict = {}
-    scanner.skip_ws()
-    if scanner.peek() != ")":
-        while True:
-            scanner.skip_ws()
-            key = scanner.take(_KEY_RE, "an argument name")
-            if key in args:
-                raise MalformedDirective(f"duplicate argument {key!r}", scanner.pos)
-            scanner.skip_ws()
-            scanner.expect("=")
-            scanner.skip_ws()
-            if scanner.peek() == '"':
-                args[key] = scanner.quoted_string()
-            else:
-                raw = scanner.take(_NUMBER_RE, "a quoted string or a number")
-                args[key] = float(raw) if "." in raw else int(raw)
-            scanner.skip_ws()
-            if scanner.peek() == ",":
-                scanner.pos += 1
-                continue
+    pos, comma = head.end(), ""
+    while arg := _ARG_RE.match(line, pos):
+        key, text, number, comma = arg.groups()
+        if key in args:
+            raise MalformedDirective(f"duplicate argument {key!r}", arg.start(1))
+        if text is not None:
+            args[key] = _ESCAPE_RE.sub(r"\1", text)
+        else:
+            args[key] = float(number) if "." in number else int(number)
+        pos = arg.end()
+        if not comma:
             break
-    scanner.expect(")")
-    scanner.skip_ws()
-    if scanner.pos != len(line):
-        raise MalformedDirective("trailing text after directive", scanner.pos)
-    return ToolDirective(tool_name=name, args=args)
+    # After a comma comes another argument; the line is stripped, so
+    # nothing follows the ')'.
+    if comma or _CLOSE_RE.fullmatch(line, pos) is None:
+        raise MalformedDirective("expected ','-separated key=value arguments and ')'", pos)
+    return ToolDirective(tool_name=head.group(1), args=args)

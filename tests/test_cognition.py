@@ -15,7 +15,6 @@ from neolaf.cognition import (
     Route,
     StarterKit,
     System1Result,
-    _step_line,
     decompose_request,
     default_kit,
     distill_request,
@@ -43,7 +42,9 @@ from neolaf.memory import (
     EpisodicStore,
     KnowledgeItem,
     KnowledgeKind,
+    ValidationFailed,
     render_plan,
+    step_line,
 )
 from neolaf.provider import (
     ScriptedProvider,
@@ -92,7 +93,7 @@ def happy_system2_script(kit, query, expr, context=""):
         fp(forecast_request(kit, query, render_plan(steps))): (
             f"EXPECTED: {expected}\nPROBABILITY: 0.8"
         ),
-        fp(execute_request(kit, query, context, _step_line(steps[0]), "")): (
+        fp(execute_request(kit, query, context, step_line(steps[0]), "")): (
             "The expression is restated; ready to compute."
         ),
         fp(distill_request(kit, query, render_plan(steps), expected, answer)): (
@@ -603,7 +604,7 @@ def one_attempt(kit, store, plan_text, replies=(), registry=None):
         ),
     }
     for index, prior, reply in replies:
-        script[fp(execute_request(kit, query, "", _step_line(steps[index]), prior))] = reply
+        script[fp(execute_request(kit, query, "", step_line(steps[index]), prior))] = reply
     registry = registry or default_registry()
     return run_system2(query, replace(kit, r_max=0), ScriptedProvider(script), registry, store)
 
@@ -714,3 +715,49 @@ def test_no_calc_check_without_calc_in_the_allowlist(kit, store, no_network):
     assert record.outcome.feedback.startswith("evaluation unavailable: ")
     assert record.metrics.tool_calls == solution.tool_calls == 0
     assert record.task.cotasks.grounding is CoTaskState.SKIPPED
+
+
+# ---------------------------------------------------------------------------
+# Encoding: every encounter is encoded, and validation fails one way
+# ---------------------------------------------------------------------------
+
+
+def test_lone_surrogate_in_a_fast_reply_is_encoded(kit, tmp_path, no_network):
+    query = "What is 2+2?"
+    script = {
+        fp(system1_request(kit, query, "")): "ANSWER: 4 \ud800\nEXPLANATION: sum\nCONFIDENCE: 0.9"
+    }
+    store = EpisodicStore.open(tmp_path / "store")
+    solution = solve(query, kit, ScriptedProvider(script), default_registry(), store)
+    assert solution.answer == "4 \ufffd"
+    reopened = EpisodicStore.open(tmp_path / "store")
+    assert reopened.records == store.records
+    assert reopened.get_record(solution.record_id).outcome.actual_result == "4 \ufffd"
+
+
+def test_lone_surrogate_in_a_slow_path_lesson_is_encoded(kit, tmp_path, no_network):
+    query = "Compute 1/3 + 1/6 exactly."
+    script, _answer, steps = happy_system2_script(kit, query, "1/3+1/6")
+    lesson = fp(distill_request(kit, query, render_plan(steps), "the exact value of 1/3+1/6", "1/2"))
+    script[lesson] = "Lesson: ground \udfff arithmetic with the calculator."
+    store = EpisodicStore.open(tmp_path / "store")
+    _solution, record = run_system2(query, kit, ScriptedProvider(script), default_registry(), store)
+    reopened = EpisodicStore.open(tmp_path / "store")
+    assert reopened.records == (record,)
+    assert reopened.knowledge == store.knowledge
+    assert any("ground \ufffd arithmetic" in item.statement for item in reopened.knowledge)
+
+
+@pytest.mark.parametrize("confidence", ["0.9", "0.3"], ids=["fast-path", "slow-path"])
+def test_record_failing_validation_raises_validation_failed(
+    kit, store, monkeypatch, no_network, confidence
+):
+    query = "Compute 1/3 + 1/6 exactly."
+    script, _, _ = happy_system2_script(kit, query, "1/3+1/6")
+    script[fp(system1_request(kit, query, ""))] = (
+        f"ANSWER: 1/2\nEXPLANATION: sum\nCONFIDENCE: {confidence}"
+    )
+    monkeypatch.setattr("neolaf.memory.validate_record", lambda record: ["forced violation"])
+    with pytest.raises(ValidationFailed, match="forced violation"):
+        solve(query, kit, ScriptedProvider(script), default_registry(), store)
+    assert store.records == ()

@@ -242,6 +242,7 @@ def local_server():
     _Handler.behavior[0] = "ok"
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 def test_remote_provider_completes(local_server):
