@@ -575,14 +575,10 @@ def test_store_grows_by_one_per_solve(kit, store, no_network):
     assert len(store.records) == 2
 
 
-
 # ---------------------------------------------------------------------------
 # The tool path: plan-step directives, directive lines in execute replies,
 # and the calc check of the final answer
 # ---------------------------------------------------------------------------
-
-TOOL_QUERY = "Work out the sum."
-
 
 def calc_evidence(expr, output):
     return GroundingEvidence("calc", json.dumps({"expr": expr}), output)
@@ -594,7 +590,7 @@ def one_attempt(kit, store, plan_text, replies=(), registry=None):
     ``replies`` answers the execute requests of prose steps, as
     (step index, prior outputs, reply text). Evaluate and distill are
     unscripted, so they fail and are caught."""
-    query, steps = TOOL_QUERY, parse_plan(plan_text)
+    query, steps = "Work out the sum.", parse_plan(plan_text)
     script = {
         fp(situation_request(kit, query)): "A sum.",
         fp(decompose_request(kit, query)): "- add",
