@@ -406,8 +406,13 @@ def route(confidence: float, kit: StarterKit) -> Route:
 # --------------------------------------------------------------------------
 
 
-# A lone surrogate (JSON allows "\ud800") cannot be encoded as UTF-8.
+# A lone surrogate (JSON allows "\ud800"; argv bytes that are not UTF-8
+# arrive as "\udcff") cannot be encoded as UTF-8: it becomes U+FFFD.
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def _scrub(text: str) -> str:
+    return _SURROGATE_RE.sub("\ufffd", text)
 
 
 class _CountingProvider(CompletionProvider):
@@ -427,7 +432,7 @@ class _CountingProvider(CompletionProvider):
         self.provider_calls += 1
         completion = self.inner.complete(request)
         if _SURROGATE_RE.search(completion.text):
-            completion = replace(completion, text=_SURROGATE_RE.sub("\ufffd", completion.text))
+            completion = replace(completion, text=_scrub(completion.text))
         return completion
 
     def call_tool(self, kit, registry: ToolRegistry, directive: ToolDirective,
@@ -454,16 +459,11 @@ class _CountingProvider(CompletionProvider):
         )
 
 
-def _solution(answer, explanation, route_taken, record_id, metrics) -> Solution:
-    return Solution(
-        answer=answer,
-        explanation=explanation,
-        route=route_taken,
-        record_id=record_id,
-        elapsed_ms=metrics.latency_ms,
-        provider_calls=metrics.provider_calls,
-        tool_calls=metrics.tool_calls,
-    )
+def _solution(answer, explanation, route_taken, record: KstarRecord) -> Solution:
+    """The Solution of a stored record, which counts and times it."""
+    metrics = record.metrics
+    return Solution(answer, explanation, route_taken, record.id, metrics.latency_ms,
+                    metrics.provider_calls, metrics.tool_calls)
 
 
 def _maybe_directive(line: str) -> Optional[ToolDirective]:
@@ -626,6 +626,7 @@ def run_system2(
     """
     if not query or not query.strip():
         raise ValueError("query must be non-empty")
+    query = _scrub(query)
     ledger = provider if isinstance(provider, _CountingProvider) else _CountingProvider(provider)
 
     if retrieved is None:
@@ -714,22 +715,11 @@ def run_system2(
     new_items.extend(extract_knowledge(draft, lesson))
 
     metrics = ledger.metrics(replans=state.replan_count)
-    with store.lock:
-        record_id = store.next_record_id()
-        delta = tuple(
-            store.add_knowledge(replace(item, provenance=(record_id,)))
-            for item in new_items
-        )
-        record = replace(draft, knowledge_delta=delta, metrics=metrics)
-        stored_id = store.store_record(record)
-        record = replace(record, id=stored_id)
-        if record.outcome.success and forecast_matched(record) and used_ids:
-            store.boost_confidence(used_ids)
-
-    explanation = "\n".join(
-        step.observed_output for step in executed if step.observed_output
-    )
-    return _solution(answer, explanation, Route.SYSTEM2, stored_id, metrics), record
+    boosts = used_ids if outcome.success and forecast_matched(draft) else ()
+    record_id = store.store_record(replace(draft, metrics=metrics), new_items, boosts)
+    record = store.get_record(record_id)
+    explanation = "\n".join(step.observed_output for step in executed if step.observed_output)
+    return _solution(answer, explanation, Route.SYSTEM2, record), record
 
 
 def _lightweight_record(query, source, result: System1Result, used_ids, metrics):
@@ -785,6 +775,7 @@ def solve(
     """
     if not query or not query.strip():
         raise ValueError("query must be non-empty")
+    query = _scrub(query)
     ledger = _CountingProvider(provider)
 
     retrieved = store.retrieve(query, kit.retrieval_k)
@@ -793,21 +784,9 @@ def solve(
 
     decision = Route.SYSTEM1 if system1_only else route(result.confidence, kit)
     if decision is Route.SYSTEM1:
-        metrics = ledger.metrics()
-        record = _lightweight_record(
-            query, source, result, tuple(item.id for item in retrieved), metrics
-        )
-        record_id = store.store_record(record)
-        return _solution(result.answer, result.explanation, Route.SYSTEM1, record_id, metrics)
-
-    solution, _record = run_system2(
-        query,
-        kit,
-        ledger,
-        registry,
-        store,
-        source=source,
-        plan_review=plan_review,
-        retrieved=retrieved,
-    )
-    return solution
+        used_ids = tuple(item.id for item in retrieved)
+        record = _lightweight_record(query, source, result, used_ids, ledger.metrics())
+        record = store.get_record(store.store_record(record))
+        return _solution(result.answer, result.explanation, Route.SYSTEM1, record)
+    return run_system2(query, kit, ledger, registry, store, source=source,
+                       plan_review=plan_review, retrieved=retrieved)[0]

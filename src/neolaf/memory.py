@@ -28,6 +28,13 @@ whole masks of equal score at a time, taking the highest slots (the newest
 ids) first. Updates never change an item's statement, and new items take
 the next id, so an add only sets the top slot's bits.
 
+An encounter is one commit, ``store_record(record, items, boosts)``: the record
+and its new items are numbered, checked and encoded; then the record line is
+appended, and then the new items and the boosted versions in one more append.
+The record is the commit point: a crash between the two appends leaves a record
+whose ``knowledge_delta`` names unwritten items, never an item whose provenance
+names a missing record.
+
 The store makes its directory when opened. Each append is one ``os.write`` of
 whole UTF-8 lines to a descriptor opened ``O_APPEND`` for that append alone (a
 short write is finished by another); nothing is fsynced. Writes serialize on the
@@ -350,6 +357,10 @@ def _consolidation_line(line: str) -> ConsolidationExample:
     return consolidation_example_from_dict(loads(line))
 
 
+def _knowledge_bytes(items: list[KnowledgeItem]) -> bytes:
+    return "".join([dumps(knowledge_item_to_dict(item)) + "\n" for item in items]).encode("utf-8")
+
+
 def _read_lines(
     path: Path, decode: Callable[[str], Any], what: str, missing_ok: bool = True
 ) -> Iterator[tuple[int, Any]]:
@@ -413,8 +424,7 @@ class EpisodicStore:
                 gc.collect(1)
         self._next_knowledge_id = max(self._knowledge, default=0) + 1
 
-    def _append_line(self, path: Path, line: str) -> None:
-        data = (line + "\n").encode("utf-8")
+    def _append(self, path: Path, data: bytes) -> None:
         try:
             fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
             try:
@@ -425,17 +435,43 @@ class EpisodicStore:
         except OSError as exc:
             raise StorageError(f"cannot append to {path}: {exc}") from exc
 
-    def _write_knowledge(self, *items: KnowledgeItem) -> None:
-        """Append one line per item in a single write, then apply them in order."""
-        self._append_line(
-            self.knowledge_path, "\n".join([dumps(knowledge_item_to_dict(i)) for i in items])
-        )
+    def _write_knowledge(self, items: list[KnowledgeItem], data: bytes = b"") -> None:
+        """Append one line per item (``data``, if already encoded) in a
+        single write, then apply them in order. No items, no write."""
+        if not items:
+            return
+        self._append(self.knowledge_path, data or _knowledge_bytes(items))
         for item in items:
             if item.id not in self._knowledge:
                 if self._index is not None:
                     self._index.add(item)
                 self._next_knowledge_id = max(self._next_knowledge_id, item.id + 1)
             self._knowledge[item.id] = item
+
+    def _new_item(self, item: KnowledgeItem, item_id: int, provenance: tuple) -> KnowledgeItem:
+        """``item`` checked, numbered ``item_id`` with ``provenance``, and
+        embedded if configured."""
+        if not item.statement.strip():
+            raise ValueError("knowledge statement must be non-empty")
+        if not provenance:
+            raise ValueError("knowledge provenance must be non-empty")
+        embedding = item.embedding
+        if embedding is None and self.embedder is not None:
+            embedding = self.embedder.embed(item.statement)
+        return KnowledgeItem(item_id, item.statement, item.kind, provenance, item.confidence,
+                             item.usage_count, embedding)
+
+    def _boosted(self, item_ids: Iterable[int], delta: float) -> list[KnowledgeItem]:
+        """A version of each known item with its confidence raised by
+        ``delta``; a repeated id gets a further version, an unknown one none."""
+        boosted: dict[int, KnowledgeItem] = {}
+        versions = []
+        for item_id in item_ids:
+            item = boosted.get(item_id) or self._knowledge.get(item_id)
+            if item is not None:
+                boosted[item_id] = replace(item, confidence=item.confidence + delta)
+                versions.append(boosted[item_id])
+        return versions
 
     # -- records ------------------------------------------------------
 
@@ -455,16 +491,31 @@ class EpisodicStore:
         with self.lock:
             return self._records[-1].id + 1 if self._records else 1
 
-    def store_record(self, record: KstarRecord) -> int:
-        """Validate, assign the next id, and append atomically."""
+    def store_record(self, record: KstarRecord, items: Iterable[KnowledgeItem] = (),
+                     boosts: Iterable[int] = ()) -> int:
+        """Commit one encounter and return its record id.
+
+        The record takes the next id, and ``items``, its new knowledge, the
+        next item ids, with the record as provenance; their ids are added to
+        its ``knowledge_delta``. Each stored item in ``boosts`` gets a version
+        with its confidence raised by ``REINFORCEMENT_BOOST``. All is checked
+        and encoded first; then the record line is appended, and then the
+        new items and the boosted versions, in that order, in one write.
+        """
         with self.lock:
-            assigned = replace(record, id=self.next_record_id())
-            violations = validate_record(assigned)
+            record_id, first = self.next_record_id(), self._next_knowledge_id
+            new = [self._new_item(item, first + i, (record_id,)) for i, item in enumerate(items)]
+            delta = record.knowledge_delta + tuple(item.id for item in new)
+            record = replace(record, id=record_id, knowledge_delta=delta)
+            violations = validate_record(record)
             if violations:
                 raise ValidationFailed(violations)
-            self._append_line(self.log_path, serialize_record(assigned))
-            self._records.append(assigned)
-            return assigned.id
+            versions = new + self._boosted(boosts, REINFORCEMENT_BOOST)
+            data = _knowledge_bytes(versions)
+            self._append(self.log_path, (serialize_record(record) + "\n").encode("utf-8"))
+            self._records.append(record)
+            self._write_knowledge(versions, data)
+            return record_id
 
     # -- knowledge ----------------------------------------------------
 
@@ -480,16 +531,8 @@ class EpisodicStore:
     def add_knowledge(self, item: KnowledgeItem) -> int:
         """Assign the next item id, embed if configured, and append."""
         with self.lock:
-            if not item.statement.strip():
-                raise ValueError("knowledge statement must be non-empty")
-            if not item.provenance:
-                raise ValueError("knowledge provenance must be non-empty")
-            embedding = item.embedding
-            if embedding is None and self.embedder is not None:
-                embedding = self.embedder.embed(item.statement)
-            stored = KnowledgeItem(self._next_knowledge_id, item.statement, item.kind,
-                                   item.provenance, item.confidence, item.usage_count, embedding)
-            self._write_knowledge(stored)
+            stored = self._new_item(item, self._next_knowledge_id, item.provenance)
+            self._write_knowledge([stored])
             return stored.id
 
     def boost_confidence(self, item_ids: Iterable[int], delta: float = REINFORCEMENT_BOOST) -> None:
@@ -497,21 +540,13 @@ class EpisodicStore:
         ``delta``, in one write. Each repeat of an id appends a further
         version; unknown ids are skipped."""
         with self.lock:
-            boosted: dict[int, KnowledgeItem] = {}
-            versions = []
-            for item_id in item_ids:
-                item = boosted.get(item_id) or self._knowledge.get(item_id)
-                if item is not None:
-                    boosted[item_id] = replace(item, confidence=item.confidence + delta)
-                    versions.append(boosted[item_id])
-            if versions:
-                self._write_knowledge(*versions)
+            self._write_knowledge(self._boosted(item_ids, delta))
 
     def _bump_usage(self, item_ids: list[int]) -> None:
         """Append each ranked item again with its usage count + 1, in one write."""
         items = self._knowledge
         self._write_knowledge(
-            *[replace(items[i], usage_count=items[i].usage_count + 1) for i in item_ids]
+            [replace(items[i], usage_count=items[i].usage_count + 1) for i in item_ids]
         )
 
     def retrieve(self, query: str, k: int) -> list[KnowledgeItem]:
@@ -560,14 +595,9 @@ class EpisodicStore:
                 continue
             prompt = f"{record.situation.description}\n{record.task.goal}"
             completion = f"{render_plan(record.plan)}\n{record.outcome.actual_result}"
-            examples.append(
-                ConsolidationExample(
-                    prompt=prompt,
-                    completion=completion,
-                    source_record=record.id,
-                    tags=record.situation.context_tags,
-                )
-            )
+            examples.append(ConsolidationExample(
+                prompt, completion, record.id, record.situation.context_tags
+            ))
         if out_path is not None:
             try:
                 text = "".join([dumps(asdict(example)) + "\n" for example in examples])
@@ -631,23 +661,9 @@ def extract_knowledge(record: KstarRecord, lesson: str = "") -> list[KnowledgeIt
             f"{record.forecast.expected_result} but got {record.outcome.actual_result}"
         )
         kind, confidence = KnowledgeKind.CORRECTIVE, CORRECTIVE_CONFIDENCE
-    items = [
-        KnowledgeItem(
-            id=0,
-            statement=statement,
-            kind=kind,
-            provenance=(record.id,),
-            confidence=confidence,
-        )
-    ]
+    items = [KnowledgeItem(0, statement, kind, (record.id,), confidence)]
     if lesson.strip():
-        items.append(
-            KnowledgeItem(
-                id=0,
-                statement=lesson.strip(),
-                kind=KnowledgeKind.DISTILLED,
-                provenance=(record.id,),
-                confidence=DISTILLED_CONFIDENCE,
-            )
-        )
+        items.append(KnowledgeItem(
+            0, lesson.strip(), KnowledgeKind.DISTILLED, (record.id,), DISTILLED_CONFIDENCE
+        ))
     return items

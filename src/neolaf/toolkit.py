@@ -181,7 +181,10 @@ def parse_tool_directive(action_text: str) -> Optional[ToolDirective]:
         if text is not None:
             args[key] = _ESCAPE_RE.sub(r"\1", text)
         else:
-            args[key] = float(number) if "." in number else int(number)
+            try:
+                args[key] = float(number) if "." in number else int(number)
+            except ValueError:  # more digits than int() converts
+                raise MalformedDirective("number has too many digits", arg.start(3)) from None
         pos = arg.end()
         if not comma:
             break

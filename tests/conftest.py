@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import random
 import socket
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from neolaf import memory
 from neolaf.kstar import (
     ActionStep,
     CoTasks,
@@ -127,3 +129,21 @@ def no_network(monkeypatch):
 
     monkeypatch.setattr(socket.socket, "connect", guard)
     monkeypatch.setattr(socket, "create_connection", guard)
+
+
+@pytest.fixture
+def count_writes(monkeypatch):
+    """``count_writes()`` starts counting, and returns the list of the bytes
+    of each ``os.write`` the store makes from then on."""
+
+    def start() -> list[bytes]:
+        writes, write = [], os.write
+
+        def counting(fd, data):
+            writes.append(data)
+            return write(fd, data)
+
+        monkeypatch.setattr(memory.os, "write", counting)
+        return writes
+
+    return start

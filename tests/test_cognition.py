@@ -54,6 +54,8 @@ from neolaf.provider import (
 from neolaf.templates import DEFAULT_TEMPLATES
 from neolaf.toolkit import ArgKind, ArgSpec, ToolDescriptor, ToolRegistry, default_registry
 
+from conftest import make_record
+
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -664,6 +666,19 @@ def test_execute_reply_failing_directive_stops_the_step(kit, store, no_network):
     assert record.outcome.feedback == failed
 
 
+def test_execute_reply_line_with_an_over_long_number_is_prose(kit, store, no_network):
+    # more digits than int() converts: a malformed directive, so prose
+    reply = f"TOOL calc(expr={'1' * 5000})\nANSWER: 2+3"
+    solution, record = one_attempt(
+        kit, store, "STEP 1: self | add the numbers", replies=[(0, "", reply)]
+    )
+    assert step_results(record) == [(EXECUTED, reply)]
+    # the one tool call is the calc check of the answer
+    assert record.outcome.grounding_evidence == (calc_evidence("2+3", "5"),)
+    assert record.metrics.tool_calls == solution.tool_calls == 1
+    assert solution.answer == "5"
+
+
 def _failing_calc_registry():
     def offline(args):
         raise RuntimeError("offline")
@@ -746,14 +761,63 @@ def test_lone_surrogate_in_a_slow_path_lesson_is_encoded(kit, tmp_path, no_netwo
 
 @pytest.mark.parametrize("confidence", ["0.9", "0.3"], ids=["fast-path", "slow-path"])
 def test_record_failing_validation_raises_validation_failed(
-    kit, store, monkeypatch, no_network, confidence
+    kit, store, monkeypatch, no_network, confidence, rng
 ):
     query = "Compute 1/3 + 1/6 exactly."
     script, _, _ = happy_system2_script(kit, query, "1/3+1/6")
     script[fp(system1_request(kit, query, ""))] = (
         f"ANSWER: 1/2\nEXPLANATION: sum\nCONFIDENCE: {confidence}"
     )
+    # A store that already holds a record and an item; with retrieval_k 0
+    # the retrieve ranks nothing, so it appends no usage bumps.
+    seeded = store.get_record(store.store_record(make_record(rng)))
+    store.add_knowledge(KnowledgeItem(0, "exact sums", KnowledgeKind.DISTILLED, (1,), 0.6))
+    files = (store.log_path, store.knowledge_path)
+    before = [path.read_bytes() for path in files]
     monkeypatch.setattr("neolaf.memory.validate_record", lambda record: ["forced violation"])
     with pytest.raises(ValidationFailed, match="forced violation"):
-        solve(query, kit, ScriptedProvider(script), default_registry(), store)
-    assert store.records == ()
+        solve(query, replace(kit, retrieval_k=0), ScriptedProvider(script), default_registry(),
+              store)
+    assert store.records == (seeded,)
+    # the commit checks before it writes: no record, and no knowledge naming one
+    assert [path.read_bytes() for path in files] == before
+
+
+@pytest.mark.parametrize("system1_only", (False, True))
+def test_each_encounter_is_one_commit(kit, store, count_writes, system1_only, no_network):
+    """A fast-path encounter makes one write, its record; a slow-path one
+    makes two, its record and then its knowledge with any boosts. A
+    retrieve that ranks anything adds one write of usage bumps."""
+    provider = ScriptedProvider(load_script(FIXTURES / "script.json"))
+    writes = count_writes()
+    seen = set()
+    for problem in load_dataset(FIXTURES / "math20", "math_dir"):
+        before = len(writes)
+        solution = solve(
+            problem.statement, kit, provider, default_registry(), store,
+            system1_only=system1_only,
+        )
+        bumped = bool(store.get_record(solution.record_id).knowledge_used)
+        commit = 1 if solution.route is Route.SYSTEM1 else 2
+        assert len(writes) - before == commit + bumped, problem.id
+        seen.add((solution.route, bumped))
+    # every case occurs: both routes, with and without usage bumps
+    every = {(route_taken, bumped) for route_taken in Route for bumped in (False, True)}
+    assert seen == ({(Route.SYSTEM1, False)} if system1_only else every)
+
+
+@pytest.mark.parametrize("path", ["solve", "run_system2"])
+def test_lone_surrogate_in_the_query_is_encoded(kit, tmp_path, no_network, path):
+    query, cleaned = "Compute 1/3 + 1/6 \udcff exactly.", "Compute 1/3 + 1/6 \ufffd exactly."
+    store = EpisodicStore.open(tmp_path / "store")
+    if path == "solve":
+        script = confident_script(kit, cleaned, "1/2")
+        solution = solve(query, kit, ScriptedProvider(script), default_registry(), store)
+        record = store.get_record(solution.record_id)
+    else:
+        script, _answer, _steps = happy_system2_script(kit, cleaned, "1/3+1/6")
+        _solution, record = run_system2(
+            query, kit, ScriptedProvider(script), default_registry(), store
+        )
+    assert record.task.goal == cleaned and record.outcome.success
+    assert EpisodicStore.open(tmp_path / "store").records == store.records

@@ -150,25 +150,50 @@ def test_append_after_the_directory_is_deleted_fails(tmp_path, rng):
     assert not (tmp_path / "s").exists()  # no new, partial store
 
 
-def _count_writes(monkeypatch):
-    """The bytes of each ``os.write`` the store makes from here on."""
-    writes, write = [], os.write
-
-    def counting(fd, data):
-        writes.append(data)
-        return write(fd, data)
-
-    monkeypatch.setattr(memory.os, "write", counting)
-    return writes
-
-
-def test_a_record_and_a_knowledge_add_are_one_write_each(store, rng, monkeypatch):
-    writes = _count_writes(monkeypatch)
+def test_a_record_and_a_knowledge_add_are_one_write_each(store, rng, count_writes):
+    writes = count_writes()
     record_id = store.store_record(make_record(rng))
     assert writes == [(serialize_record(store.get_record(record_id)) + "\n").encode("utf-8")]
     item_id = _add_statement(store, "alpha ½")
     assert len(writes) == 2 and writes[1].count(b"\n") == 1
     assert json.loads(writes[1]) == memory.knowledge_item_to_dict(store.get_knowledge(item_id))
+
+
+def test_store_record_commits_the_record_then_its_knowledge(store, rng, count_writes):
+    old = _add_statement(store, "alpha")
+    writes = count_writes()
+    items = [KnowledgeItem(0, "beta", KnowledgeKind.CORRECTIVE, (7,), 0.5),
+             KnowledgeItem(0, "gamma", KnowledgeKind.DISTILLED, (), 0.6)]
+    record = replace(make_record(rng), knowledge_delta=(old,))
+    record = store.get_record(store.store_record(record, items, boosts=[old, 99]))
+    assert record.knowledge_delta == (old, old + 1, old + 2)
+    assert [store.get_knowledge(i).provenance for i in (old + 1, old + 2)] == [(record.id,)] * 2
+    assert store.get_knowledge(old).confidence == pytest.approx(0.6)
+    # the record line is the commit point; then the new items and the boost in one write
+    assert writes[0] == (serialize_record(record) + "\n").encode("utf-8")
+    assert [json.loads(line)["id"] for line in writes[1].splitlines()] == [old + 1, old + 2, old]
+    assert len(writes) == 2
+    reopened = EpisodicStore.open(store.log_path.parent)
+    assert reopened.records == store.records and reopened.knowledge == store.knowledge
+
+
+def test_a_commit_that_fails_a_check_writes_nothing(store, rng, count_writes, monkeypatch):
+    old = _add_statement(store, "alpha")
+    writes = count_writes()
+    good = KnowledgeItem(0, "beta", KnowledgeKind.DISTILLED, (), 0.6)
+    # a blank statement, and one that cannot be encoded (UnicodeEncodeError is a ValueError)
+    for bad in (replace(good, statement="  "), replace(good, statement="beta \ud800")):
+        with pytest.raises(ValueError):
+            store.store_record(make_record(rng), [good, bad], [old])
+    monkeypatch.setattr(memory, "validate_record", lambda record: ["forced violation"])
+    with pytest.raises(ValidationFailed):
+        store.store_record(make_record(rng), [good], [old])
+    assert writes == [] and store.records == ()
+    assert [(item.id, item.confidence) for item in store.knowledge] == [(old, 0.5)]
+    monkeypatch.undo()
+    # nothing was used up: the next commit takes the ids the failed ones were given
+    assert store.store_record(make_record(rng), [good]) == 1
+    assert store.get_knowledge(old + 1).provenance == (1,)
 
 
 def test_short_writes_still_append_whole_lines(tmp_path, rng, monkeypatch):
@@ -751,19 +776,19 @@ def test_retrieve_sees_adds_after_the_index_is_built_and_across_a_reopen(tmp_pat
     assert _ids(reopened.retrieve("root prime", 4)) == [later + 1, wide, later, tie]
 
 
-def test_retrieve_appends_its_usage_bumps_in_one_write(store, monkeypatch):
+def test_retrieve_appends_its_usage_bumps_in_one_write(store, count_writes):
     for statement in ("alpha", "alpha beta", "gamma"):
         _add_statement(store, statement)
-    writes = _count_writes(monkeypatch)
+    writes = count_writes()
     assert _ids(store.retrieve("alpha", 3)) == [1, 2, 3]
     assert len(writes) == 1 and writes[0].count(b"\n") == 3
     assert [item.usage_count for item in store.knowledge] == [1, 1, 1]
 
 
-def test_boost_confidence_appends_its_versions_in_one_write(store, monkeypatch):
+def test_boost_confidence_appends_its_versions_in_one_write(store, count_writes):
     for statement in ("alpha", "beta", "gamma"):
         _add_statement(store, statement)
-    writes = _count_writes(monkeypatch)
+    writes = count_writes()
     store.boost_confidence([1, 3, 99], 0.25)
     assert len(writes) == 1 and writes[0].count(b"\n") == 2
     assert [item.confidence for item in store.knowledge] == [0.75, 0.5, 0.75]

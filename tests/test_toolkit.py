@@ -109,6 +109,13 @@ def test_malformed_directive_raises_with_position():
         parse_tool_directive("TOOL calc expr")
 
 
+def test_directive_number_with_too_many_digits_is_malformed():
+    # int() refuses more than sys.get_int_max_str_digits() digits (4,300 by default)
+    with pytest.raises(MalformedDirective) as excinfo:
+        parse_tool_directive("TOOL calc(x=" + "1" * 5000 + ")")
+    assert excinfo.value.position == len("TOOL calc(x=")
+
+
 def test_directive_value_kinds():
     directive = parse_tool_directive('TOOL foo(a="text", b=3, c=-2.5)')
     assert directive.args == {"a": "text", "b": 3, "c": -2.5}
