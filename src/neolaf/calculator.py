@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Optional, Union
 
 from .errors import NeolafError
@@ -34,6 +35,11 @@ from .errors import NeolafError
 NumericValue = Union[Fraction, float]
 
 MAX_EXPRESSION_LENGTH = 4096
+
+# Each level of nesting (a parenthesis, a unary minus, a '^') takes at most five
+# parser frames; past this many levels an input is refused, well inside the
+# interpreter's recursion limit.
+MAX_NESTING = 50
 
 # Exact powers whose result would exceed this many bits are refused so a
 # hostile expression like 9^9^9 cannot hang or exhaust the process.
@@ -78,39 +84,25 @@ _TOKEN_RE = re.compile(
 _FUNCTIONS = {"sqrt": 1, "abs": 1, "gcd": 2, "mod": 2, "floor": 1}
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def next(self) -> tuple[str, str, int]:
-        """Return (kind, value, position); kind 'end' at end of input."""
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return ("end", "", self.pos)
-        m = _TOKEN_RE.match(self.text, self.pos)
-        if m is None:
-            raise ParseError(self.pos, "a number, function, or operator",
-                             self.text[self.pos])
-        start = self.pos
-        self.pos = m.end()
-        if m.group("number") is not None:
-            return ("number", m.group("number"), start)
-        if m.group("name") is not None:
-            return ("name", m.group("name"), start)
-        return ("op", m.group("op"), start)
-
-
 class _Parser:
     """Single-pass parse-and-evaluate."""
 
     def __init__(self, text: str):
-        self._tok = _Tokenizer(text)
-        self._cur = self._tok.next()
+        self._text, self._pos, self._depth = text, 0, 0
+        self._advance()
 
     def _advance(self) -> None:
-        self._cur = self._tok.next()
+        """Move ``_cur`` to the next (kind, value, position); kind 'end' at end of input."""
+        text, pos = self._text, self._pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        if pos == len(text):
+            self._cur = ("end", "", pos)
+            return
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(pos, "a number, function, or operator", text[pos])
+        self._cur, self._pos = (m.lastgroup, m[m.lastgroup], pos), m.end()
 
     def _expect_op(self, symbol: str) -> None:
         kind, value, pos = self._cur
@@ -131,7 +123,7 @@ class _Parser:
             op = self._cur[1]
             self._advance()
             rhs = self.term()
-            value = _add(value, rhs) if op == "+" else _sub(value, rhs)
+            value = _arith(add if op == "+" else sub, value, rhs)
         return value
 
     def term(self) -> NumericValue:
@@ -140,14 +132,21 @@ class _Parser:
             op = self._cur[1]
             self._advance()
             rhs = self.factor()
-            value = _mul(value, rhs) if op == "*" else _div(value, rhs)
+            value = _arith(mul, value, rhs) if op == "*" else _div(value, rhs)
         return value
 
     def factor(self) -> NumericValue:
+        # Each level of nesting enters one more factor, so ``_depth`` is the level.
+        if self._depth > MAX_NESTING:
+            raise ParseError(self._cur[2], f"at most {MAX_NESTING} levels of nesting")
+        self._depth += 1
         if self._cur[0] == "op" and self._cur[1] == "-":
             self._advance()
-            return _neg(self.factor())
-        return self.power()
+            value = -self.factor()
+        else:
+            value = self.power()
+        self._depth -= 1  # an error ends the whole parse, so needs no undo
+        return value
 
     def power(self) -> NumericValue:
         base = self.atom()
@@ -203,22 +202,11 @@ def _both_exact(a: NumericValue, b: NumericValue) -> bool:
     return isinstance(a, Fraction) and isinstance(b, Fraction)
 
 
-def _add(a, b):
+def _arith(op, a, b):
+    """``op(a, b)``, exact when both are rationals, else on floats."""
     if _both_exact(a, b):
-        return a + b
-    return _check_float(_to_float(a) + _to_float(b))
-
-
-def _sub(a, b):
-    if _both_exact(a, b):
-        return a - b
-    return _check_float(_to_float(a) - _to_float(b))
-
-
-def _mul(a, b):
-    if _both_exact(a, b):
-        return a * b
-    return _check_float(_to_float(a) * _to_float(b))
+        return op(a, b)
+    return _check_float(op(_to_float(a), _to_float(b)))
 
 
 def _div(a, b):
@@ -230,10 +218,6 @@ def _div(a, b):
     if fb == 0.0:
         raise DivisionByZero()
     return _check_float(_to_float(a) / fb)
-
-
-def _neg(a):
-    return -a
 
 
 def _pow(base, exponent):

@@ -13,7 +13,7 @@ thread; completed records are frozen dataclasses and safe to share.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from operator import itemgetter
@@ -419,33 +419,12 @@ def enum_decoder(enum: type[Enum]) -> Callable[[Any], Any]:
     return lambda v: members[v] if isinstance(v, str) and v in members else enum(v)
 
 
-def _constructor(cls: type) -> Callable[..., Any]:
-    """``cls(*values)``, given every field in order, for a frozen slotted dataclass
-    whose ``__init__`` only sets its fields. That ``__init__`` looks up
-    ``object.__setattr__`` for each field; this sets each slot by its descriptor."""
-    count = len(fields(cls))
-    scope = {"new": object.__new__, "cls": cls}
-    scope.update({f"s{i}": getattr(cls, f.name).__set__ for i, f in enumerate(fields(cls))})
-    args = ", ".join(f"v{i}" for i in range(count))
-    body = "".join(f"    s{i}(obj, v{i})\n" for i in range(count))
-    exec(f"def build({args}):\n    obj = new(cls)\n{body}    return obj", scope)
-    return scope["build"]
-
-
 _source = enum_decoder(SituationSource)
 _step_status = enum_decoder(StepStatus)
+_cotask_state = enum_decoder(CoTaskState)
 _forecast = itemgetter("expected_result", "success_probability")
 _evidence = itemgetter("tool_name", "input", "output")
 _metrics = itemgetter("latency_ms", "provider_calls", "tool_calls", "replans")
-# One shared, immutable value per combination of co-task states, by their strings
-_COTASKS = {
-    (p.value, f.value, g.value): CoTasks(p, f, g)
-    for p in CoTaskState for f in CoTaskState for g in CoTaskState
-}
-_new_situation, _new_task, _new_step, _new_forecast, _new_evidence, _new_outcome = map(
-    _constructor, (Situation, TaskSpec, ActionStep, Forecast, GroundingEvidence, Outcome)
-)
-_new_metrics, _new_record = _constructor(EncounterMetrics), _constructor(KstarRecord)
 
 
 def _decode(build: Callable[[Any], Any], obj: Any, path: str, *args: Any) -> Any:
@@ -458,7 +437,7 @@ def _decode(build: Callable[[Any], Any], obj: Any, path: str, *args: Any) -> Any
 
 
 def _situation(s: Any) -> Situation:
-    return _new_situation(s["description"], tuple(s["context_tags"]), _source(s["source"]))
+    return Situation(s["description"], tuple(s["context_tags"]), _source(s["source"]))
 
 
 def _task_path(path: Any) -> str:
@@ -467,12 +446,9 @@ def _task_path(path: Any) -> str:
 
 
 def _cotasks(c: Any, path: Any) -> CoTasks:
-    try:
-        return _COTASKS[c["planning"], c["forecasting"], c["grounding"]]
-    except (KeyError, TypeError):  # a missing field, a bad or unhashable state, not a dict
-        pass
     try:  # each state in turn, so the first bad field raises
-        return CoTasks(*[CoTaskState(c[key]) for key in ("planning", "forecasting", "grounding")])
+        return CoTasks(_cotask_state(c["planning"]), _cotask_state(c["forecasting"]),
+                       _cotask_state(c["grounding"]))
     except KeyError as exc:
         raise MalformedRecord(f"missing field {_task_path(path)}.cotasks.{exc.args[0]}") from None
     except ValueError as exc:
@@ -486,19 +462,19 @@ def _task(t: Any, path: Any) -> TaskSpec:
         subtasks = tuple([_task(u, (path, i)) for i, u in enumerate(t["subtasks"])])
     except KeyError as exc:
         raise MalformedRecord(f"missing field {_task_path(path)}.{exc.args[0]}") from None
-    return _new_task(goal, subtasks, cotasks)
+    return TaskSpec(goal, subtasks, cotasks)
 
 
 def _step(s: Any) -> ActionStep:
     agent, skill, constraints, status = s["agent"], s["skill"], tuple(s["constraints"]), s["status"]
-    return _new_step(agent, skill, constraints, _step_status(status), s.get("observed_output"))
+    return ActionStep(agent, skill, constraints, _step_status(status), s.get("observed_output"))
 
 
 def _outcome(o: Any) -> Outcome:
     actual, success, evidence = o["actual_result"], o["success"], o["grounding_evidence"]
     evidence = [_decode(_evidence, e, "grounding_evidence[{}]", i) for i, e in enumerate(evidence)]
-    evidence = tuple([_new_evidence(*values) for values in evidence])
-    return _new_outcome(actual, success, evidence, o.get("feedback"))
+    evidence = tuple([GroundingEvidence(*values) for values in evidence])
+    return Outcome(actual, success, evidence, o.get("feedback"))
 
 
 def record_from_dict(obj: dict[str, Any]) -> KstarRecord:
@@ -507,17 +483,17 @@ def record_from_dict(obj: dict[str, Any]) -> KstarRecord:
         raise MalformedRecord("record must be a JSON object")
     try:
         sit, fc, out, met = obj["situation"], obj["forecast"], obj["outcome"], obj["metrics"]
-        return _new_record(  # the fields in order, and checked in this order
+        return KstarRecord(  # the fields in order, and checked in this order
             obj["id"],
             _parse_timestamp(obj["timestamp"]),
             tuple(obj["knowledge_used"]),
             _decode(_situation, sit, "situation"),
             _task(obj["task"], "task"),
             tuple([_decode(_step, s, "plan[{}]", i) for i, s in enumerate(obj["plan"])]),
-            _new_forecast(*_decode(_forecast, fc, "forecast")),
+            Forecast(*_decode(_forecast, fc, "forecast")),
             _decode(_outcome, out, "outcome"),
             tuple(obj["knowledge_delta"]),
-            _new_metrics(*_decode(_metrics, met, "metrics")),
+            EncounterMetrics(*_decode(_metrics, met, "metrics")),
         )
     except KeyError as exc:
         raise MalformedRecord(f"missing field record.{exc.args[0]}") from None

@@ -9,14 +9,14 @@ is strictly append-only. The knowledge file is also append-only: item
 updates (usage bumps, confidence boosts) append a fresh version of the
 item and reload keeps the last version per id.
 
-Opening a store decodes and validates every line of both files once
-(fields present, enums known, timestamps with an offset, integer ids;
-``validate_record`` runs at write time). A corrupt line, or a record id
-that does not increase, fails the open with a StorageError naming its file
-and line number. The open pauses the (process-wide) cyclic collector, as
-nothing it builds is cyclic garbage, and then leaves it as the caller had it;
-if it was on, one young-generation pass moves what was built to the oldest.
-Decoded records share immutable ``CoTasks`` values, one per set of states.
+Opening a store decodes every knowledge line, but a record line only when it
+lacks the canonical ``{"id":N,`` prefix, or is the last; open checks that ids
+increase. The rest are decoded, once, by the ``records``, ``get_record`` or
+``consolidate`` call that first reaches them. A corrupt line fails the open, or
+that call, with a StorageError naming its file and line. The open pauses the
+(process-wide) cyclic collector, as nothing it builds is cyclic garbage, and
+then leaves it as the caller had it; if it was on, one young-generation pass
+moves what was built to the oldest.
 
 Retrieval keeps one more rebuildable cache, built on the first ``retrieve``
 after open rather than at load. For embedder scoring it holds each item's
@@ -47,6 +47,7 @@ import gc
 import heapq
 import math
 import os
+import re
 import threading
 from array import array
 from bisect import bisect_left, insort
@@ -62,7 +63,7 @@ from .errors import NeolafError
 from .kstar import (
     KstarRecord, deserialize_record, dumps, enum_decoder, loads, serialize_record, validate_record,
 )
-from .provider import DeterministicEmbedder, EmbeddingVector, _TOKEN_PATTERN, cosine
+from .provider import DeterministicEmbedder, EmbeddingVector, cosine
 
 # Fixed starter-kit constants for the knowledge update rules.
 CORRECTIVE_CONFIDENCE = 0.5
@@ -166,8 +167,12 @@ def read_consolidation(path) -> list[ConsolidationExample]:
 # Similarity
 # --------------------------------------------------------------------------
 
+# For ``[a-z0-9]+`` runs: a non-ASCII character becomes ``?``, and every byte but [0-9a-z] a space
+_TOKEN_BYTES = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32 for b in range(256))
+
+
 def _tokens(text: str) -> set[str]:
-    return set(_TOKEN_PATTERN.findall(text.lower()))
+    return set(text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).decode().split())
 
 
 def similarity(a: str, b: str, embedder: Optional[DeterministicEmbedder] = None) -> float:
@@ -349,6 +354,17 @@ def _record_line(line: str) -> KstarRecord:
     return _int_id(deserialize_record(line))
 
 
+_ID_PREFIX = re.compile(r'\{"id":(0|[1-9][0-9]*),')
+
+
+def _record_entry(line: str) -> tuple[int, KstarRecord | str]:
+    """The id and the line, or the id and the record when the line lacks the prefix."""
+    if match := _ID_PREFIX.match(line):
+        return int(match[1]), line
+    record = _record_line(line)
+    return record.id, record
+
+
 def _knowledge_line(line: str) -> KnowledgeItem:
     return _int_id(knowledge_item_from_dict(loads(line)))
 
@@ -359,6 +375,9 @@ def _consolidation_line(line: str) -> ConsolidationExample:
 
 def _knowledge_bytes(items: list[KnowledgeItem]) -> bytes:
     return "".join([dumps(knowledge_item_to_dict(item)) + "\n" for item in items]).encode("utf-8")
+
+
+_CORRUPT = (NeolafError, ValueError, KeyError, TypeError, AttributeError)
 
 
 def _read_lines(
@@ -375,7 +394,7 @@ def _read_lines(
                 if not (line := raw.decode("utf-8").strip()):
                     continue
                 value = decode(line)
-            except (NeolafError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            except _CORRUPT as exc:
                 raise StorageError(f"{what} corrupt at line {number}: {exc}") from exc
             yield number, value
 
@@ -389,7 +408,9 @@ class EpisodicStore:
         self.knowledge_path = Path(directory) / KNOWLEDGE_FILE_NAME
         self.embedder = embedder
         self.lock = threading.RLock()
-        self._records: list[KstarRecord] = []
+        # A record, or (line number, line) until its first use; ids in log order
+        self._records: list[KstarRecord | tuple[int, str]] = []
+        self._ids: list[int] = []
         self._knowledge: dict[int, KnowledgeItem] = {}
         self._next_knowledge_id = 1
         self._index: _TokenIndex | _VectorIndex | None = None  # built by retrieve
@@ -406,13 +427,17 @@ class EpisodicStore:
         gc.disable()
         try:
             last_id = 0
-            for number, record in _read_lines(self.log_path, _record_line, "record log"):
-                if record.id <= last_id:
+            lines = _read_lines(self.log_path, _record_entry, "record log")
+            for number, (record_id, entry) in lines:
+                if record_id <= last_id:
                     raise StorageError(
-                        f"record log corrupt at line {number}: id {record.id} after {last_id}"
+                        f"record log corrupt at line {number}: id {record_id} after {last_id}"
                     )
-                last_id = record.id
-                self._records.append(record)
+                last_id = record_id
+                self._ids.append(record_id)
+                self._records.append((number, entry) if type(entry) is str else entry)
+            if self._records:  # a torn last line fails here, not under the next append
+                self._record_at(-1)
             for _, item in _read_lines(self.knowledge_path, _knowledge_line, "knowledge file"):
                 self._knowledge[item.id] = item
         finally:
@@ -423,6 +448,20 @@ class EpisodicStore:
                 # would scan all of it twice on the way, inside later calls.
                 gc.collect(1)
         self._next_knowledge_id = max(self._knowledge, default=0) + 1
+
+    def _record_at(self, index: int) -> KstarRecord:
+        """The record at ``index``, decoded on first use; call with the lock held."""
+        entry = self._records[index]
+        if type(entry) is tuple:
+            number, line = entry
+            try:
+                entry, prefix_id = _record_line(line), self._ids[index]
+                if entry.id != prefix_id:
+                    raise ValueError(f"id {entry.id} where the line starts with id {prefix_id}")
+            except _CORRUPT as exc:
+                raise StorageError(f"record log corrupt at line {number}: {exc}") from exc
+            self._records[index] = entry
+        return entry
 
     def _append(self, path: Path, data: bytes) -> None:
         try:
@@ -478,18 +517,18 @@ class EpisodicStore:
     @property
     def records(self) -> tuple[KstarRecord, ...]:
         with self.lock:
-            return tuple(self._records)
+            return tuple([self._record_at(i) for i in range(len(self._records))])
 
     def get_record(self, record_id: int) -> Optional[KstarRecord]:
         with self.lock:
-            i = bisect_left(self._records, record_id, key=attrgetter("id"))
-            if i < len(self._records) and self._records[i].id == record_id:
-                return self._records[i]
+            i = bisect_left(self._ids, record_id)
+            if i < len(self._ids) and self._ids[i] == record_id:
+                return self._record_at(i)
         return None
 
     def next_record_id(self) -> int:
         with self.lock:
-            return self._records[-1].id + 1 if self._records else 1
+            return self._ids[-1] + 1 if self._ids else 1
 
     def store_record(self, record: KstarRecord, items: Iterable[KnowledgeItem] = (),
                      boosts: Iterable[int] = ()) -> int:
@@ -514,6 +553,7 @@ class EpisodicStore:
             data = _knowledge_bytes(versions)
             self._append(self.log_path, (serialize_record(record) + "\n").encode("utf-8"))
             self._records.append(record)
+            self._ids.append(record_id)
             self._write_knowledge(versions, data)
             return record_id
 
@@ -587,10 +627,8 @@ class EpisodicStore:
         When ``out_path`` is given, examples are written as one JSON object
         per line.
         """
-        with self.lock:
-            records = list(self._records)
         examples = []
-        for record in records:
+        for record in self.records:
             if not record.outcome.success:
                 continue
             prompt = f"{record.situation.description}\n{record.task.goal}"

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from neolaf.calculator import (
+    MAX_NESTING,
     DivisionByZero,
     DomainError,
     CalculatorError,
@@ -21,7 +22,9 @@ from neolaf.calculator import (
     ParseError,
     eval_expression,
     render_value,
+    try_eval,
 )
+from neolaf.harness import answers_equal
 
 # ---------------------------------------------------------------------------
 # Oracle: random trees over + - * / with integer leaves
@@ -213,6 +216,32 @@ def test_parser_totality_on_garbage():
             eval_expression(text)
         except CalculatorError:
             pass  # structured failure is the contract
+
+
+_TOO_DEEP = {
+    "parentheses": "(" * 200 + "1" + ")" * 200,
+    "minus-signs": "-" * 3000 + "1",
+    "power-chain": "^".join(["2"] * 1501),
+}
+
+
+@pytest.mark.parametrize("text", _TOO_DEEP.values(), ids=_TOO_DEEP.keys())
+def test_nesting_past_the_bound_is_a_parse_error_not_a_recursion_error(text):
+    with pytest.raises(ParseError, match=f"expected at most {MAX_NESTING} levels of nesting"):
+        eval_expression(text)
+    assert try_eval(text) is None
+    assert not answers_equal(text, "1")
+
+
+def test_nesting_up_to_the_bound_evaluates():
+    assert eval_expression("(" * MAX_NESTING + "1" + ")" * MAX_NESTING) == 1
+    assert eval_expression("-" * MAX_NESTING + "1") == (-1) ** MAX_NESTING
+    assert eval_expression("^".join(["1"] * (MAX_NESTING + 1))) == 1
+    assert eval_expression("sqrt(" * MAX_NESTING + "1" + ")" * MAX_NESTING) == 1.0
+    for text in ("(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1),
+                 "-" * (MAX_NESTING + 1) + "1", "^".join(["1"] * (MAX_NESTING + 2))):
+        with pytest.raises(ParseError):
+            eval_expression(text)
 
 
 # ---------------------------------------------------------------------------

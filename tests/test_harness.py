@@ -262,6 +262,20 @@ def test_run_eval_records_provider_failures_and_continues():
     assert all("provider error" in r.explanation for r in report.per_problem)
 
 
+def test_run_eval_scores_a_deeply_nested_fast_path_answer_after_writing_its_record(tmp_path):
+    kit, deep = default_kit(), "(" * 200 + "4" + ")" * 200
+    script = {
+        fingerprint(system1_request(kit, problem.statement, "")):
+            f"ANSWER: {answer}\nEXPLANATION: known\nCONFIDENCE: 0.9"
+        for problem, answer in zip(_problems(), (deep, "6"))
+    }
+    report = run_eval(EvalConfig("deep", kit, ScriptedProvider(script)), _problems(),
+                      store_dir=tmp_path / "s")
+    assert [(r.answer, r.correct) for r in report.per_problem] == [(deep, False), ("6", True)]
+    store = EpisodicStore.open(tmp_path / "s")
+    assert [r.outcome.actual_result for r in store.records] == [deep, "6"]
+
+
 def test_run_eval_wrong_answers_counted():
     report = run_eval(_confident_config(wrong=("b",)), _problems())
     assert report.aggregate.n_correct == 1

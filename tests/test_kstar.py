@@ -403,12 +403,6 @@ def test_record_text_with_whitespace_around_it_decodes(before, after):
     assert deserialize_record(before + _contract_text() + after) == _contract_record()
 
 
-def test_decoded_records_share_their_cotasks_values():
-    first, second = deserialize_record(_contract_text()), deserialize_record(_contract_text())
-    assert first.task.cotasks is second.task.subtasks[0].cotasks
-    assert first.task.cotasks == CoTasks(CoTaskState.DONE, CoTaskState.DONE, CoTaskState.DONE)
-
-
 def _cotasks_edited(**fields):
     """The contract record as JSON text, with the task's co-task fields
     replaced, or deleted where the value is None."""

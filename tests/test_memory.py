@@ -27,6 +27,7 @@ from neolaf.kstar import (
     SituationSource,
     StepStatus,
     TaskSpec,
+    dumps,
     serialize_record,
 )
 from neolaf.memory import (
@@ -43,6 +44,7 @@ from neolaf.memory import (
     render_plan,
     similarity,
 )
+from neolaf.cli import main
 from neolaf.cognition import default_kit, distill_request
 from neolaf.provider import DeterministicEmbedder, EmbeddingVector, ScriptedProvider, fingerprint
 
@@ -307,10 +309,10 @@ def _three_record_lines(store_dir, rng):
     return (store_dir / "episodic.jsonl").read_text(encoding="utf-8").splitlines()
 
 
-def _without_status_of_first_step(line):
+def _without_status_of_first_step(line, encode=json.dumps):
     obj = json.loads(line)
     del obj["plan"][0]["status"]
-    return json.dumps(obj)
+    return encode(obj)
 
 
 @pytest.mark.parametrize(
@@ -323,12 +325,13 @@ def _without_status_of_first_step(line):
     ids=["missing-field", "truncated", "not-an-object"],
 )
 def test_corrupt_record_line_fails_the_open_naming_its_line(tmp_path, rng, corrupt, detail):
+    """Or the first read of the records, when the line keeps its ``{"id":2,`` prefix."""
     store_dir = tmp_path / "s"
     lines = _three_record_lines(store_dir, rng)
     lines[1] = corrupt(lines[1])
     _write_log(store_dir, lines)
     with pytest.raises(StorageError) as excinfo:
-        EpisodicStore.open(store_dir)
+        EpisodicStore.open(store_dir).records
     assert str(excinfo.value).startswith("record log corrupt at line 2: " + detail)
     assert isinstance(excinfo.value.__cause__, MalformedRecord)
     assert str(excinfo.value) == f"record log corrupt at line 2: {excinfo.value.__cause__}"
@@ -407,14 +410,15 @@ def test_knowledge_line_that_is_not_one_object_fails_as_json_loads_does(tmp_path
 def test_record_line_that_is_not_one_object_fails_as_json_loads_does(
     tmp_path, rng, corrupt, detail
 ):
-    """``detail(n)`` is the error for a record line of n characters."""
+    """``detail(n)`` is the error for a record line of n characters, raised by
+    the open or, when the line keeps its id prefix, by the first read."""
     store_dir = tmp_path / "s"
     lines = _three_record_lines(store_dir, rng)
     n = len(lines[1])
     lines[1] = corrupt(lines[1])
     _write_log(store_dir, lines)
     with pytest.raises(StorageError) as excinfo:
-        EpisodicStore.open(store_dir)
+        EpisodicStore.open(store_dir).records
     assert str(excinfo.value) == "record log corrupt at line 2: " + detail(n)
 
 
@@ -464,6 +468,66 @@ def test_open_leaves_a_paused_collector_paused(tmp_path, rng):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def test_corrupt_record_body_under_a_good_prefix_fails_each_access_that_decodes_it(
+    tmp_path, rng, capsys
+):
+    store_dir = tmp_path / "s"
+    lines = _three_record_lines(store_dir, rng)
+    good = EpisodicStore.open(store_dir).records
+    lines[1] = _without_status_of_first_step(lines[1], dumps)  # keeps the id prefix
+    _write_log(store_dir, lines)
+    message = "record log corrupt at line 2: missing field plan[0].status"
+    store = EpisodicStore.open(store_dir)
+    for access in (lambda: store.records, lambda: store.get_record(2), store.consolidate):
+        with pytest.raises(StorageError) as excinfo:
+            access()
+        assert str(excinfo.value) == message
+        assert isinstance(excinfo.value.__cause__, MalformedRecord)
+    assert store.get_record(1) == good[0] and store.get_record(3) == good[2]
+    assert main(["memory", "list", "--store", str(store_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"neolaf: error: {message}\n" and "Traceback" not in out
+
+
+def test_torn_final_record_line_fails_the_open(tmp_path, rng):
+    store_dir = tmp_path / "s"
+    lines = _three_record_lines(store_dir, rng)
+    lines[2] = lines[2][:40]
+    _write_log(store_dir, lines)
+    with pytest.raises(StorageError, match="^record log corrupt at line 3: invalid JSON: "):
+        EpisodicStore.open(store_dir)
+
+
+@pytest.mark.parametrize("line", [1, 2], ids=["middle", "last"])
+def test_duplicate_id_key_is_caught_at_decode(tmp_path, rng, line):
+    """The decoder keeps the last ``id`` key, the open reads the first."""
+    store_dir = tmp_path / "s"
+    lines = _three_record_lines(store_dir, rng)
+    n = line + 1
+    lines[line] = lines[line].replace(f'{{"id":{n},', f'{{"id":{n},"id":7,')
+    _write_log(store_dir, lines)
+    message = f"^record log corrupt at line {n}: id 7 where the line starts with id {n}$"
+    with pytest.raises(StorageError, match=message):
+        EpisodicStore.open(store_dir).records
+
+
+def test_open_decodes_the_last_record_line_and_a_get_decodes_one_more(tmp_path, rng, monkeypatch):
+    store_dir = tmp_path / "s"
+    store = EpisodicStore.open(store_dir)
+    for _ in range(5):
+        store.store_record(make_record(rng))
+    decoded = []
+    real = memory.deserialize_record
+    monkeypatch.setattr(
+        memory, "deserialize_record", lambda text: decoded.append(text) or real(text)
+    )
+    reopened = EpisodicStore.open(store_dir)
+    assert len(decoded) == 1 and reopened.next_record_id() == 6
+    assert reopened.get_record(2) == store.get_record(2) and len(decoded) == 2
+    assert reopened.get_record(2) is reopened.get_record(2) and len(decoded) == 2
+    assert reopened.records == store.records and len(decoded) == 5
 
 
 def _nested_task(depth, cotasks):
@@ -629,6 +693,30 @@ def test_get_record_hits_and_misses_across_id_gaps(tmp_path, rng):
 # ---------------------------------------------------------------------------
 # Similarity
 # ---------------------------------------------------------------------------
+
+
+_UNICODE_CORPUS = [
+    "\u212a is the Kelvin sign",  # lowers to an ASCII k
+    "\u0130stanbul",  # dotted capital I lowers to i and a combining dot
+    "cafe\u0301 na\u0308ive \u0345x",  # combining marks
+    "\u0661\u0662 \u00b2 \u2468 \uff11\uff12 \u0967 7",  # non-ASCII digits
+    "\u01c5ungla \u01c8ubljana",  # titlecase digraphs
+    "\ufb01nal o\ufb03ce",  # ligatures
+    "snake_case-and.dots,1/2 ALL CAPS",
+    "\ud800 lone surrogate",
+    "",
+]
+
+
+def test_tokens_match_the_regex_on_unicode_text():
+    rng = random.Random(7)
+    corpus = _UNICODE_CORPUS + [
+        "".join(chr(rng.choice((rng.randrange(128), rng.randrange(0x110000)))) for _ in range(40))
+        for _ in range(500)
+    ]
+    for text in corpus:
+        assert memory._tokens(text) == set(re.findall(r"[a-z0-9]+", text.lower())), text
+    assert memory._tokens(_UNICODE_CORPUS[0]) == {"k", "is", "the", "kelvin", "sign"}
 
 
 def test_similarity_identity_and_disjoint():
