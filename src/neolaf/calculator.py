@@ -74,6 +74,8 @@ class Overflow(CalculatorError):
     the exact path when an integer power would materialize a number so
     large that computing it would effectively hang the process (see
     MAX_EXACT_POWER_BITS); ordinary rational arithmetic never overflows.
+    Also raised by ``render_value`` for a rational with more digits than
+    the interpreter converts to text.
     """
 
 
@@ -297,9 +299,12 @@ def render_value(value: NumericValue) -> str:
     trimmed and a decimal point kept so the float path stays visible.
     """
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        try:
+            if value.denominator == 1:
+                return str(value.numerator)
+            return f"{value.numerator}/{value.denominator}"
+        except ValueError:  # past the int-to-text digit limit (4300 by default)
+            raise Overflow("result has too many digits to render") from None
     text = f"{value:.12g}"
     if "." not in text and "e" not in text and "n" not in text:
         text += ".0"

@@ -273,16 +273,18 @@ def parse_labeled_sections(text: str, labels: Sequence[str]) -> dict[str, str]:
     return sections
 
 
-_FLOAT_RE = re.compile(r"[-+]?\d*\.?\d+")
+_FLOAT_RE = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(\s*%)?")
 
 
 def _parse_float(text: Optional[str]) -> Optional[float]:
+    """The first number in ``text``, read whole, exponent included;
+    ``N%`` reads as N / 100."""
     if not text:
         return None
     m = _FLOAT_RE.search(text)
     if m is None:
         return None
-    return float(m.group(0))
+    return float(m[1]) / 100 if m[2] else float(m[1])
 
 
 _STEP_RE = re.compile(r"^\s*STEP\s+\d+\s*:\s*(.*)$", re.IGNORECASE)

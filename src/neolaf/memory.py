@@ -5,9 +5,8 @@ from it, into knowledge items.
 
 The two JSON Lines files under a store directory are the single source
 of truth; the in-memory indexes are rebuildable caches. The record log
-is strictly append-only. The knowledge file is also append-only: item
-updates (usage bumps, confidence boosts) append a fresh version of the
-item and reload keeps the last version per id.
+is strictly append-only. The knowledge file is also append-only: a boost
+appends a new version of the item, and reload keeps the last one per id.
 
 Opening a store decodes every knowledge line, but a record line only when it
 lacks the canonical ``{"id":N,`` prefix, or is the last; open checks that ids
@@ -104,7 +103,6 @@ class KnowledgeItem:
     kind: KnowledgeKind
     provenance: tuple[int, ...]
     confidence: float
-    usage_count: int = 0
     embedding: Optional[EmbeddingVector] = None
 
     def __post_init__(self):
@@ -118,7 +116,6 @@ def knowledge_item_to_dict(item: KnowledgeItem) -> dict:
         "kind": item.kind.value,
         "provenance": list(item.provenance),
         "confidence": item.confidence,
-        "usage_count": item.usage_count,
         "embedding": list(item.embedding.values) if item.embedding else None,
     }
 
@@ -130,8 +127,7 @@ def knowledge_item_from_dict(obj: dict) -> KnowledgeItem:
     embedding = obj.get("embedding")
     return KnowledgeItem(
         obj["id"], obj["statement"], _kind(obj["kind"]), tuple(obj["provenance"]),
-        obj["confidence"], obj.get("usage_count", 0),
-        EmbeddingVector(tuple(embedding)) if embedding else None,
+        obj["confidence"], EmbeddingVector(tuple(embedding)) if embedding else None,
     )
 
 
@@ -497,8 +493,7 @@ class EpisodicStore:
         embedding = item.embedding
         if embedding is None and self.embedder is not None:
             embedding = self.embedder.embed(item.statement)
-        return KnowledgeItem(item_id, item.statement, item.kind, provenance, item.confidence,
-                             item.usage_count, embedding)
+        return replace(item, id=item_id, provenance=provenance, embedding=embedding)
 
     def _boosted(self, item_ids: Iterable[int], delta: float) -> list[KnowledgeItem]:
         """A version of each known item with its confidence raised by
@@ -582,19 +577,10 @@ class EpisodicStore:
         with self.lock:
             self._write_knowledge(self._boosted(item_ids, delta))
 
-    def _bump_usage(self, item_ids: list[int]) -> None:
-        """Append each ranked item again with its usage count + 1, in one write."""
-        items = self._knowledge
-        self._write_knowledge(
-            [replace(items[i], usage_count=items[i].usage_count + 1) for i in item_ids]
-        )
-
     def retrieve(self, query: str, k: int) -> list[KnowledgeItem]:
         """Top-k knowledge items by similarity to the query.
 
-        Ties break toward the higher item id (recency). Usage counts of
-        the returned items are bumped after ranking, so the ranking
-        itself is a pure function of the store snapshot.
+        Ties break toward the higher item id (recency). Writes nothing.
         """
         if k < 0:
             raise ValueError("k must be >= 0")
@@ -616,7 +602,6 @@ class EpisodicStore:
                 ranked += heapq.nlargest(
                     k - len(ranked), (i for i in self._knowledge if i not in taken)
                 )
-            self._bump_usage(ranked)
             return [self._knowledge[i] for i in ranked]
 
     # -- consolidation --------------------------------------------------

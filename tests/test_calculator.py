@@ -25,6 +25,7 @@ from neolaf.calculator import (
     try_eval,
 )
 from neolaf.harness import answers_equal
+from neolaf.toolkit import default_registry
 
 # ---------------------------------------------------------------------------
 # Oracle: random trees over + - * / with integer leaves
@@ -262,6 +263,18 @@ def test_render_float_rounds_to_twelve_significant_digits():
     assert render_value(3.141592653589793) == "3.14159265359"
     assert render_value(-2.0) == "-2.0"
     assert render_value(1e20) == "1e+20"
+
+
+def test_render_refuses_a_result_with_too_many_digits():
+    assert render_value(eval_expression("10^4299")) == "1" + "0" * 4299  # 4,300 digits
+    assert render_value(Fraction(10**4299 + 1, 10**4299)).count("/") == 1
+    with pytest.raises(Overflow, match="^result has too many digits to render$"):
+        render_value(eval_expression("2^14300"))
+    with pytest.raises(Overflow):
+        render_value(1 / eval_expression("2^14300"))
+    result = default_registry().invoke("calc", {"expr": "2^14300"})
+    assert not result.ok
+    assert result.error_detail == "Overflow: result has too many digits to render"
 
 
 def test_render_eval_is_deterministic():

@@ -150,6 +150,17 @@ def test_system1_missing_confidence_defaults_to_zero(kit):
     assert result.confidence == 0.0
 
 
+@pytest.mark.parametrize("stated, route_taken", [
+    ("50%", Route.SYSTEM2), ("1e-5", Route.SYSTEM2), ("90%", Route.SYSTEM1),
+    ("0.9", Route.SYSTEM1), ("7.5e-1", Route.SYSTEM1), ("80 %", Route.SYSTEM1),
+])
+def test_system1_reads_the_whole_confidence_literal(kit, stated, route_taken):
+    query = "what is 2+2?"
+    script = {fp(system1_request(kit, query, "")): f"ANSWER: 4\nCONFIDENCE: {stated}"}
+    result = system1_answer(query, "", kit, ScriptedProvider(script))
+    assert route(result.confidence, kit) is route_taken
+
+
 def test_system1_rejects_empty_query(kit):
     with pytest.raises(ValueError):
         system1_answer("  ", "", kit, ScriptedProvider({}))
@@ -198,6 +209,8 @@ def test_parse_forecast_and_defaults():
     forecast = parse_forecast("EXPECTED: the value 3\nPROBABILITY: 0.8")
     assert forecast.expected_result == "the value 3"
     assert forecast.success_probability == 0.8
+    assert parse_forecast("EXPECTED: 3\nPROBABILITY: 5e-1").success_probability == 0.5
+    assert parse_forecast("EXPECTED: 3\nPROBABILITY: 25%").success_probability == 0.25
     fallback = parse_forecast("no sections at all")
     assert fallback.success_probability == 0.5
     assert fallback.expected_result == "no sections at all"
@@ -769,7 +782,7 @@ def test_record_failing_validation_raises_validation_failed(
         f"ANSWER: 1/2\nEXPLANATION: sum\nCONFIDENCE: {confidence}"
     )
     # A store that already holds a record and an item; with retrieval_k 0
-    # the retrieve ranks nothing, so it appends no usage bumps.
+    # the item is not retrieved, so the prompts carry no context, as scripted.
     seeded = store.get_record(store.store_record(make_record(rng)))
     store.add_knowledge(KnowledgeItem(0, "exact sums", KnowledgeKind.DISTILLED, (1,), 0.6))
     files = (store.log_path, store.knowledge_path)
@@ -786,8 +799,8 @@ def test_record_failing_validation_raises_validation_failed(
 @pytest.mark.parametrize("system1_only", (False, True))
 def test_each_encounter_is_one_commit(kit, store, count_writes, system1_only, no_network):
     """A fast-path encounter makes one write, its record; a slow-path one
-    makes two, its record and then its knowledge with any boosts. A
-    retrieve that ranks anything adds one write of usage bumps."""
+    makes two, its record and then its knowledge with any boosts. The
+    retrieve writes nothing, whether or not it ranks anything."""
     provider = ScriptedProvider(load_script(FIXTURES / "script.json"))
     writes = count_writes()
     seen = set()
@@ -797,12 +810,11 @@ def test_each_encounter_is_one_commit(kit, store, count_writes, system1_only, no
             problem.statement, kit, provider, default_registry(), store,
             system1_only=system1_only,
         )
-        bumped = bool(store.get_record(solution.record_id).knowledge_used)
-        commit = 1 if solution.route is Route.SYSTEM1 else 2
-        assert len(writes) - before == commit + bumped, problem.id
-        seen.add((solution.route, bumped))
-    # every case occurs: both routes, with and without usage bumps
-    every = {(route_taken, bumped) for route_taken in Route for bumped in (False, True)}
+        used = bool(store.get_record(solution.record_id).knowledge_used)
+        assert len(writes) - before == (1 if solution.route is Route.SYSTEM1 else 2), problem.id
+        seen.add((solution.route, used))
+    # every case occurs: both routes, with and without retrieved knowledge
+    every = {(route_taken, used) for route_taken in Route for used in (False, True)}
     assert seen == ({(Route.SYSTEM1, False)} if system1_only else every)
 
 

@@ -590,7 +590,7 @@ def test_reopened_store_reproduces_every_line_and_item(tmp_path):
                       embedding=EmbeddingVector((0.6, -0.8, 0.0)))
     )
     store.add_knowledge(
-        KnowledgeItem(0, "lesson", KnowledgeKind.REINFORCEMENT, (3,), 0.8, usage_count=4)
+        KnowledgeItem(0, "lesson", KnowledgeKind.REINFORCEMENT, (3,), 0.8)
     )
     store.boost_confidence([plain], 0.25)
     with_embedder = EpisodicStore.open(tmp_path / "e", DeterministicEmbedder(dimension=8))
@@ -777,11 +777,32 @@ def test_retrieve_breaks_ties_by_recency(store):
     assert [item.id for item in top] == [new, old]
 
 
-def test_retrieve_bumps_usage_counts(store):
-    item_id = _add_statement(store, "quadratic equation roots")
-    store.retrieve("quadratic equation", 1)
-    store.retrieve("quadratic equation", 1)
-    assert store.get_knowledge(item_id).usage_count == 2
+def test_retrieve_and_memory_search_write_nothing(tmp_path, rng, capsys):
+    store_dir = tmp_path / "s"
+    store = EpisodicStore.open(store_dir)
+    store.store_record(make_record(rng), [
+        KnowledgeItem(0, statement, KnowledgeKind.DISTILLED, (), 0.6)
+        for statement in ("quadratic equation roots", "quadratic sums", "area of a circle")
+    ])
+    files = (store.log_path, store.knowledge_path)
+    before = [path.read_bytes() for path in files]
+    assert _ids(store.retrieve("quadratic equation", 3)) == [1, 2, 3]
+    assert [path.read_bytes() for path in files] == before
+    assert main(["memory", "search", "quadratic", "--store", str(store_dir)]) == 0
+    assert "quadratic sums" in capsys.readouterr().out
+    assert [path.read_bytes() for path in files] == before
+
+
+def test_knowledge_line_with_a_usage_count_still_loads(tmp_path):
+    store_dir = tmp_path / "s"
+    store_dir.mkdir()
+    (store_dir / "knowledge.jsonl").write_text(json.dumps({
+        "id": 1, "statement": "check denominators", "kind": "corrective",
+        "provenance": [1], "confidence": 0.5, "usage_count": 7, "embedding": None,
+    }) + "\n", encoding="utf-8")
+    assert EpisodicStore.open(store_dir).knowledge == (
+        KnowledgeItem(1, "check denominators", KnowledgeKind.CORRECTIVE, (1,), 0.5),
+    )
 
 
 def test_retrieve_matches_bruteforce_oracle(tmp_path):
@@ -862,15 +883,6 @@ def test_retrieve_sees_adds_after_the_index_is_built_and_across_a_reopen(tmp_pat
     assert _ids(reopened.retrieve("fraction", 2)) == [later, wide]
     assert _add_statement(reopened, "root prime") == later + 1
     assert _ids(reopened.retrieve("root prime", 4)) == [later + 1, wide, later, tie]
-
-
-def test_retrieve_appends_its_usage_bumps_in_one_write(store, count_writes):
-    for statement in ("alpha", "alpha beta", "gamma"):
-        _add_statement(store, statement)
-    writes = count_writes()
-    assert _ids(store.retrieve("alpha", 3)) == [1, 2, 3]
-    assert len(writes) == 1 and writes[0].count(b"\n") == 3
-    assert [item.usage_count for item in store.knowledge] == [1, 1, 1]
 
 
 def test_boost_confidence_appends_its_versions_in_one_write(store, count_writes):
