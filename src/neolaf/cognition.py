@@ -73,8 +73,6 @@ from .toolkit import (
 )
 from . import calculator
 
-DEFAULT_MAX_TOKENS = 1024
-
 
 class ReviewRejected(NeolafError):
     """The human reviewer declined the proposed plan."""
@@ -197,14 +195,7 @@ class System1Result:
 
 def _request(kit: StarterKit, template_name: str, **subs: str) -> ProviderRequest:
     body = render(kit.prompt_templates[template_name], **subs)
-    return ProviderRequest(
-        messages=(
-            Message(Role.SYSTEM, kit.system_prompt),
-            Message(Role.USER, body),
-        ),
-        temperature=0.0,
-        max_tokens=DEFAULT_MAX_TOKENS,
-    )
+    return ProviderRequest((Message(Role.SYSTEM, kit.system_prompt), Message(Role.USER, body)))
 
 
 def system1_request(kit, query, context=""):
@@ -423,7 +414,6 @@ class _CountingProvider(CompletionProvider):
 
     def __init__(self, inner: CompletionProvider):
         self.inner = inner
-        self.name = inner.name
         self.started = time.monotonic()
         self.provider_calls = 0
         self.tool_calls = 0

@@ -228,6 +228,8 @@ def load_dataset(path, format: str = "math_dir") -> list[Problem]:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise FormatError(f"invalid JSON: {exc.msg}", str(path), number) from exc
+                if not isinstance(obj, dict):
+                    raise FormatError("line must hold a JSON object", str(path), number)
                 problems.append(
                     _problem_from_fields(obj, f"line{number}", str(path), number)
                 )

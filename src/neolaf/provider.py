@@ -1,20 +1,24 @@
 """Completion and embedding providers.
 
 The agent never talks to a model directly; it builds a ``ProviderRequest``
-and hands it to a provider. Three completion providers ship in-tree:
+(its messages) and hands it to a provider, which returns a ``Completion``
+(the reply text and its prompt and completion token counts). Three
+completion providers ship in-tree:
 
-* ``ScriptedProvider``: a fingerprint-keyed response table. Keying by
+* ``ScriptedProvider``: a fingerprint-keyed response table. A script file
+  is a JSON object mapping each fingerprint to its reply text. Keying by
   content fingerprint (roles and contents only) means a script survives
-  prompt-template refactors that do not change content, and sampling
-  parameters never affect the key.
+  prompt-template refactors that do not change content.
 * ``ReplayProvider``: plays back a captured transcript strictly in call
-  order, for re-running live sessions offline.
+  order, for re-running live sessions offline. A transcript file is a
+  JSON array of ``{"request": {"messages": [...]}, "text": reply}``.
 * ``RemoteProvider``: a chat-completion style HTTP client. Built by
   ``provider_from_config``, each of its settings falls back to the
   ``NEOLAF_PROVIDER_URL`` / ``NEOLAF_PROVIDER_KEY`` /
-  ``NEOLAF_PROVIDER_MODEL`` environment variable. One retry with
-  backoff on rate limiting. When given a capture list it records each
-  exchange so the session can be replayed later.
+  ``NEOLAF_PROVIDER_MODEL`` environment variable. Each call posts the
+  messages with ``TEMPERATURE`` and ``MAX_TOKENS`` and no stop sequence.
+  One retry with backoff on rate limiting. Its capture list, written by
+  ``save_transcript``, is a transcript; no command captures one.
 
 Embeddings: ``DeterministicEmbedder`` hashes a bag of tokens into a
 fixed number of signed buckets and L2-normalizes, so retrieval is fully
@@ -86,9 +90,6 @@ class Message:
 @dataclass(frozen=True)
 class ProviderRequest:
     messages: tuple[Message, ...]
-    temperature: float = 0.0
-    max_tokens: int = 1024
-    stop_sequences: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,6 @@ class Completion:
     text: str
     prompt_tokens: int
     completion_tokens: int
-    latency_ms: int
-    provider_name: str
 
 
 def validate_request(request: ProviderRequest) -> None:
@@ -105,18 +104,10 @@ def validate_request(request: ProviderRequest) -> None:
         raise ValueError("request must contain at least one message")
     if any(not m.content for m in request.messages):
         raise ValueError("message contents must be non-empty")
-    if request.temperature < 0:
-        raise ValueError("temperature must be >= 0")
-    if request.max_tokens <= 0:
-        raise ValueError("max_tokens must be > 0")
 
 
 def fingerprint(request: ProviderRequest) -> str:
-    """Stable short hash of the role/content pairs of a request.
-
-    Sampling parameters (temperature, limits, stops) are deliberately
-    excluded so they never invalidate a script.
-    """
+    """Stable short hash of the role/content pairs of a request."""
     validate_request(request)
     payload = json.dumps(
         [[m.role.value, m.content] for m in request.messages],
@@ -126,27 +117,22 @@ def fingerprint(request: ProviderRequest) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _count_tokens(text: str) -> int:
-    return len(text.split())
-
-
-def _prompt_tokens(request: ProviderRequest) -> int:
-    return sum(_count_tokens(m.content) for m in request.messages)
+def _counted(request: ProviderRequest, text: str) -> Completion:
+    """``text`` as the completion of ``request``, counting whitespace-separated
+    words as tokens, for the providers that have no tokenizer."""
+    prompt_tokens = sum(len(m.content.split()) for m in request.messages)
+    return Completion(text, prompt_tokens, len(text.split()))
 
 
 class CompletionProvider:
     """Interface: ``complete(request) -> Completion``."""
-
-    name = "provider"
 
     def complete(self, request: ProviderRequest) -> Completion:
         raise NotImplementedError
 
 
 class ScriptedProvider(CompletionProvider):
-    """Responses looked up by prompt fingerprint. No I/O, no latency."""
-
-    name = "scripted"
+    """Responses looked up by prompt fingerprint. No I/O."""
 
     def __init__(self, script: dict[str, str]):
         self._script = dict(script)
@@ -155,14 +141,7 @@ class ScriptedProvider(CompletionProvider):
         key = fingerprint(request)
         if key not in self._script:
             raise UnscriptedPrompt(key)
-        text = self._script[key]
-        return Completion(
-            text=text,
-            prompt_tokens=_prompt_tokens(request),
-            completion_tokens=_count_tokens(text),
-            latency_ms=0,
-            provider_name=self.name,
-        )
+        return _counted(request, self._script[key])
 
 
 def load_script(path) -> dict[str, str]:
@@ -172,6 +151,9 @@ def load_script(path) -> dict[str, str]:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("must hold a JSON object")
+        for key, text in data.items():
+            if not isinstance(text, str):
+                raise ValueError(f"key {key!r} must map to text, not {text!r}")
     except ValueError as exc:
         raise ValueError(f"script file {path}: {exc}") from exc
     return data
@@ -191,13 +173,12 @@ class TranscriptEntry:
 
 
 def request_from_dict(obj: dict) -> ProviderRequest:
+    """Other keys, such as the ``temperature``, ``max_tokens`` and
+    ``stop_sequences`` of older transcripts, are ignored."""
     return ProviderRequest(
         messages=tuple(
             Message(role=Role(m["role"]), content=m["content"]) for m in obj["messages"]
         ),
-        temperature=obj.get("temperature", 0.0),
-        max_tokens=obj.get("max_tokens", 1024),
-        stop_sequences=tuple(obj.get("stop_sequences", ())),
     )
 
 
@@ -213,7 +194,10 @@ def load_transcript(path) -> list[TranscriptEntry]:
     entries = []
     for number, entry in enumerate(data):
         try:
-            entries.append(TranscriptEntry(request_from_dict(entry["request"]), entry["text"]))
+            request, text = request_from_dict(entry["request"]), entry["text"]
+            if not isinstance(text, str):
+                raise TypeError(f"field 'text' must be text, not {text!r}")
+            entries.append(TranscriptEntry(request, text))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"transcript file {path} corrupt at entry {number}: {exc}") from exc
     return entries
@@ -229,8 +213,6 @@ def save_transcript(entries: Sequence[TranscriptEntry], path) -> None:
 class ReplayProvider(CompletionProvider):
     """Plays a captured transcript back strictly in call order."""
 
-    name = "replay"
-
     def __init__(self, transcript: Sequence[TranscriptEntry]):
         self._transcript = list(transcript)
         self._cursor = 0
@@ -243,24 +225,20 @@ class ReplayProvider(CompletionProvider):
                 raise TranscriptExhausted(len(self._transcript))
             entry = self._transcript[self._cursor]
             self._cursor += 1
-        return Completion(
-            text=entry.text,
-            prompt_tokens=_prompt_tokens(request),
-            completion_tokens=_count_tokens(entry.text),
-            latency_ms=0,
-            provider_name=self.name,
-        )
+        return _counted(request, entry.text)
 
 
 ENV_URL = "NEOLAF_PROVIDER_URL"
 ENV_KEY = "NEOLAF_PROVIDER_KEY"
 ENV_MODEL = "NEOLAF_PROVIDER_MODEL"
 
+# The sampling settings of every remote call: the agent never varies them.
+TEMPERATURE = 0.0
+MAX_TOKENS = 1024
+
 
 class RemoteProvider(CompletionProvider):
     """Chat-completion style HTTP client."""
-
-    name = "remote"
 
     def __init__(
         self,
@@ -291,11 +269,9 @@ class RemoteProvider(CompletionProvider):
             "messages": [
                 {"role": m.role.value, "content": m.content} for m in request.messages
             ],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
         }
-        if request.stop_sequences:
-            body["stop"] = list(request.stop_sequences)
         try:
             response = requests.post(self.url, json=body, headers=headers, timeout=self.timeout)
         except requests.Timeout as exc:
@@ -322,23 +298,14 @@ class RemoteProvider(CompletionProvider):
 
     def complete(self, request: ProviderRequest) -> Completion:
         validate_request(request)
-        started = time.monotonic()
         try:
             text, p_tokens, c_tokens = self._post(request)
         except RateLimited:
             time.sleep(self.retry_delay)
             text, p_tokens, c_tokens = self._post(request)
-        latency_ms = int((time.monotonic() - started) * 1000)
-        completion = Completion(
-            text=text,
-            prompt_tokens=p_tokens,
-            completion_tokens=c_tokens,
-            latency_ms=latency_ms,
-            provider_name=self.name,
-        )
         if self.capture is not None:
             self.capture.append(TranscriptEntry(request=request, text=text))
-        return completion
+        return Completion(text=text, prompt_tokens=p_tokens, completion_tokens=c_tokens)
 
 
 def _config_path(config: dict, name: str) -> str:
@@ -361,14 +328,14 @@ def provider_from_config(config: dict) -> CompletionProvider:
     if kind == "replay":
         return ReplayProvider(load_transcript(_config_path(config, "transcript")))
     if kind == "remote":
-        url = config.get("url", os.environ.get(ENV_URL, ""))
-        if not url:
+        settings = {}
+        for name, env in (("url", ENV_URL), ("model", ENV_MODEL), ("api_key", ENV_KEY)):
+            settings[name] = config.get(name, os.environ.get(env, ""))
+            if not isinstance(settings[name], str):
+                raise ValueError(f"remote provider config field {name!r} must be text")
+        if not settings["url"]:
             raise ValueError(f"remote provider config has no 'url' and {ENV_URL} is not set")
-        return RemoteProvider(
-            url=url,
-            model=config.get("model", os.environ.get(ENV_MODEL, "")),
-            api_key=config.get("api_key", os.environ.get(ENV_KEY, "")),
-        )
+        return RemoteProvider(**settings)
     raise ValueError(f"unknown provider type {kind!r}")
 
 

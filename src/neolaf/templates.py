@@ -27,17 +27,6 @@ def render(template: str, **values: str) -> str:
 # The eight starter-kit template slots. Each opens with a distinctive
 # header line so scripted fixtures can recognize which phase a prompt
 # belongs to without guessing.
-TEMPLATE_NAMES = (
-    "situation",
-    "decompose",
-    "plan",
-    "forecast",
-    "execute",
-    "evaluate",
-    "distill",
-    "confidence",
-)
-
 DEFAULT_TEMPLATES: dict[str, str] = {
     "confidence": (
         "Answer directly and rate yourself.\n"
@@ -99,3 +88,5 @@ DEFAULT_TEMPLATES: dict[str, str] = {
         "Actual: {actual}"
     ),
 }
+
+TEMPLATE_NAMES = tuple(DEFAULT_TEMPLATES)

@@ -167,8 +167,6 @@ def make_responder():
 class CapturingProvider(CompletionProvider):
     """Answers via the responder and records fingerprint -> text."""
 
-    name = "capture"
-
     def __init__(self, responder, script: dict):
         self.responder = responder
         self.script = script
@@ -183,8 +181,6 @@ class CapturingProvider(CompletionProvider):
             text=text,
             prompt_tokens=sum(len(m.content.split()) for m in request.messages),
             completion_tokens=len(text.split()),
-            latency_ms=0,
-            provider_name=self.name,
         )
 
 

@@ -229,6 +229,7 @@ def test_compare_config_kit_path(tmp_path, capsys):
     ({"name": 5, "provider": {}}, "name"),
     ({"kit": {"prompt_templates": "plan"}, "provider": {}}, "prompt_templates"),
     ({"kit": {"route_threshold": "x"}, "provider": {}}, "route_threshold"),
+    ({"provider": {"type": "remote", "url": 5, "model": "m"}}, "url"),
 ])
 def test_malformed_compare_config_exits_two(tmp_path, capsys, config, field):
     config_path = tmp_path / "c.json"
@@ -313,6 +314,25 @@ def test_malformed_transcript_file_exits_two(tmp_path, capsys):
     assert str(transcript) in err and "'request'" in err
 
 
+def test_script_reply_that_is_not_text_exits_two(tmp_path, capsys):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"0123456789abcdef": 5}), encoding="utf-8")
+    code = main(["solve", QUERY, "--script", str(script), "--store", str(tmp_path / "store")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"script file {script}: key '0123456789abcdef' must map to text" in err
+
+
+def test_transcript_reply_that_is_not_text_exits_two(tmp_path, capsys):
+    transcript = tmp_path / "transcript.json"
+    request = {"messages": [{"role": "user", "content": "anything"}]}
+    transcript.write_text(json.dumps([{"request": request, "text": 5}]), encoding="utf-8")
+    code = main(["replay", QUERY, "--transcript", str(transcript)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"transcript file {transcript} corrupt at entry 0: field 'text'" in err
+
+
 def test_memory_commands(tmp_path, capsys):
     store_dir = tmp_path / "store"
     main([
@@ -362,6 +382,20 @@ def test_replay_command(tmp_path, capsys):
     ]
     transcript = tmp_path / "transcript.json"
     save_transcript(entries, transcript)
+    code = main(["replay", QUERY, "--transcript", str(transcript)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "answer: 4" in out
+
+
+def test_replay_transcript_with_sampling_keys(tmp_path, capsys):
+    # transcripts once stored each request's sampling settings; they load
+    # and replay, the extra keys ignored
+    request = {"messages": [{"role": "user", "content": "anything"}],
+               "temperature": 0.0, "max_tokens": 16, "stop_sequences": ["\n"]}
+    reply = "ANSWER: 4\nEXPLANATION: replayed\nCONFIDENCE: 0.9"
+    transcript = tmp_path / "transcript.json"
+    transcript.write_text(json.dumps([{"request": request, "text": reply}]), encoding="utf-8")
     code = main(["replay", QUERY, "--transcript", str(transcript)])
     out = capsys.readouterr().out
     assert code == 0

@@ -240,7 +240,8 @@ def test_kit_validation():
         default_kit(route_threshold=1.5)
     with pytest.raises(ValueError):
         default_kit(context_token_budget=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^prompt_templates missing slots: confidence, "
+                       "situation, decompose, forecast, execute, evaluate, distill$"):
         StarterKit(prompt_templates={"plan": "only one slot"})
 
 

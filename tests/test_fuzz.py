@@ -71,8 +71,6 @@ def mutate(reply: str, rng: random.Random) -> str:
 class FuzzProvider(CompletionProvider):
     """Fixture replies, by fingerprint when scripted, else at random; half mutated."""
 
-    name = "fuzz"
-
     def __init__(self, script: dict[str, str], rng: random.Random):
         self.script, self.replies, self.rng = script, list(script.values()), rng
 
@@ -81,7 +79,7 @@ class FuzzProvider(CompletionProvider):
         text = self.script[key] if key in self.script else self.rng.choice(self.replies)
         if self.rng.random() < 0.5:
             text = mutate(text, self.rng)
-        return Completion(text, 1, 1, 0, self.name)
+        return Completion(text, 1, 1)
 
 
 # Encounters per store: each check reopens the store and compares every

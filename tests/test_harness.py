@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,15 @@ def test_load_jsonl_reports_line_numbers(tmp_path):
     with pytest.raises(FormatError) as excinfo:
         load_dataset(path, "jsonl")
     assert excinfo.value.line == 2
+
+
+@pytest.mark.parametrize("row", ["5", '["problem", "solution"]'])
+def test_load_jsonl_refuses_a_line_that_is_not_an_object(tmp_path, row):
+    path = tmp_path / "problems.jsonl"
+    path.write_text('{"problem": "x", "solution": "$\\\\boxed{1}$"}\n' + row + "\n",
+                    encoding="utf-8")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: line must hold a JSON object$"):
+        load_dataset(path, "jsonl")
 
 
 def test_unknown_format_rejected(tmp_path):

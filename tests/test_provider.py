@@ -8,8 +8,10 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from neolaf.cognition import default_kit, system1_request
 from neolaf.provider import (
     AuthError,
+    Completion,
     DeterministicEmbedder,
     EmbeddingVector,
     Message,
@@ -28,15 +30,15 @@ from neolaf.provider import (
     load_script,
     load_transcript,
     provider_from_config,
+    request_from_dict,
     save_script,
     save_transcript,
 )
 
 
-def req(content: str, temperature: float = 0.0) -> ProviderRequest:
+def req(content: str) -> ProviderRequest:
     return ProviderRequest(
         messages=(Message(Role.SYSTEM, "be brief"), Message(Role.USER, content)),
-        temperature=temperature,
     )
 
 
@@ -46,10 +48,13 @@ def req(content: str, temperature: float = 0.0) -> ProviderRequest:
 
 
 def test_fingerprint_ignores_sampling_parameters():
-    a = req("what is 2+2", temperature=0.0)
-    b = req("what is 2+2", temperature=0.9)
-    c = ProviderRequest(messages=a.messages, max_tokens=5, stop_sequences=("x",))
-    assert fingerprint(a) == fingerprint(b) == fingerprint(c)
+    # a transcript written when requests carried sampling settings keeps
+    # only the messages of each request, so the fingerprint is unchanged
+    messages = [{"role": "system", "content": "be brief"},
+                {"role": "user", "content": "what is 2+2"}]
+    old = {"messages": messages, "temperature": 0.9, "max_tokens": 5, "stop_sequences": ["x"]}
+    assert request_from_dict(old) == request_from_dict({"messages": messages})
+    assert fingerprint(request_from_dict(old)) == fingerprint(req("what is 2+2"))
 
 
 def test_fingerprint_sensitive_to_single_character_edits():
@@ -86,14 +91,10 @@ def test_fingerprint_is_lowercase_hex():
 # ---------------------------------------------------------------------------
 
 
-def test_scripted_lookup_and_latency(no_network):
+def test_scripted_lookup_and_token_counts(no_network):
     request = req("what is 2+2")
     provider = ScriptedProvider({fingerprint(request): "4"})
-    completion = provider.complete(request)
-    assert completion.text == "4"
-    assert completion.latency_ms == 0
-    assert completion.provider_name == "scripted"
-    assert completion.prompt_tokens > 0 and completion.completion_tokens == 1
+    assert provider.complete(request) == Completion("4", 5, 1)
 
 
 def test_scripted_miss_names_fingerprint(no_network):
@@ -136,8 +137,6 @@ def test_transcript_file_round_trip(tmp_path):
 def test_transcript_file_text(tmp_path):
     request = ProviderRequest(
         messages=(Message(Role.SYSTEM, "be brief"), Message(Role.USER, "2+2 \u2192 ?")),
-        max_tokens=16,
-        stop_sequences=("\n",),
     )
     path = tmp_path / "transcript.json"
     save_transcript([TranscriptEntry(request, "4")], path)
@@ -154,11 +153,6 @@ def test_transcript_file_text(tmp_path):
           "role": "user",
           "content": "2+2 \u2192 ?"
         }
-      ],
-      "temperature": 0.0,
-      "max_tokens": 16,
-      "stop_sequences": [
-        "\\n"
       ]
     },
     "text": "4"
@@ -199,6 +193,7 @@ def test_replay_concurrent_cursor_advancement():
 
 class _Handler(BaseHTTPRequestHandler):
     behavior = ["ok"]  # mutated per test
+    bodies = []  # every body answered, in order; emptied per test
 
     def do_POST(self):
         mode = self.behavior[0]
@@ -217,6 +212,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
+        self.bodies.append(body)
         text = "echo: " + body["messages"][-1]["content"]
         payload = json.dumps(
             {
@@ -240,6 +236,7 @@ def local_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _Handler.behavior[0] = "ok"
+    _Handler.bodies.clear()
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
     server.server_close()
@@ -250,9 +247,19 @@ def test_remote_provider_completes(local_server):
     provider = RemoteProvider(url=local_server, model="m", api_key="k", capture=capture)
     completion = provider.complete(req("ping"))
     assert completion.text == "echo: ping"
-    assert completion.prompt_tokens == 7 and completion.completion_tokens == 3
-    assert completion.provider_name == "remote"
+    assert completion == Completion("echo: ping", 7, 3)
     assert capture == [TranscriptEntry(req("ping"), "echo: ping")]
+
+
+def test_remote_provider_posts_the_agent_request(local_server):
+    request = system1_request(default_kit(), "What is 2+2?")
+    RemoteProvider(url=local_server, model="m").complete(request)
+    assert _Handler.bodies == [{
+        "model": "m",
+        "messages": [{"role": m.role.value, "content": m.content} for m in request.messages],
+        "temperature": 0.0,
+        "max_tokens": 1024,
+    }]
 
 
 def test_remote_provider_retries_rate_limit_once(local_server):
@@ -305,6 +312,13 @@ def test_remote_provider_config_falls_back_per_field(monkeypatch):
     provider = provider_from_config({"type": "remote", "model": "m", "api_key": "k"})
     assert (provider.url, provider.model, provider.api_key) == (
         "http://env.invalid/api", "m", "k")
+
+
+@pytest.mark.parametrize("field", ["url", "model", "api_key"])
+def test_remote_provider_config_fields_must_be_text(field):
+    config = {"type": "remote", "url": "http://config.invalid/api", "model": "m", field: 5}
+    with pytest.raises(ValueError, match=f"field '{field}' must be text"):
+        provider_from_config(config)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ def test_missing_value_leaves_slot():
 
 
 def test_default_templates_cover_all_slots():
-    assert set(DEFAULT_TEMPLATES) == set(TEMPLATE_NAMES)
-    assert len(TEMPLATE_NAMES) == 8
+    # the eight slots the README documents for kit files
+    assert set(TEMPLATE_NAMES) == {"situation", "decompose", "plan", "forecast",
+                                   "execute", "evaluate", "distill", "confidence"}
 
 
 def test_templates_use_only_known_placeholders():
