@@ -43,6 +43,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--script", help="scripted provider: JSON fingerprint->text map")
         p.add_argument("--transcript", help="replay provider: captured transcript JSON")
 
+    def count(text: str) -> int:
+        if int(text) < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, not {text}")
+        return int(text)
+
     p_solve = sub.add_parser("solve", help="solve one problem")
     p_solve.add_argument("problem")
     p_solve.add_argument("--kit", help="starter kit JSON file")
@@ -55,7 +60,7 @@ def _build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="evaluate over a dataset")
     p_eval.add_argument("--dataset", required=True)
     p_eval.add_argument("--format", choices=("math_dir", "jsonl"), default="math_dir")
-    p_eval.add_argument("--limit", type=int)
+    p_eval.add_argument("--limit", type=count)
     p_eval.add_argument("--kit")
     p_eval.add_argument("--out", help="write the report JSON here")
     p_eval.add_argument("--fresh-store", action="store_true")
@@ -67,7 +72,7 @@ def _build_parser() -> _Parser:
                        help="comma-separated config JSON files")
     p_cmp.add_argument("--dataset", required=True)
     p_cmp.add_argument("--format", choices=("math_dir", "jsonl"), default="math_dir")
-    p_cmp.add_argument("--limit", type=int)
+    p_cmp.add_argument("--limit", type=count)
     p_cmp.add_argument("--json", action="store_true", help="emit JSON instead of a table")
 
     p_mem = sub.add_parser("memory", help="inspect the episodic store")
@@ -79,7 +84,7 @@ def _build_parser() -> _Parser:
     m_show.add_argument("--store", default=DEFAULT_STORE_DIR)
     m_search = mem_sub.add_parser("search", help="retrieve knowledge for a query")
     m_search.add_argument("query")
-    m_search.add_argument("-k", type=int, default=5)
+    m_search.add_argument("-k", type=count, default=5)
     m_search.add_argument("--store", default=DEFAULT_STORE_DIR)
 
     p_cons = sub.add_parser("consolidate", help="export tuning data from memory")

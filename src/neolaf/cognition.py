@@ -12,6 +12,11 @@ counts its provider and tool calls and times it from the start of the
 fast path, so a record's metrics cover the whole encounter (an escalated
 one's include the fast-path call and its time) and match its Solution.
 
+The ledger is also where a provider failure ends: the failed call, and
+every later one of the encounter (not made), reads as an empty reply,
+which each phase parses as usual, and the encounter is encoded as a
+failure without replanning.
+
 Request-builder functions are the complete prompt surface, one per
 template slot, distillation included: fixtures and tests construct the
 exact requests the loop will make by calling them.
@@ -55,14 +60,7 @@ from .memory import (
     render_plan,
     step_line,
 )
-from .provider import (
-    Completion,
-    CompletionProvider,
-    Message,
-    ProviderError,
-    ProviderRequest,
-    Role,
-)
+from .provider import CompletionProvider, Message, ProviderError, ProviderRequest, Role
 from .templates import DEFAULT_TEMPLATES, TEMPLATE_NAMES, render
 from .toolkit import (
     MalformedDirective,
@@ -179,13 +177,6 @@ class Solution:
     elapsed_ms: int
     provider_calls: int
     tool_calls: int
-
-
-@dataclass(frozen=True)
-class System1Result:
-    answer: str
-    explanation: str
-    confidence: float
 
 
 # --------------------------------------------------------------------------
@@ -340,6 +331,15 @@ def parse_verdict(text: str) -> tuple[bool, Optional[str]]:
     return success, sections.get("FEEDBACK") or None
 
 
+def parse_system1(text: str) -> tuple[str, str, float]:
+    """A fast-path reply's answer, explanation and self-confidence. A reply
+    that states no parseable confidence scores 0.0, which escalates."""
+    sections = parse_labeled_sections(text, ("ANSWER", "EXPLANATION", "CONFIDENCE"))
+    confidence = _parse_float(sections.get("CONFIDENCE"))
+    return (sections.get("ANSWER") or text.strip(), sections.get("EXPLANATION") or "",
+            _clamp(confidence or 0.0))
+
+
 # --------------------------------------------------------------------------
 # Fast path and routing
 # --------------------------------------------------------------------------
@@ -365,30 +365,6 @@ def knowledge_context(items, budget: int) -> str:
     return "\n".join(lines)
 
 
-def system1_answer(
-    query: str, context: str, kit: StarterKit, provider: CompletionProvider
-) -> System1Result:
-    """One fast-path completion, parsed for answer and self-confidence.
-
-    A response that does not state a parseable confidence scores 0.0,
-    which forces escalation to the slow path.
-    """
-    if not query or not query.strip():
-        raise ValueError("query must be non-empty")
-    completion = provider.complete(system1_request(kit, query, context))
-    sections = parse_labeled_sections(
-        completion.text, ("ANSWER", "EXPLANATION", "CONFIDENCE")
-    )
-    confidence = _parse_float(sections.get("CONFIDENCE"))
-    if confidence is None:
-        confidence = 0.0
-    return System1Result(
-        answer=sections.get("ANSWER") or completion.text.strip(),
-        explanation=sections.get("EXPLANATION") or "",
-        confidence=_clamp(confidence),
-    )
-
-
 def route(confidence: float, kit: StarterKit) -> Route:
     """Accept the fast answer iff confidence reaches the kit threshold."""
     return Route.SYSTEM1 if confidence >= kit.route_threshold else Route.SYSTEM2
@@ -408,24 +384,29 @@ def _scrub(text: str) -> str:
     return _SURROGATE_RE.sub("\ufffd", text)
 
 
-class _CountingProvider(CompletionProvider):
+class _Ledger:
     """The ledger of one encounter: its start time, every completion
-    attempt (successful or not) and every tool call."""
+    attempt (successful or not), every tool call, and the encounter's
+    first provider error."""
 
-    def __init__(self, inner: CompletionProvider):
-        self.inner = inner
+    def __init__(self, provider: CompletionProvider):
+        self.provider = provider
         self.started = time.monotonic()
         self.provider_calls = 0
         self.tool_calls = 0
+        self.error: Optional[ProviderError] = None
 
-    def complete(self, request: ProviderRequest) -> Completion:
-        """Every completion of the encounter passes here, so a reply's lone
-        surrogates become U+FFFD before anything stores them."""
-        self.provider_calls += 1
-        completion = self.inner.complete(request)
-        if _SURROGATE_RE.search(completion.text):
-            completion = replace(completion, text=_scrub(completion.text))
-        return completion
+    def reply(self, request: ProviderRequest) -> tuple[str, Optional[ProviderError]]:
+        """The reply text to ``request``, its lone surrogates made U+FFFD,
+        and None; or, once a call of the encounter has failed, "" and that
+        call's error, without calling the provider again."""
+        if self.error is None:
+            self.provider_calls += 1
+            try:
+                return _scrub(self.provider.complete(request).text), None
+            except ProviderError as exc:
+                self.error = exc
+        return "", self.error
 
     def call_tool(self, kit, registry: ToolRegistry, directive: ToolDirective,
                   evidence: list) -> ToolResult:
@@ -479,10 +460,9 @@ def _step_outcome(kit, ledger, registry, query, context, step, prior_outputs, ev
         result = ledger.call_tool(kit, registry, directive, evidence)
         return result.ok, (result.output if result.ok else result.error_detail or "tool failed")
     request = execute_request(kit, query, context, step_line(step), "\n".join(prior_outputs))
-    try:
-        text = ledger.complete(request).text
-    except ProviderError as exc:
-        return False, f"provider error: {exc}"
+    text, error = ledger.reply(request)
+    if error is not None:
+        return False, f"provider error: {error}"
     parts = [text.strip()] if text.strip() else []
     for line in text.splitlines():
         directive = _maybe_directive(line)
@@ -584,13 +564,10 @@ def _evaluate(kit, ledger, registry, query, steps, forecast, evidence):
         )
         return outcome, CoTaskState.DONE, answer
 
-    try:
-        completion = ledger.complete(
-            evaluate_request(kit, query, forecast.expected_result, answer)
-        )
-        success, feedback = parse_verdict(completion.text)
-    except ProviderError as exc:
-        success, feedback = False, f"evaluation unavailable: {exc}"
+    text, error = ledger.reply(evaluate_request(kit, query, forecast.expected_result, answer))
+    success, feedback = parse_verdict(text)
+    if error is not None:
+        feedback = f"evaluation unavailable: {error}"
     outcome = Outcome(answer, success, tuple(evidence), feedback)
     return outcome, CoTaskState.SKIPPED, answer
 
@@ -608,9 +585,10 @@ def run_system2(
     """Drive one full slow-path encounter and encode it.
 
     Walks the encounter state machine in order, replanning after failed
-    evaluations until the budget runs out. Failures are also experience:
-    the record is encoded either way, with corrective knowledge captured
-    from each failed attempt before replanning supersedes it.
+    evaluations until the budget runs out or a provider call fails.
+    Failures are also experience: the record is encoded either way, with
+    corrective knowledge captured from each failed attempt before
+    replanning supersedes it.
 
     Called from ``solve``, ``provider`` is the encounter's ledger, so the
     record and the Solution also count the fast-path call and its time;
@@ -619,7 +597,7 @@ def run_system2(
     if not query or not query.strip():
         raise ValueError("query must be non-empty")
     query = _scrub(query)
-    ledger = provider if isinstance(provider, _CountingProvider) else _CountingProvider(provider)
+    ledger = provider if isinstance(provider, _Ledger) else _Ledger(provider)
 
     if retrieved is None:
         retrieved = store.retrieve(query, kit.retrieval_k)
@@ -628,7 +606,7 @@ def run_system2(
 
     state = EncounterState()
     state = advance(state, EncounterEvent.IDENTIFY, kit.r_max)
-    description = ledger.complete(situation_request(kit, query, context)).text.strip()
+    description = ledger.reply(situation_request(kit, query, context))[0].strip()
     situation = Situation(
         description=description or f"User query: {query}",
         context_tags=(),
@@ -636,7 +614,7 @@ def run_system2(
     )
 
     state = advance(state, EncounterEvent.DEFINE_TASK, kit.r_max)
-    subtasks = parse_subtasks(ledger.complete(decompose_request(kit, query, context)).text)
+    subtasks = parse_subtasks(ledger.reply(decompose_request(kit, query, context))[0])
 
     state = advance(state, EncounterEvent.PLAN, kit.r_max)
     failure_note: Optional[str] = None
@@ -646,25 +624,23 @@ def run_system2(
         if failure_note is not None:
             joiner = "\n" if context else ""
             plan_context = f"{context}{joiner}Previous attempt failed: {failure_note}"
-        steps = parse_plan(ledger.complete(plan_request(kit, query, plan_context)).text)
+        steps = parse_plan(ledger.reply(plan_request(kit, query, plan_context))[0])
         if plan_review is not None and not plan_review(steps):
             raise ReviewRejected("plan rejected by reviewer")
 
         state = advance(state, EncounterEvent.FORECAST, kit.r_max)
-        forecast = parse_forecast(
-            ledger.complete(forecast_request(kit, query, render_plan(steps))).text
-        )
+        plan_text = render_plan(steps)
+        forecast = parse_forecast(ledger.reply(forecast_request(kit, query, plan_text))[0])
 
         state = advance(state, EncounterEvent.BEGIN_EXECUTION, kit.r_max)
-        executed, evidence = _execute_steps(
-            kit, ledger, registry, query, plan_context, steps
-        )
+        executed, evidence = _execute_steps(kit, ledger, registry, query, plan_context, steps)
 
         state = advance(state, EncounterEvent.EVALUATE, kit.r_max)
         outcome, grounding_state, answer = _evaluate(
             kit, ledger, registry, query, executed, forecast, evidence
         )
-        if outcome.success or state.replan_count >= kit.r_max:
+        # a provider error fails every later call, so no replan can mend it
+        if outcome.success or state.replan_count >= kit.r_max or ledger.error:
             break
         failed_attempts.append((executed, forecast, outcome))
         failure_note = outcome.feedback or outcome.actual_result
@@ -697,13 +673,10 @@ def run_system2(
     for a_steps, a_forecast, a_outcome in failed_attempts:
         snapshot = replace(draft, plan=a_steps, forecast=a_forecast, outcome=a_outcome)
         new_items.extend(extract_knowledge(snapshot))
-    try:
-        lesson = ledger.complete(
-            distill_request(kit, query, render_plan(executed), forecast.expected_result,
-                            outcome.actual_result)
-        ).text
-    except ProviderError:
-        lesson = ""
+    lesson, _ = ledger.reply(
+        distill_request(kit, query, render_plan(executed), forecast.expected_result,
+                        outcome.actual_result)
+    )
     new_items.extend(extract_knowledge(draft, lesson))
 
     metrics = ledger.metrics(replans=state.replan_count)
@@ -714,12 +687,12 @@ def run_system2(
     return _solution(answer, explanation, Route.SYSTEM2, record), record
 
 
-def _lightweight_record(query, source, result: System1Result, used_ids, metrics):
-    answer_text = result.answer.strip() or "(no answer text)"
+def _lightweight_record(query, source, answer, confidence, retrieved, metrics):
+    answer_text = answer.strip() or "(no answer text)"
     return KstarRecord(
         id=0,
         timestamp=datetime.now(timezone.utc),
-        knowledge_used=used_ids,
+        knowledge_used=tuple(item.id for item in retrieved),
         situation=Situation(description=query, context_tags=(), source=source),
         task=TaskSpec(
             goal=query,
@@ -740,7 +713,7 @@ def _lightweight_record(query, source, result: System1Result, used_ids, metrics)
         ),
         forecast=Forecast(
             expected_result=f"confident direct answer: {answer_text}",
-            success_probability=result.confidence,
+            success_probability=confidence,
         ),
         outcome=Outcome(actual_result=answer_text, success=True),
         knowledge_delta=(),
@@ -768,17 +741,18 @@ def solve(
     if not query or not query.strip():
         raise ValueError("query must be non-empty")
     query = _scrub(query)
-    ledger = _CountingProvider(provider)
+    ledger = _Ledger(provider)
 
     retrieved = store.retrieve(query, kit.retrieval_k)
     context = knowledge_context(retrieved, kit.context_token_budget)
-    result = system1_answer(query, context, kit, ledger)
-
-    decision = Route.SYSTEM1 if system1_only else route(result.confidence, kit)
-    if decision is Route.SYSTEM1:
-        used_ids = tuple(item.id for item in retrieved)
-        record = _lightweight_record(query, source, result, used_ids, ledger.metrics())
+    answer, explanation, confidence = parse_system1(
+        ledger.reply(system1_request(kit, query, context))[0]
+    )
+    # a fast path whose call failed has no answer to accept: it escalates
+    if ledger.error is None and (system1_only or route(confidence, kit) is Route.SYSTEM1):
+        record = _lightweight_record(query, source, answer, confidence, retrieved,
+                                     ledger.metrics())
         record = store.get_record(store.store_record(record))
-        return _solution(result.answer, result.explanation, Route.SYSTEM1, record)
+        return _solution(answer, explanation, Route.SYSTEM1, record)
     return run_system2(query, kit, ledger, registry, store, source=source,
                        plan_review=plan_review, retrieved=retrieved)[0]

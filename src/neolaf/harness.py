@@ -21,7 +21,6 @@ import math
 import re
 import statistics
 import tempfile
-import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +31,7 @@ from .cognition import StarterKit, solve
 from .errors import NeolafError
 from .kstar import SituationSource
 from .memory import EpisodicStore
-from .provider import CompletionProvider, ProviderError
+from .provider import CompletionProvider
 from .toolkit import default_registry
 
 
@@ -319,12 +318,14 @@ def run_eval(
     ``fresh_store`` isolates each problem in its own store. The shared
     store is ``store_dir`` itself, fresh ones are ``problem-<i>`` under it;
     without ``store_dir`` both go in a temporary directory, the shared one
-    as ``shared``. Provider failures mark the problem incorrect and the
-    run continues.
+    as ``shared``. A problem whose provider fails is encoded as a failed
+    slow-path encounter, so its row is incorrect and counts the calls its
+    record counts, and the run continues. A negative ``limit`` raises
+    ValueError.
     """
-    usable = [p for p in problems if p.reference_answer]
-    if limit is not None:
-        usable = usable[: max(0, limit)]
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be >= 0")
+    usable = [p for p in problems if p.reference_answer][:limit]
 
     rows: list[ProblemResult] = []
     registry = default_registry()
@@ -335,42 +336,27 @@ def run_eval(
         for index, problem in enumerate(usable):
             if fresh_store:
                 store = EpisodicStore.open(base / f"problem-{index}")
-            started = time.monotonic()
-            try:
-                solution = solve(
-                    problem.statement,
-                    config.kit,
-                    config.provider,
-                    registry,
-                    store,
-                    source=SituationSource.HARNESS,
-                    system1_only=config.system1_only,
+            solution = solve(
+                problem.statement,
+                config.kit,
+                config.provider,
+                registry,
+                store,
+                source=SituationSource.HARNESS,
+                system1_only=config.system1_only,
+            )
+            rows.append(
+                ProblemResult(
+                    problem_id=problem.id,
+                    answer=solution.answer,
+                    correct=answers_equal(solution.answer, problem.reference_answer),
+                    route=solution.route.value,
+                    elapsed_ms=solution.elapsed_ms,
+                    provider_calls=solution.provider_calls,
+                    tool_calls=solution.tool_calls,
+                    explanation=solution.explanation,
                 )
-                rows.append(
-                    ProblemResult(
-                        problem_id=problem.id,
-                        answer=solution.answer,
-                        correct=answers_equal(solution.answer, problem.reference_answer),
-                        route=solution.route.value,
-                        elapsed_ms=solution.elapsed_ms,
-                        provider_calls=solution.provider_calls,
-                        tool_calls=solution.tool_calls,
-                        explanation=solution.explanation,
-                    )
-                )
-            except ProviderError as exc:
-                rows.append(
-                    ProblemResult(
-                        problem_id=problem.id,
-                        answer="",
-                        correct=False,
-                        route="error",
-                        elapsed_ms=int((time.monotonic() - started) * 1000),
-                        provider_calls=0,
-                        tool_calls=0,
-                        explanation=f"provider error: {exc}",
-                    )
-                )
+            )
 
     rows.sort(key=lambda r: r.problem_id)
     report = EvalReport(
@@ -400,9 +386,12 @@ def compare(
     """Run every configuration over the same problems.
 
     A failing configuration yields an error row; the others still run.
+    A negative ``limit`` raises ValueError.
     """
     if not configs:
         raise ValueError("compare needs at least one configuration")
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be >= 0")
     rows = []
     for config in configs:
         try:

@@ -20,6 +20,9 @@ completion providers ship in-tree:
   One retry with backoff on rate limiting. Its capture list, written by
   ``save_transcript``, is a transcript; no command captures one.
 
+A provider that cannot answer raises a ``ProviderError``, which the agent
+encodes as a failed encounter that makes no further call (see cognition).
+
 Embeddings: ``DeterministicEmbedder`` hashes a bag of tokens into a
 fixed number of signed buckets and L2-normalizes, so retrieval is fully
 testable offline. A remote embedder could implement the same ``embed``

@@ -52,6 +52,28 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["eval", "--dataset", "d", "--limit", "-1"], "--limit"),
+    (["compare", "--configs", "c", "--dataset", "d", "--limit", "-1"], "--limit"),
+    (["memory", "search", "q", "-k", "-1"], "-k"),
+    (["memory", "search", "q", "-k", "two"], "-k"),
+])
+def test_a_count_below_zero_is_a_usage_error(capsys, argv, option):
+    assert main(argv) == 1
+    assert f"argument {option}:" in capsys.readouterr().err
+
+
+def test_solve_with_a_script_missing_a_prompt_encodes_a_failure(tmp_path, capsys):
+    script, store = tmp_path / "empty.json", str(tmp_path / "store")
+    script.write_text("{}", encoding="utf-8")
+    assert main(["solve", QUERY, "--script", str(script), "--store", store]) == 0
+    out = capsys.readouterr().out
+    assert "route: system2" in out and "provider_calls: 1 " in out
+    assert "no scripted response for prompt fingerprint" in out
+    assert main(["memory", "list", "--store", store]) == 0
+    assert [line.split("\t")[2] for line in capsys.readouterr().out.splitlines()] == ["failed"]
+
+
 def test_solve_with_script(tmp_path, capsys):
     code = main([
         "solve", QUERY,

@@ -13,11 +13,12 @@ import pytest
 from neolaf.cognition import (
     ReviewRejected,
     Route,
+    Solution,
     StarterKit,
-    System1Result,
     decompose_request,
     default_kit,
     distill_request,
+    evaluate_request,
     execute_request,
     forecast_request,
     kit_from_dict,
@@ -26,6 +27,7 @@ from neolaf.cognition import (
     parse_forecast,
     parse_labeled_sections,
     parse_plan,
+    parse_system1,
     parse_verdict,
     plan_request,
     route,
@@ -33,7 +35,6 @@ from neolaf.cognition import (
     save_kit,
     situation_request,
     solve,
-    system1_answer,
     system1_request,
 )
 from neolaf.harness import load_dataset
@@ -47,6 +48,7 @@ from neolaf.memory import (
     step_line,
 )
 from neolaf.provider import (
+    ProviderError,
     ScriptedProvider,
     fingerprint,
     load_script,
@@ -134,20 +136,12 @@ def test_knowledge_context_truncates_at_whole_items():
     assert all(line.startswith("- [") for line in lines)
 
 
-def test_system1_parses_sections(kit, store):
-    query = "what is 2+2?"
-    script = {
-        fp(system1_request(kit, query, "")): "ANSWER: 4\nEXPLANATION: sum\nCONFIDENCE: 0.9"
-    }
-    result = system1_answer(query, "", kit, ScriptedProvider(script))
-    assert result == System1Result(answer="4", explanation="sum", confidence=0.9)
+def test_system1_parses_sections():
+    assert parse_system1("ANSWER: 4\nEXPLANATION: sum\nCONFIDENCE: 0.9") == ("4", "sum", 0.9)
 
 
-def test_system1_missing_confidence_defaults_to_zero(kit):
-    query = "hard question"
-    script = {fp(system1_request(kit, query, "")): "ANSWER: maybe\nEXPLANATION: unsure"}
-    result = system1_answer(query, "", kit, ScriptedProvider(script))
-    assert result.confidence == 0.0
+def test_system1_missing_confidence_defaults_to_zero():
+    assert parse_system1("ANSWER: maybe\nEXPLANATION: unsure")[2] == 0.0
 
 
 @pytest.mark.parametrize("stated, route_taken", [
@@ -155,15 +149,14 @@ def test_system1_missing_confidence_defaults_to_zero(kit):
     ("0.9", Route.SYSTEM1), ("7.5e-1", Route.SYSTEM1), ("80 %", Route.SYSTEM1),
 ])
 def test_system1_reads_the_whole_confidence_literal(kit, stated, route_taken):
-    query = "what is 2+2?"
-    script = {fp(system1_request(kit, query, "")): f"ANSWER: 4\nCONFIDENCE: {stated}"}
-    result = system1_answer(query, "", kit, ScriptedProvider(script))
-    assert route(result.confidence, kit) is route_taken
+    _answer, _explanation, confidence = parse_system1(f"ANSWER: 4\nCONFIDENCE: {stated}")
+    assert route(confidence, kit) is route_taken
 
 
-def test_system1_rejects_empty_query(kit):
+def test_solve_rejects_empty_query(kit, store):
     with pytest.raises(ValueError):
-        system1_answer("  ", "", kit, ScriptedProvider({}))
+        solve("  ", kit, ScriptedProvider({}), default_registry(), store)
+    assert store.records == ()
 
 
 def test_route_threshold_boundary(kit):
@@ -834,3 +827,90 @@ def test_lone_surrogate_in_the_query_is_encoded(kit, tmp_path, no_network, path)
         )
     assert record.task.goal == cleaned and record.outcome.success
     assert EpisodicStore.open(tmp_path / "store").records == store.records
+
+
+# ---------------------------------------------------------------------------
+# Provider failures: a failed call reads as an empty reply, and so does
+# every later call of the encounter, which is not made
+# ---------------------------------------------------------------------------
+
+PHASES = ("confidence", "situation", "decompose", "plan", "forecast", "execute", "evaluate",
+          "distill")
+
+
+def every_phase_script(kit, query):
+    """A slow-path encounter that calls each template once, in ``PHASES``
+    order: its requests by phase, and the script answering them."""
+    plan_text = "STEP 1: self | name the colour"
+    steps = parse_plan(plan_text)
+    plan = render_plan(steps)
+    replies = {
+        "confidence": (system1_request(kit, query, ""), "ANSWER: ?\nCONFIDENCE: 0.1"),
+        "situation": (situation_request(kit, query, ""), "A colour question."),
+        "decompose": (decompose_request(kit, query, ""), "- name it"),
+        "plan": (plan_request(kit, query, ""), plan_text),
+        "forecast": (forecast_request(kit, query, plan), "EXPECTED: a colour\nPROBABILITY: 0.8"),
+        "execute": (execute_request(kit, query, "", step_line(steps[0]), ""), "ANSWER: blue"),
+        "evaluate": (evaluate_request(kit, query, "a colour", "blue"), "VERDICT: success"),
+        "distill": (distill_request(kit, query, plan, "a colour", "blue"), "Lesson: say it."),
+    }
+    requests = {phase: request for phase, (request, _text) in replies.items()}
+    return requests, {fp(request): text for request, text in replies.values()}
+
+
+class FailingProvider(ScriptedProvider):
+    """The script's replies, but a ProviderError on each request that
+    ``fails``; counts the calls it gets."""
+
+    def __init__(self, script, fails):
+        super().__init__(script)
+        self.fails, self.calls = fails, 0
+
+    def complete(self, request):
+        self.calls += 1
+        if self.fails(request):
+            raise ProviderError("endpoint down")
+        return super().complete(request)
+
+
+def test_every_phase_script_makes_one_call_per_phase(kit, store, no_network):
+    query = "What colour is the sky?"
+    requests, script = every_phase_script(kit, query)
+    provider = FailingProvider(script, lambda request: False)
+    solution = solve(query, kit, provider, default_registry(), store)
+    assert solution.answer == "blue" and store.records[0].outcome.success
+    assert solution.provider_calls == provider.calls == len(PHASES) == len(requests)
+
+
+@pytest.mark.parametrize("phase", PHASES)
+def test_a_provider_error_in_any_phase_is_encoded(kit, tmp_path, no_network, phase):
+    query = "What colour is the sky?"
+    requests, script = every_phase_script(kit, query)
+    provider = FailingProvider(script, lambda request: fp(request) == fp(requests[phase]))
+    store = EpisodicStore.open(tmp_path / "store")
+    solution = solve(query, kit, provider, default_registry(), store)
+    assert isinstance(solution, Solution) and solution.route is Route.SYSTEM2
+    (record,) = store.records
+    assert EpisodicStore.open(tmp_path / "store").records == (record,)
+    # the failed attempt counts, and no call is made after it
+    assert solution.provider_calls == provider.calls == PHASES.index(phase) + 1
+    assert_record_matches(store, solution)
+    # only a failed lesson leaves the answer standing
+    assert record.outcome.success is (phase == "distill")
+    assert record.metrics.replans == 0
+
+
+@pytest.mark.parametrize("system1_only", (False, True))
+def test_a_dead_provider_costs_one_call_per_encounter(kit, store, no_network, system1_only):
+    provider = FailingProvider({}, lambda request: True)
+    for n, query in enumerate(("What is 2+2?", "What colour is the sky?"), 1):
+        solution = solve(query, kit, provider, default_registry(), store,
+                         system1_only=system1_only)
+        assert solution.route is Route.SYSTEM2
+        assert solution.provider_calls == 1 and provider.calls == n
+        assert "provider error: endpoint down" in solution.explanation
+        record = store.get_record(solution.record_id)
+        assert not record.outcome.success and record.metrics.replans == 0
+        (item,) = [store.get_knowledge(i) for i in record.knowledge_delta]
+        assert item.kind is KnowledgeKind.CORRECTIVE
+    assert len(store.records) == 2

@@ -5,7 +5,8 @@ answers every request with a fixture reply: the scripted one for the
 request's fingerprint, or a random one. Half the replies are mutated into
 text that has broken the agent before, or is built to: deep nesting, a
 directive number too long to convert, lone surrogates, non-finite numbers,
-stray labels, an empty reply, a result too long to render. After every
+stray labels, an empty reply, a result too long to render. One call in ten
+raises ``ProviderError`` instead, in whichever phase it falls. After every
 encounter it checks that ``solve`` returned a Solution, that exactly one
 record was added, that the store reopens with the same records, and that
 ``answers_equal`` on the answer returns a bool.
@@ -26,7 +27,13 @@ from pathlib import Path
 from neolaf.cognition import Solution, default_kit, solve
 from neolaf.harness import answers_equal, load_dataset
 from neolaf.memory import EpisodicStore
-from neolaf.provider import Completion, CompletionProvider, fingerprint, load_script
+from neolaf.provider import (
+    Completion,
+    CompletionProvider,
+    ProviderError,
+    fingerprint,
+    load_script,
+)
 from neolaf.toolkit import default_registry
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -69,12 +76,15 @@ def mutate(reply: str, rng: random.Random) -> str:
 
 
 class FuzzProvider(CompletionProvider):
-    """Fixture replies, by fingerprint when scripted, else at random; half mutated."""
+    """Fixture replies, by fingerprint when scripted, else at random; half
+    mutated. One call in ten fails."""
 
     def __init__(self, script: dict[str, str], rng: random.Random):
         self.script, self.replies, self.rng = script, list(script.values()), rng
 
     def complete(self, request):
+        if self.rng.random() < 0.1:
+            raise ProviderError("fuzzed provider failure")
         key = fingerprint(request)
         text = self.script[key] if key in self.script else self.rng.choice(self.replies)
         if self.rng.random() < 0.5:

@@ -262,14 +262,25 @@ def test_run_eval_skips_unextractable_references():
     assert report.aggregate.n == 2
 
 
-def test_run_eval_records_provider_failures_and_continues():
+def test_run_eval_limit_below_zero_is_rejected():
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        run_eval(_confident_config(), _problems(), limit=-1)
+
+
+def test_run_eval_records_provider_failures_and_continues(tmp_path):
+    # every call fails: each problem is a failed slow-path encounter, encoded
     config = _confident_config()
     config = EvalConfig(name=config.name, kit=config.kit, provider=ScriptedProvider({}))
-    report = run_eval(config, _problems())
+    report = run_eval(config, _problems(), store_dir=tmp_path / "s")
     assert report.aggregate.n == 2
     assert report.aggregate.n_correct == 0
-    assert all(r.route == "error" for r in report.per_problem)
+    assert all(r.route == "system2" and not r.correct for r in report.per_problem)
     assert all("provider error" in r.explanation for r in report.per_problem)
+    records = EpisodicStore.open(tmp_path / "s").records
+    assert len(records) == len(_problems())
+    assert [r.provider_calls for r in report.per_problem] == [
+        record.metrics.provider_calls for record in records
+    ] == [1, 1]
 
 
 def test_run_eval_scores_a_deeply_nested_fast_path_answer_after_writing_its_record(tmp_path):
@@ -303,7 +314,7 @@ def test_report_file_text(tmp_path):
         config_name="golden",
         per_problem=(
             ProblemResult("a", "\u00bd", True, "system1", 3, 1, 0, "known"),
-            ProblemResult("b", "", False, "error", 0, 0, 0, "provider error: x"),
+            ProblemResult("b", "", False, "system2", 0, 1, 0, "provider error: x"),
         ),
         aggregate=Aggregate(n=2, n_correct=1, accuracy=0.5,
                             mean_elapsed_ms=1.5, median_elapsed_ms=1.5),
@@ -328,9 +339,9 @@ def test_report_file_text(tmp_path):
       "problem_id": "b",
       "answer": "",
       "correct": false,
-      "route": "error",
+      "route": "system2",
       "elapsed_ms": 0,
-      "provider_calls": 0,
+      "provider_calls": 1,
       "tool_calls": 0,
       "explanation": "provider error: x"
     }
@@ -395,6 +406,11 @@ def test_compare_single_config_matches_run_eval():
 def test_compare_empty_configs_rejected():
     with pytest.raises(ValueError):
         compare([], _problems())
+
+
+def test_compare_limit_below_zero_is_rejected():
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        compare([_confident_config()], _problems(), limit=-1)
 
 
 def test_compare_keeps_going_after_config_error():
