@@ -625,7 +625,8 @@ def run_system2(
             joiner = "\n" if context else ""
             plan_context = f"{context}{joiner}Previous attempt failed: {failure_note}"
         steps = parse_plan(ledger.reply(plan_request(kit, query, plan_context))[0])
-        if plan_review is not None and not plan_review(steps):
+        # a failed plan call proposed nothing: its placeholder is not shown
+        if plan_review is not None and ledger.error is None and not plan_review(steps):
             raise ReviewRejected("plan rejected by reviewer")
 
         state = advance(state, EncounterEvent.FORECAST, kit.r_max)

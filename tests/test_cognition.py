@@ -900,6 +900,21 @@ def test_a_provider_error_in_any_phase_is_encoded(kit, tmp_path, no_network, pha
     assert record.metrics.replans == 0
 
 
+@pytest.mark.parametrize("phase", ("confidence", "situation", "decompose", "plan"))
+def test_a_failed_plan_is_encoded_without_review(kit, store, no_network, phase):
+    query = "What colour is the sky?"
+    requests, script = every_phase_script(kit, query)
+    provider = FailingProvider(script, lambda request: fp(request) == fp(requests[phase]))
+    reviewed = []
+    solution = solve(query, kit, provider, default_registry(), store,
+                     plan_review=lambda steps: reviewed.append(steps) or False)
+    assert reviewed == []  # the placeholder plan of a failed call is not proposed
+    (record,) = store.records
+    assert solution.route is Route.SYSTEM2 and solution.record_id == record.id
+    assert not record.outcome.success and record.metrics.replans == 0
+    assert "provider error: endpoint down" in solution.explanation
+
+
 @pytest.mark.parametrize("system1_only", (False, True))
 def test_a_dead_provider_costs_one_call_per_encounter(kit, store, no_network, system1_only):
     provider = FailingProvider({}, lambda request: True)

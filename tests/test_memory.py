@@ -7,7 +7,7 @@ import os
 import random
 import re
 import shutil
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -252,6 +252,28 @@ def test_knowledge_survives_reload_with_last_version(tmp_path):
     # the file stayed append-only: one line per version
     lines = (tmp_path / "s" / "knowledge.jsonl").read_text().strip().splitlines()
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("embedder", [None, DeterministicEmbedder()], ids=["jaccard", "embedder"])
+def test_reopened_items_behave_like_constructed_ones(tmp_path, embedder):
+    """Items decoded at open skip the constructor, yet stay frozen, equal,
+    hashable and replaceable as the items they were written as."""
+    store = EpisodicStore.open(tmp_path / "s", embedder)
+    for statement in ("check denominators", "reduce fractions"):
+        store.add_knowledge(KnowledgeItem(0, statement, KnowledgeKind.DISTILLED, (1, 2), 0.6))
+    reopened = EpisodicStore.open(tmp_path / "s", embedder).knowledge
+    assert reopened == store.knowledge
+    for item in reopened:
+        built = KnowledgeItem(item.id, item.statement, item.kind, item.provenance,
+                              item.confidence, item.embedding)
+        assert item == built and hash(item) == hash(built)
+        assert (item.embedding is None) is (embedder is None)
+        with pytest.raises(FrozenInstanceError):
+            item.confidence = 0.9
+        assert item.confidence == 0.6
+        boosted = replace(item, confidence=1.5)
+        assert boosted.confidence == 1.0 and boosted == replace(built, confidence=1.0)
+    assert len(set(reopened) | set(store.knowledge)) == 2
 
 
 def test_corrupt_knowledge_file_reports_line(tmp_path):
