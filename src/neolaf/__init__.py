@@ -3,8 +3,8 @@
 Subpackages by responsibility:
 
 * ``kstar``: the encounter record schema and state machine (pure).
-* ``provider``: LLM and embedding boundary, with deterministic
-  scripted/replay providers for offline work.
+* ``provider``: LLM and embedding boundary, with a deterministic
+  scripted provider for offline work.
 * ``calculator`` / ``toolkit``: exact arithmetic grounding and the tool
   registry with its directive syntax.
 * ``memory``: the append-only episodic store, retrieval, knowledge
@@ -25,7 +25,6 @@ from .provider import (
     Completion,
     DeterministicEmbedder,
     ProviderRequest,
-    ReplayProvider,
     ScriptedProvider,
 )
 from .toolkit import ToolRegistry, default_registry, parse_tool_directive
@@ -41,7 +40,6 @@ __all__ = [
     "KstarRecord",
     "NeolafError",
     "ProviderRequest",
-    "ReplayProvider",
     "Route",
     "ScriptedProvider",
     "Solution",

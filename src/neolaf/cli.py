@@ -41,7 +41,6 @@ def _build_parser() -> _Parser:
 
     def add_provider_options(p):
         p.add_argument("--script", help="scripted provider: JSON fingerprint->text map")
-        p.add_argument("--transcript", help="replay provider: captured transcript JSON")
 
     def count(text: str) -> int:
         if int(text) < 0:
@@ -91,25 +90,13 @@ def _build_parser() -> _Parser:
     p_cons.add_argument("--out", required=True)
     p_cons.add_argument("--store", default=DEFAULT_STORE_DIR)
 
-    p_replay = sub.add_parser("replay", help="re-run a problem from a transcript")
-    p_replay.add_argument("problem")
-    p_replay.add_argument("--transcript", required=True)
-    p_replay.add_argument("--kit")
-    p_replay.add_argument("--store", help="store directory (default: temporary)")
-
     return parser
 
 
 def _provider_config(args) -> dict:
     """The ``provider_from_config`` mapping the provider flags select."""
-    script = getattr(args, "script", None)
-    transcript = getattr(args, "transcript", None)
-    if script and transcript:
-        raise ValueError("--script and --transcript are mutually exclusive")
-    if script:
-        return {"type": "scripted", "script": script}
-    if transcript:
-        return {"type": "replay", "transcript": transcript}
+    if args.script:
+        return {"type": "scripted", "script": args.script}
     return {"type": "remote"}
 
 
@@ -241,29 +228,12 @@ def _cmd_consolidate(args) -> int:
     return 0
 
 
-def _cmd_replay(args) -> int:
-    import tempfile
-
-    kit = _kit_from_args(args)
-    provider = provider_from_config(_provider_config(args))
-    if args.store:
-        store = EpisodicStore.open(args.store)
-        solution = solve(args.problem, kit, provider, default_registry(), store)
-    else:
-        with tempfile.TemporaryDirectory(prefix="neolaf-replay-") as scratch:
-            store = EpisodicStore.open(scratch)
-            solution = solve(args.problem, kit, provider, default_registry(), store)
-    _print_solution(solution)
-    return 0
-
-
 _COMMANDS = {
     "solve": _cmd_solve,
     "eval": _cmd_eval,
     "compare": _cmd_compare,
     "memory": _cmd_memory,
     "consolidate": _cmd_consolidate,
-    "replay": _cmd_replay,
 }
 
 

@@ -2,23 +2,22 @@
 
 The agent never talks to a model directly; it builds a ``ProviderRequest``
 (its messages) and hands it to a provider, which returns a ``Completion``
-(the reply text and its prompt and completion token counts). Three
+(the reply text and its prompt and completion token counts). Two
 completion providers ship in-tree:
 
 * ``ScriptedProvider``: a fingerprint-keyed response table. A script file
   is a JSON object mapping each fingerprint to its reply text. Keying by
   content fingerprint (roles and contents only) means a script survives
   prompt-template refactors that do not change content.
-* ``ReplayProvider``: plays back a captured transcript strictly in call
-  order, for re-running live sessions offline. A transcript file is a
-  JSON array of ``{"request": {"messages": [...]}, "text": reply}``.
 * ``RemoteProvider``: a chat-completion style HTTP client. Built by
   ``provider_from_config``, each of its settings falls back to the
   ``NEOLAF_PROVIDER_URL`` / ``NEOLAF_PROVIDER_KEY`` /
   ``NEOLAF_PROVIDER_MODEL`` environment variable. Each call posts the
   messages with ``TEMPERATURE`` and ``MAX_TOKENS`` and no stop sequence.
-  One retry with backoff on rate limiting. Its capture list, written by
-  ``save_transcript``, is a transcript; no command captures one.
+  One retry with backoff on rate limiting. Its capture maps the
+  fingerprint of each prompt answered to its last reply; written by
+  ``save_script``, it is a script that replays the session offline. No
+  command captures one.
 
 A provider that cannot answer raises a ``ProviderError``, which the agent
 encodes as a failed encounter that makes no further call (see cognition).
@@ -36,12 +35,11 @@ import json
 import math
 import os
 import re
-import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import NeolafError
 
@@ -54,12 +52,6 @@ class UnscriptedPrompt(ProviderError):
     def __init__(self, fingerprint: str):
         super().__init__(f"no scripted response for prompt fingerprint {fingerprint}")
         self.fingerprint = fingerprint
-
-
-class TranscriptExhausted(ProviderError):
-    def __init__(self, length: int):
-        super().__init__(f"transcript exhausted after {length} completions")
-        self.length = length
 
 
 class TransportError(ProviderError):
@@ -169,68 +161,6 @@ def save_script(script: dict[str, str], path) -> None:
     )
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
-    request: ProviderRequest
-    text: str
-
-
-def request_from_dict(obj: dict) -> ProviderRequest:
-    """Other keys, such as the ``temperature``, ``max_tokens`` and
-    ``stop_sequences`` of older transcripts, are ignored."""
-    return ProviderRequest(
-        messages=tuple(
-            Message(role=Role(m["role"]), content=m["content"]) for m in obj["messages"]
-        ),
-    )
-
-
-def load_transcript(path) -> list[TranscriptEntry]:
-    """Load a transcript file: a JSON array of {request, text} in call order."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, list):
-            raise ValueError("must hold a JSON array")
-    except ValueError as exc:
-        raise ValueError(f"transcript file {path}: {exc}") from exc
-    entries = []
-    for number, entry in enumerate(data):
-        try:
-            request, text = request_from_dict(entry["request"]), entry["text"]
-            if not isinstance(text, str):
-                raise TypeError(f"field 'text' must be text, not {text!r}")
-            entries.append(TranscriptEntry(request, text))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"transcript file {path} corrupt at entry {number}: {exc}") from exc
-    return entries
-
-
-def save_transcript(entries: Sequence[TranscriptEntry], path) -> None:
-    Path(path).write_text(
-        json.dumps([asdict(e) for e in entries], ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
-
-
-class ReplayProvider(CompletionProvider):
-    """Plays a captured transcript back strictly in call order."""
-
-    def __init__(self, transcript: Sequence[TranscriptEntry]):
-        self._transcript = list(transcript)
-        self._cursor = 0
-        self._lock = threading.Lock()
-
-    def complete(self, request: ProviderRequest) -> Completion:
-        validate_request(request)
-        with self._lock:
-            if self._cursor >= len(self._transcript):
-                raise TranscriptExhausted(len(self._transcript))
-            entry = self._transcript[self._cursor]
-            self._cursor += 1
-        return _counted(request, entry.text)
-
-
 ENV_URL = "NEOLAF_PROVIDER_URL"
 ENV_KEY = "NEOLAF_PROVIDER_KEY"
 ENV_MODEL = "NEOLAF_PROVIDER_MODEL"
@@ -250,7 +180,7 @@ class RemoteProvider(CompletionProvider):
         api_key: str = "",
         timeout: float = 30.0,
         retry_delay: float = 1.0,
-        capture: Optional[list[TranscriptEntry]] = None,
+        capture: Optional[dict[str, str]] = None,
     ):
         if not url:
             raise ValueError("remote provider needs an endpoint URL")
@@ -290,7 +220,13 @@ class RemoteProvider(CompletionProvider):
         try:
             data = response.json()
             text = data["choices"][0]["message"]["content"]
-            usage = data.get("usage", {})
+            usage = data.get("usage")
+            if usage is None:  # absent or null: no token counts
+                usage = {}
+            if not isinstance(text, str):
+                raise TypeError(f"reply content must be text, not {text!r}")
+            if not isinstance(usage, dict):
+                raise TypeError(f"usage must be an object, not {usage!r}")
             return (
                 text,
                 int(usage.get("prompt_tokens", 0)),
@@ -307,29 +243,23 @@ class RemoteProvider(CompletionProvider):
             time.sleep(self.retry_delay)
             text, p_tokens, c_tokens = self._post(request)
         if self.capture is not None:
-            self.capture.append(TranscriptEntry(request=request, text=text))
+            self.capture[fingerprint(request)] = text
         return Completion(text=text, prompt_tokens=p_tokens, completion_tokens=c_tokens)
-
-
-def _config_path(config: dict, name: str) -> str:
-    if not isinstance(config.get(name), str):
-        raise ValueError(f"{config['type']} provider config needs a path in field {name!r}")
-    return config[name]
 
 
 def provider_from_config(config: dict) -> CompletionProvider:
     """Build a provider from a config mapping with a ``type`` field.
 
-    Types: ``scripted`` (field ``script``: path), ``replay`` (field
-    ``transcript``: path), ``remote`` (fields ``url``, ``model`` and
-    ``api_key``, each falling back to its environment variable when
-    absent). A missing or misshapen field raises ValueError naming it.
+    Types: ``scripted`` (field ``script``: path) and ``remote`` (fields
+    ``url``, ``model`` and ``api_key``, each falling back to its
+    environment variable when absent). A missing or misshapen field
+    raises ValueError naming it.
     """
     kind = config.get("type")
     if kind == "scripted":
-        return ScriptedProvider(load_script(_config_path(config, "script")))
-    if kind == "replay":
-        return ReplayProvider(load_transcript(_config_path(config, "transcript")))
+        if not isinstance(config.get("script"), str):
+            raise ValueError("scripted provider config needs a path in field 'script'")
+        return ScriptedProvider(load_script(config["script"]))
     if kind == "remote":
         settings = {}
         for name, env in (("url", ENV_URL), ("model", ENV_MODEL), ("api_key", ENV_KEY)):

@@ -8,15 +8,7 @@ import pytest
 from neolaf import cognition
 from neolaf.cli import main
 from neolaf.cognition import default_kit, system1_request
-from neolaf.provider import (
-    Message,
-    ProviderRequest,
-    Role,
-    TranscriptEntry,
-    fingerprint,
-    save_script,
-    save_transcript,
-)
+from neolaf.provider import fingerprint, save_script
 
 
 QUERY = "What is 2+2?"
@@ -49,6 +41,8 @@ def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["definitely-not-a-command"]) == 1
     assert main(["eval"]) == 1  # missing --dataset
+    assert main(["replay", "x"]) == 1  # recorded sessions replay by --script
+    assert main(["solve", "x", "--transcript", "t.json"]) == 1
     capsys.readouterr()
 
 
@@ -107,18 +101,6 @@ def test_solve_runtime_error_exits_two(tmp_path, capsys):
     ])
     assert code == 2
     assert "error" in capsys.readouterr().err
-
-
-def test_script_and_transcript_together_exit_two(tmp_path, capsys):
-    for command in (["solve", QUERY], ["eval", "--dataset", str(_dataset_path(tmp_path))]):
-        code = main([
-            *command,
-            "--script", str(_script_path(tmp_path)),
-            "--transcript", str(tmp_path / "transcript.json"),
-            "--store", str(tmp_path / "store"),
-        ])
-        assert code == 2
-        assert "--script and --transcript are mutually exclusive" in capsys.readouterr().err
 
 
 def test_solve_review_rejection(tmp_path, capsys, monkeypatch):
@@ -252,6 +234,7 @@ def test_compare_config_kit_path(tmp_path, capsys):
     ({"kit": {"prompt_templates": "plan"}, "provider": {}}, "prompt_templates"),
     ({"kit": {"route_threshold": "x"}, "provider": {}}, "route_threshold"),
     ({"provider": {"type": "remote", "url": 5, "model": "m"}}, "url"),
+    ({"provider": {"type": "replay", "transcript": "t.json"}}, "replay"),
 ])
 def test_malformed_compare_config_exits_two(tmp_path, capsys, config, field):
     config_path = tmp_path / "c.json"
@@ -283,7 +266,7 @@ def test_system1_only_must_be_a_boolean(tmp_path, capsys):
     assert str(config_path) in err and "'system1_only'" in err
 
 
-@pytest.mark.parametrize("option", ["--kit", "--script", "--transcript", "--configs"])
+@pytest.mark.parametrize("option", ["--kit", "--script", "--configs"])
 def test_non_json_input_file_is_named(tmp_path, capsys, option):
     bad = tmp_path / "bad.json"
     bad.write_text("not json", encoding="utf-8")
@@ -327,15 +310,6 @@ def test_kit_template_slot_that_is_not_text_exits_two(tmp_path, capsys):
     assert f"kit file {kit_path}: kit field 'prompt_templates' entry 'plan'" in err
 
 
-def test_malformed_transcript_file_exits_two(tmp_path, capsys):
-    transcript = tmp_path / "transcript.json"
-    transcript.write_text(json.dumps([{"text": "x"}]), encoding="utf-8")
-    code = main(["replay", QUERY, "--transcript", str(transcript)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert str(transcript) in err and "'request'" in err
-
-
 def test_script_reply_that_is_not_text_exits_two(tmp_path, capsys):
     script = tmp_path / "script.json"
     script.write_text(json.dumps({"0123456789abcdef": 5}), encoding="utf-8")
@@ -343,16 +317,6 @@ def test_script_reply_that_is_not_text_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"script file {script}: key '0123456789abcdef' must map to text" in err
-
-
-def test_transcript_reply_that_is_not_text_exits_two(tmp_path, capsys):
-    transcript = tmp_path / "transcript.json"
-    request = {"messages": [{"role": "user", "content": "anything"}]}
-    transcript.write_text(json.dumps([{"request": request, "text": 5}]), encoding="utf-8")
-    code = main(["replay", QUERY, "--transcript", str(transcript)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert f"transcript file {transcript} corrupt at entry 0: field 'text'" in err
 
 
 def test_memory_commands(tmp_path, capsys):
@@ -393,32 +357,3 @@ def test_consolidate_command(tmp_path, capsys):
     assert code == 0
     assert "wrote 1 examples" in message
     assert len(out_path.read_text().strip().splitlines()) == 1
-
-
-def test_replay_command(tmp_path, capsys):
-    entries = [
-        TranscriptEntry(
-            ProviderRequest(messages=(Message(Role.USER, "anything"),)),
-            "ANSWER: 4\nEXPLANATION: replayed\nCONFIDENCE: 0.9",
-        )
-    ]
-    transcript = tmp_path / "transcript.json"
-    save_transcript(entries, transcript)
-    code = main(["replay", QUERY, "--transcript", str(transcript)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "answer: 4" in out
-
-
-def test_replay_transcript_with_sampling_keys(tmp_path, capsys):
-    # transcripts once stored each request's sampling settings; they load
-    # and replay, the extra keys ignored
-    request = {"messages": [{"role": "user", "content": "anything"}],
-               "temperature": 0.0, "max_tokens": 16, "stop_sequences": ["\n"]}
-    reply = "ANSWER: 4\nEXPLANATION: replayed\nCONFIDENCE: 0.9"
-    transcript = tmp_path / "transcript.json"
-    transcript.write_text(json.dumps([{"request": request, "text": reply}]), encoding="utf-8")
-    code = main(["replay", QUERY, "--transcript", str(transcript)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "answer: 4" in out

@@ -1,5 +1,5 @@
-"""Provider boundary tests: fingerprinting, scripted/replay providers,
-the remote HTTP client against a local server, and the embedder."""
+"""Provider boundary tests: fingerprinting, the scripted provider, the
+remote HTTP client against a local server, and the embedder."""
 
 import json
 import math
@@ -8,7 +8,10 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from neolaf.cognition import default_kit, system1_request
+from neolaf.cli import main
+from neolaf.cognition import Route, default_kit, solve, system1_request
+from neolaf.kstar import serialize_record
+from neolaf.memory import EpisodicStore
 from neolaf.provider import (
     AuthError,
     Completion,
@@ -17,23 +20,18 @@ from neolaf.provider import (
     Message,
     ProviderRequest,
     RemoteProvider,
-    ReplayProvider,
     Role,
     ScriptedProvider,
     Timeout,
-    TranscriptEntry,
-    TranscriptExhausted,
     TransportError,
     UnscriptedPrompt,
     cosine,
     fingerprint,
     load_script,
-    load_transcript,
     provider_from_config,
-    request_from_dict,
     save_script,
-    save_transcript,
 )
+from neolaf.toolkit import default_registry
 
 
 def req(content: str) -> ProviderRequest:
@@ -45,16 +43,6 @@ def req(content: str) -> ProviderRequest:
 # ---------------------------------------------------------------------------
 # Fingerprinting
 # ---------------------------------------------------------------------------
-
-
-def test_fingerprint_ignores_sampling_parameters():
-    # a transcript written when requests carried sampling settings keeps
-    # only the messages of each request, so the fingerprint is unchanged
-    messages = [{"role": "system", "content": "be brief"},
-                {"role": "user", "content": "what is 2+2"}]
-    old = {"messages": messages, "temperature": 0.9, "max_tokens": 5, "stop_sequences": ["x"]}
-    assert request_from_dict(old) == request_from_dict({"messages": messages})
-    assert fingerprint(request_from_dict(old)) == fingerprint(req("what is 2+2"))
 
 
 def test_fingerprint_sensitive_to_single_character_edits():
@@ -113,80 +101,6 @@ def test_script_file_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Replay provider
-# ---------------------------------------------------------------------------
-
-
-def test_replay_in_capture_order_then_exhausted(no_network):
-    entries = [TranscriptEntry(req(f"q{i}"), f"a{i}") for i in range(3)]
-    provider = ReplayProvider(entries)
-    texts = [provider.complete(req("anything")).text for _ in range(3)]
-    assert texts == ["a0", "a1", "a2"]
-    with pytest.raises(TranscriptExhausted):
-        provider.complete(req("anything"))
-
-
-def test_transcript_file_round_trip(tmp_path):
-    entries = [TranscriptEntry(req("q1"), "a1"), TranscriptEntry(req("q2"), "a2")]
-    path = tmp_path / "transcript.json"
-    save_transcript(entries, path)
-    loaded = load_transcript(path)
-    assert loaded == entries
-
-
-def test_transcript_file_text(tmp_path):
-    request = ProviderRequest(
-        messages=(Message(Role.SYSTEM, "be brief"), Message(Role.USER, "2+2 \u2192 ?")),
-    )
-    path = tmp_path / "transcript.json"
-    save_transcript([TranscriptEntry(request, "4")], path)
-    assert path.read_text(encoding="utf-8") == """\
-[
-  {
-    "request": {
-      "messages": [
-        {
-          "role": "system",
-          "content": "be brief"
-        },
-        {
-          "role": "user",
-          "content": "2+2 \u2192 ?"
-        }
-      ]
-    },
-    "text": "4"
-  }
-]
-"""
-    assert load_transcript(path) == [TranscriptEntry(request, "4")]
-
-
-def test_replay_concurrent_cursor_advancement():
-    entries = [TranscriptEntry(req(f"q{i}"), f"a{i}") for i in range(40)]
-    provider = ReplayProvider(entries)
-    results = []
-    lock = threading.Lock()
-
-    def worker():
-        while True:
-            try:
-                completion = provider.complete(req("x"))
-            except TranscriptExhausted:
-                return
-            with lock:
-                results.append(completion.text)
-
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert sorted(results) == sorted(f"a{i}" for i in range(40))
-    assert len(set(results)) == 40
-
-
-# ---------------------------------------------------------------------------
 # Remote provider against a local server
 # ---------------------------------------------------------------------------
 
@@ -194,6 +108,13 @@ def test_replay_concurrent_cursor_advancement():
 class _Handler(BaseHTTPRequestHandler):
     behavior = ["ok"]  # mutated per test
     bodies = []  # every body answered, in order; emptied per test
+    # replies of the wrong shape: each mode overrides a field of the reply
+    shapes = {
+        "null-content": {"content": None},
+        "list-content": {"content": ["x"]},
+        "null-usage": {"usage": None},
+        "list-usage": {"usage": [7, 3]},
+    }
 
     def do_POST(self):
         mode = self.behavior[0]
@@ -213,12 +134,13 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         self.bodies.append(body)
-        text = "echo: " + body["messages"][-1]["content"]
+        reply = {
+            "content": "echo: " + body["messages"][-1]["content"],
+            "usage": {"prompt_tokens": 7, "completion_tokens": 3},
+            **self.shapes.get(mode, {}),
+        }
         payload = json.dumps(
-            {
-                "choices": [{"message": {"content": text}}],
-                "usage": {"prompt_tokens": 7, "completion_tokens": 3},
-            }
+            {"choices": [{"message": {"content": reply["content"]}}], "usage": reply["usage"]}
         ).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -233,7 +155,7 @@ class _Handler(BaseHTTPRequestHandler):
 @pytest.fixture
 def local_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     _Handler.behavior[0] = "ok"
     _Handler.bodies.clear()
@@ -243,12 +165,55 @@ def local_server():
 
 
 def test_remote_provider_completes(local_server):
-    capture = []
+    capture = {}
     provider = RemoteProvider(url=local_server, model="m", api_key="k", capture=capture)
     completion = provider.complete(req("ping"))
     assert completion.text == "echo: ping"
     assert completion == Completion("echo: ping", 7, 3)
-    assert capture == [TranscriptEntry(req("ping"), "echo: ping")]
+    assert capture == {fingerprint(req("ping")): "echo: ping"}
+
+
+def test_a_captured_session_replays_offline_as_a_script(local_server, tmp_path, capsys):
+    def masked(store_dir):
+        [record] = EpisodicStore.open(store_dir).records
+        obj = json.loads(serialize_record(record))
+        obj["timestamp"] = obj["metrics"]["latency_ms"] = None
+        return obj
+
+    query, capture = "What is 2+2?", {}
+    provider = RemoteProvider(url=local_server, model="m", capture=capture)
+    solve(query, default_kit(), provider, default_registry(),
+          EpisodicStore.open(tmp_path / "live"))
+    script = tmp_path / "script.json"
+    save_script(capture, script)
+    prompts = {json.dumps(body["messages"]) for body in _Handler.bodies}
+    assert len(capture) == len(prompts) > 1
+
+    replayed = tmp_path / "replayed"
+    assert main(["solve", query, "--script", str(script), "--store", str(replayed)]) == 0
+    capsys.readouterr()
+    assert masked(replayed) == masked(tmp_path / "live")
+
+
+@pytest.mark.parametrize("mode", ["null-content", "list-content", "list-usage"])
+def test_a_reply_of_the_wrong_shape_is_a_failed_encounter(local_server, tmp_path, mode):
+    # a reply whose content is not text is kept out of a capture, so a
+    # saved capture always loads as a script
+    _Handler.behavior[0] = mode
+    capture, store = {}, EpisodicStore.open(tmp_path / "store")
+    provider = RemoteProvider(url=local_server, model="m", capture=capture)
+    solution = solve("What is 2+2?", default_kit(), provider, default_registry(), store)
+    [record] = store.records
+    assert (solution.route, solution.provider_calls) == (Route.SYSTEM2, 1)
+    assert not record.outcome.success
+    assert "unexpected payload" in record.outcome.actual_result
+    assert len(_Handler.bodies) == 1 and capture == {}
+
+
+def test_remote_provider_null_usage_counts_no_tokens(local_server):
+    _Handler.behavior[0] = "null-usage"
+    provider = RemoteProvider(url=local_server, model="m")
+    assert provider.complete(req("ping")) == Completion("echo: ping", 0, 0)
 
 
 def test_remote_provider_posts_the_agent_request(local_server):
