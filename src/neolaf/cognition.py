@@ -550,7 +550,7 @@ def _evaluate(kit, ledger, registry, query, steps, forecast, evidence):
         outcome = Outcome(answer, True, tuple(evidence), None)
         return outcome, CoTaskState.DONE, answer
 
-    calc_available = "calc" in kit.tool_allowlist and registry.describe("calc") is not None
+    calc_available = "calc" in kit.tool_allowlist and "calc" in registry.tools
     if calc_available and calculator.try_eval(answer) is not None:
         result = ledger.call_tool(kit, registry, ToolDirective("calc", {"expr": answer}), evidence)
         if result.ok:

@@ -194,6 +194,11 @@ def _problem_from_fields(obj: dict, problem_id: str, file: str, line: Optional[i
     )
 
 
+def _undecodable(exc: ValueError, file: str, line: Optional[int] = None) -> FormatError:
+    detail = f"invalid JSON: {exc.msg}" if isinstance(exc, json.JSONDecodeError) else str(exc)
+    return FormatError(detail, file, line)
+
+
 def load_dataset(path, format: str = "math_dir") -> list[Problem]:
     """Load problems from a directory tree or a JSON Lines file."""
     path = Path(path)
@@ -204,8 +209,8 @@ def load_dataset(path, format: str = "math_dir") -> list[Problem]:
         for file in sorted(path.rglob("*.json")):
             try:
                 obj = json.loads(file.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON: {exc.msg}", str(file)) from exc
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise _undecodable(exc, str(file)) from exc
             if not isinstance(obj, dict):
                 raise FormatError("problem file must hold a JSON object", str(file))
             relative = file.relative_to(path).with_suffix("")
@@ -218,15 +223,14 @@ def load_dataset(path, format: str = "math_dir") -> list[Problem]:
         if not path.is_file():
             raise FileNotFoundError(f"dataset file {path} does not exist")
         problems = []
-        with open(path, encoding="utf-8") as fh:
-            for number, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+        with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
+            for number, raw in enumerate(fh, start=1):
                 try:
+                    if not (line := raw.decode("utf-8").strip()):
+                        continue
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise FormatError(f"invalid JSON: {exc.msg}", str(path), number) from exc
+                except ValueError as exc:  # not UTF-8, or not JSON
+                    raise _undecodable(exc, str(path), number) from exc
                 if not isinstance(obj, dict):
                     raise FormatError("line must hold a JSON object", str(path), number)
                 problems.append(

@@ -227,11 +227,9 @@ class RemoteProvider(CompletionProvider):
                 raise TypeError(f"reply content must be text, not {text!r}")
             if not isinstance(usage, dict):
                 raise TypeError(f"usage must be an object, not {usage!r}")
-            return (
-                text,
-                int(usage.get("prompt_tokens", 0)),
-                int(usage.get("completion_tokens", 0)),
-            )
+            counts = (usage.get("prompt_tokens"), usage.get("completion_tokens"))
+            # a count that is not a whole number of 0 or more (bool is no number) reads 0
+            return (text, *(n if type(n) is int and n >= 0 else 0 for n in counts))
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise TransportError(f"remote provider returned an unexpected payload: {exc}") from exc
 

@@ -1,9 +1,11 @@
-"""Grounding tools: registry, dispatch, and the tool directive syntax.
+"""Grounding tools: a fixed tool table, dispatch, and the tool directive syntax.
 
-Tools are how the slow reasoning path touches reality. The registry maps
-names to implementations behind a schema check; invocation never raises
-through: every failure becomes a ``ToolResult`` with ``ok=False`` so a
-bad tool call can fail a step without killing the encounter.
+Tools are how the slow reasoning path touches reality. The registry is a
+fixed table that maps each tool name to its implementation and the text
+arguments it requires; the exact calculator, ``calc``, is the one built
+in. Invocation never raises through: every failure becomes a
+``ToolResult`` with ``ok=False`` so a bad tool call can fail a step
+without killing the encounter.
 
 Action text may request a tool with a directive line of the exact form::
 
@@ -18,20 +20,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional
 
 from .calculator import eval_expression, render_value
 from .errors import NeolafError
 
 _NAME = r"[a-z][a-z0-9_]*"  # tool and argument names
-_NAME_RE = re.compile(_NAME)
-
-
-class DuplicateToolName(NeolafError):
-    def __init__(self, name: str):
-        super().__init__(f"tool {name!r} is already registered")
-        self.name = name
 
 
 class MalformedDirective(NeolafError):
@@ -44,24 +38,6 @@ class MalformedDirective(NeolafError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class ArgKind(str, Enum):
-    STRING = "string"
-    NUMBER = "number"
-
-
-@dataclass(frozen=True)
-class ArgSpec:
-    name: str
-    kind: ArgKind
-
-
-@dataclass(frozen=True)
-class ToolDescriptor:
-    name: str
-    description: str
-    arg_schema: tuple[ArgSpec, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -85,41 +61,26 @@ def _fail(detail: str) -> ToolResult:
 
 
 class ToolRegistry:
-    """Name-keyed tool dispatch. Register everything up front; the
-    registry is treated as immutable once invocation starts."""
+    """A fixed tool table: each name maps to ``(implementation, names of
+    the text arguments it requires)``. A tool takes exactly those
+    arguments, each a string."""
 
-    def __init__(self):
-        self._tools: dict[str, tuple[ToolDescriptor, ToolImpl]] = {}
-
-    def describe(self, name: str) -> Optional[ToolDescriptor]:
-        entry = self._tools.get(name)
-        return entry[0] if entry else None
-
-    def register(self, descriptor: ToolDescriptor, implementation: ToolImpl) -> "ToolRegistry":
-        if not _NAME_RE.fullmatch(descriptor.name):
-            raise ValueError(f"tool name {descriptor.name!r} must match [a-z][a-z0-9_]*")
-        if descriptor.name in self._tools:
-            raise DuplicateToolName(descriptor.name)
-        self._tools[descriptor.name] = (descriptor, implementation)
-        return self
+    def __init__(self, tools: dict[str, tuple[ToolImpl, tuple[str, ...]]]):
+        self.tools = dict(tools)
 
     def invoke(self, name: str, args: dict) -> ToolResult:
-        entry = self._tools.get(name)
+        entry = self.tools.get(name)
         if entry is None:
             return _fail(f"UnknownTool: no tool named {name!r}")
-        descriptor, implementation = entry
-        schema = {spec.name: spec.kind for spec in descriptor.arg_schema}
+        implementation, arg_names = entry
         for arg_name in args:
-            if arg_name not in schema:
+            if arg_name not in arg_names:
                 return _fail(f"ArgSchemaViolation: {name} does not take {arg_name!r}")
-        for arg_name, kind in schema.items():
+        for arg_name in arg_names:
             if arg_name not in args:
                 return _fail(f"ArgSchemaViolation: {name} requires {arg_name!r}")
-            value = args[arg_name]
-            if kind is ArgKind.STRING and not isinstance(value, str):
+            if not isinstance(args[arg_name], str):
                 return _fail(f"ArgSchemaViolation: {arg_name!r} must be a string")
-            if kind is ArgKind.NUMBER and (isinstance(value, bool) or not isinstance(value, (int, float))):
-                return _fail(f"ArgSchemaViolation: {arg_name!r} must be a number")
         try:
             return ToolResult(output=implementation(args), ok=True)
         except Exception as exc:  # tool failures are data, not crashes
@@ -132,16 +93,7 @@ def _calc(args: dict) -> str:
 
 def default_registry() -> ToolRegistry:
     """Registry with the built-in exact calculator under the name ``calc``."""
-    registry = ToolRegistry()
-    registry.register(
-        ToolDescriptor(
-            name="calc",
-            description="Evaluate an arithmetic expression with exact rational arithmetic.",
-            arg_schema=(ArgSpec("expr", ArgKind.STRING),),
-        ),
-        _calc,
-    )
-    return registry
+    return ToolRegistry({"calc": (_calc, ("expr",))})
 
 
 # --------------------------------------------------------------------------

@@ -66,6 +66,8 @@ REPLAN = {
 }
 
 _QUERY_LINE = re.compile(r"^(?:Problem|Task):\s*(.*)$", re.MULTILINE)
+# a reinforcement item in a context block: its situation and its result
+_CONFIRMED = re.compile(r"^- \[[\d.]+\] Confirmed for '(.*)': .* produced (.*)$", re.MULTILINE)
 
 
 def _solution_text(kind: str, boxed: str) -> str:
@@ -162,6 +164,34 @@ def make_responder():
         raise AssertionError(f"unhandled phase {phase}")
 
     return responder
+
+
+def make_learner():
+    """The responder, plus recall of its own experience.
+
+    A fast-path prompt whose context holds a reinforcement item
+    (``Confirmed for '...<query>...': ... produced X``) is answered X at
+    confidence 0.9; every other prompt goes to the responder. So a
+    problem solved once on the slow path takes the fast path when it
+    comes again with that item retrieved.
+    """
+    responder = make_responder()
+    marker = DEFAULT_TEMPLATES["confidence"].splitlines()[0]
+
+    def learner(request) -> str:
+        body = request.messages[-1].content
+        if body.splitlines()[0] == marker:
+            query = _QUERY_LINE.search(body).group(1)
+            for situation, result in _CONFIRMED.findall(body):
+                if query in situation:
+                    return (
+                        f"ANSWER: {result}\n"
+                        "EXPLANATION: recalled from experience\n"
+                        "CONFIDENCE: 0.9"
+                    )
+        return responder(request)
+
+    return learner
 
 
 class CapturingProvider(CompletionProvider):

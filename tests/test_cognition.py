@@ -37,7 +37,7 @@ from neolaf.cognition import (
     solve,
     system1_request,
 )
-from neolaf.harness import load_dataset
+from neolaf.harness import answers_equal, load_dataset
 from neolaf.kstar import CoTaskState, GroundingEvidence, StepStatus
 from neolaf.memory import (
     EpisodicStore,
@@ -54,9 +54,10 @@ from neolaf.provider import (
     load_script,
 )
 from neolaf.templates import DEFAULT_TEMPLATES
-from neolaf.toolkit import ArgKind, ArgSpec, ToolDescriptor, ToolRegistry, default_registry
+from neolaf.toolkit import ToolRegistry, default_registry
 
 from conftest import make_record
+from fixtures.generate_fixtures import CapturingProvider, make_learner
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -532,6 +533,25 @@ def test_solve_records_carry_their_solution_counts(kit, store, system1_only, no_
     assert len(store.records) == 20
 
 
+def test_experience_moves_repeat_problems_to_the_fast_path(kit, store, no_network):
+    # encode -> retrieve -> context -> route: a model that reads its
+    # retrieved experience answers a problem it solved before on the
+    # fast path, in one call
+    provider = CapturingProvider(make_learner(), {})
+    problems = load_dataset(FIXTURES / "math20", "math_dir")
+    passes = []
+    for _ in range(2):
+        solutions = [
+            (solve(p.statement, kit, provider, default_registry(), store), p) for p in problems
+        ]
+        passes.append((
+            sum(s.provider_calls for s, _ in solutions),
+            sum(answers_equal(s.answer, p.reference_answer) for s, p in solutions),
+            sum(s.route is Route.SYSTEM2 for s, _ in solutions),
+        ))
+    assert passes == [(56, 20, 6), (20, 20, 0)]
+
+
 def test_solve_system1_only_accepts_anything(kit, store):
     query = "Compute 1/3 + 1/6 exactly."
     script = {
@@ -690,11 +710,7 @@ def _failing_calc_registry():
     def offline(args):
         raise RuntimeError("offline")
 
-    registry = ToolRegistry()
-    registry.register(
-        ToolDescriptor("calc", "always fails", (ArgSpec("expr", ArgKind.STRING),)), offline
-    )
-    return registry
+    return ToolRegistry({"calc": (offline, ("expr",))})
 
 
 def test_calc_check_grounds_a_bare_numeric_answer(kit, store, no_network):

@@ -156,6 +156,14 @@ def test_load_math_dir_missing_solution_names_file(tmp_path):
     assert "1.json" in str(excinfo.value)
 
 
+def test_load_math_dir_names_a_file_that_is_not_utf8(tmp_path):
+    bad = tmp_path / "dataset" / "algebra" / "1.json"
+    bad.parent.mkdir(parents=True)
+    bad.write_bytes(b'{"problem": "\xff", "solution": "$\\boxed{1}$"}')
+    with pytest.raises(FormatError, match=f"^{re.escape(str(bad))}: 'utf-8' codec"):
+        load_dataset(tmp_path / "dataset", "math_dir")
+
+
 def test_load_math_dir_missing_path(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_dataset(tmp_path / "nope", "math_dir")
@@ -187,6 +195,14 @@ def test_load_jsonl_reports_line_numbers(tmp_path):
     with pytest.raises(FormatError) as excinfo:
         load_dataset(path, "jsonl")
     assert excinfo.value.line == 2
+
+
+def test_load_jsonl_names_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "problems.jsonl"
+    row = b'{"problem": "x", "solution": "$\\boxed{1}$"}\n'
+    path.write_bytes(row + row.replace(b"x", b"\xff") + row)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: 'utf-8' codec"):
+        load_dataset(path, "jsonl")
 
 
 @pytest.mark.parametrize("row", ["5", '["problem", "solution"]'])

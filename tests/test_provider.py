@@ -113,6 +113,9 @@ class _Handler(BaseHTTPRequestHandler):
         "null-content": {"content": None},
         "list-content": {"content": ["x"]},
         "null-usage": {"usage": None},
+        "null-count": {"usage": {"prompt_tokens": None, "completion_tokens": 3}},
+        "negative-count": {"usage": {"prompt_tokens": -5, "completion_tokens": 3}},
+        "bool-count": {"usage": {"prompt_tokens": 7, "completion_tokens": True}},
         "list-usage": {"usage": [7, 3]},
     }
 
@@ -210,10 +213,17 @@ def test_a_reply_of_the_wrong_shape_is_a_failed_encounter(local_server, tmp_path
     assert len(_Handler.bodies) == 1 and capture == {}
 
 
-def test_remote_provider_null_usage_counts_no_tokens(local_server):
-    _Handler.behavior[0] = "null-usage"
+# a token count that is not a whole number of 0 or more reads 0, and the
+# reply text is kept
+_TOKENS = {"null-usage": (0, 0), "null-count": (0, 3), "negative-count": (0, 3),
+           "bool-count": (7, 0)}
+
+
+@pytest.mark.parametrize("mode", _TOKENS)
+def test_remote_provider_null_usage_counts_no_tokens(local_server, mode):
+    _Handler.behavior[0] = mode
     provider = RemoteProvider(url=local_server, model="m")
-    assert provider.complete(req("ping")) == Completion("echo: ping", 0, 0)
+    assert provider.complete(req("ping")) == Completion("echo: ping", *_TOKENS[mode])
 
 
 def test_remote_provider_posts_the_agent_request(local_server):
