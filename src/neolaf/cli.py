@@ -12,7 +12,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .cognition import ReviewRejected, Solution, default_kit, kit_from_dict, load_kit, solve
-from .errors import NeolafError
+from .errors import NeolafError, read_json
 from .harness import (
     EvalConfig,
     compare,
@@ -165,9 +165,7 @@ def _cmd_eval(args) -> int:
 
 
 def _load_eval_config(path) -> EvalConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+    def build(obj) -> EvalConfig:
         if not isinstance(obj, dict):
             raise ValueError("must hold a JSON object")
         if not isinstance(obj.get("provider"), dict):
@@ -180,14 +178,9 @@ def _load_eval_config(path) -> EvalConfig:
             raise ValueError("field 'system1_only' must be true or false")
         kit = load_kit(obj["kit_path"]) if "kit_path" in obj else kit_from_dict(obj.get("kit", {}))
         provider = provider_from_config(obj["provider"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config file {path}: {exc}") from exc
-    return EvalConfig(
-        name=name,
-        kit=kit,
-        provider=provider,
-        system1_only=system1_only,
-    )
+        return EvalConfig(name=name, kit=kit, provider=provider, system1_only=system1_only)
+
+    return read_json(path, build)
 
 
 def _cmd_compare(args) -> int:

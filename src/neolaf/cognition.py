@@ -33,7 +33,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .errors import NeolafError
+from .errors import NeolafError, read_json
 from .kstar import (
     DEFAULT_REPLAN_BUDGET,
     ActionStep,
@@ -155,11 +155,7 @@ def kit_from_dict(obj: dict) -> StarterKit:
 
 
 def load_kit(path) -> StarterKit:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return kit_from_dict(json.load(fh))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"kit file {path}: {exc}") from exc
+    return read_json(path, kit_from_dict)
 
 
 def save_kit(kit: StarterKit, path) -> None:

@@ -6,12 +6,14 @@ with ``problem``/``level``/``type``/``solution`` fields, nested in
 subject directories) or as JSON Lines. Reference answers are extracted
 from the last boxed region of the worked solution; problems whose answer
 cannot be extracted are loaded with an empty reference and excluded from
-accuracy denominators.
+accuracy denominators. A bad file, or line, raises FormatError naming it.
 
 Answer equality is string equality after normalization, falling back to
 exact rational comparison (or 1e-6 relative float agreement) when both
 sides parse as arithmetic expressions. Symbolic equivalence is out of
-scope: "x+1" and "1+x" are unequal.
+scope: "x+1" and "1+x" are unequal. Normalizing recurses only into nested
+``\\frac`` and ``\\sqrt`` groups, and keeps them as written past
+``calculator.MAX_NESTING`` levels; extraction scans each character once.
 """
 
 from __future__ import annotations
@@ -21,26 +23,19 @@ import math
 import re
 import statistics
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import calculator
 from .cognition import StarterKit, solve
-from .errors import NeolafError
+from .errors import FormatError, NeolafError, read_json, read_lines
 from .kstar import SituationSource
 from .memory import EpisodicStore
 from .provider import CompletionProvider
 from .toolkit import default_registry
-
-
-class FormatError(NeolafError):
-    def __init__(self, message: str, file: str, line: Optional[int] = None):
-        location = f"{file}:{line}" if line is not None else file
-        super().__init__(f"{location}: {message}")
-        self.file = file
-        self.line = line
 
 
 class NoFinalAnswer(NeolafError):
@@ -64,9 +59,10 @@ class Problem:
 _BOXED = "\\boxed{"
 
 
-def _balanced_braces(text: str, open_index: int) -> Optional[str]:
+def _balanced_braces(text: str, open_index: int, end: Optional[int] = None) -> Optional[str]:
+    """The text inside the group that opens at ``open_index``, if it closes before ``end``."""
     depth = 0
-    for i in range(open_index, len(text)):
+    for i in range(open_index, len(text) if end is None else end):
         if text[i] == "{":
             depth += 1
         elif text[i] == "}":
@@ -78,15 +74,18 @@ def _balanced_braces(text: str, open_index: int) -> Optional[str]:
 
 def extract_final_answer(solution_text: str) -> str:
     """Normalized content of the last balanced boxed region."""
-    position = len(solution_text)
+    position = end = len(solution_text)
     while True:
         position = solution_text.rfind(_BOXED, 0, position)
         if position < 0:
             raise NoFinalAnswer("no boxed answer found")
-        inner = _balanced_braces(solution_text, position + len(_BOXED) - 1)
+        inner = _balanced_braces(solution_text, position + len(_BOXED) - 1, end)
         if inner is not None:
             return normalize_answer(inner)
-        # unbalanced region: keep scanning earlier occurrences
+        # Unbalanced: past this point the depth never falls back to this
+        # group's start. So a group opened earlier and still open here never
+        # closes either: each scan stops where the one before it began.
+        end = position
 
 
 def _wrap_part(part: str) -> str:
@@ -99,43 +98,36 @@ def _wrap_part(part: str) -> str:
     return f"({part})"
 
 
-def _rewrite_frac(text: str) -> str:
-    marker = "\\frac{"
-    found = text.find(marker)
-    if found < 0:
+def _rewrite(text: str, depth: int, marker: str, arity: int, form: Callable[..., str]) -> str:
+    """``text`` with each command that opens with ``marker`` and has ``arity``
+    groups written as ``form`` of its rewritten groups."""
+    if marker not in text:
         return text
-    brace = found + len(marker) - 1
-    numerator = _balanced_braces(text, brace)
-    if numerator is None:
-        return text
-    after = brace + len(numerator) + 2
-    if after >= len(text) or text[after] != "{":
-        # missing denominator group: leave the command verbatim
-        return text[:after] + _rewrite_frac(text[after:])
-    denominator = _balanced_braces(text, after)
-    if denominator is None:
-        return text
-    rest = after + len(denominator) + 2
-    p = _wrap_part(_rewrite_all(numerator))
-    q = _wrap_part(_rewrite_all(denominator))
-    return text[:found] + f"{p}/{q}" + _rewrite_frac(text[rest:])
+    out, start = [], 0
+    while (found := text.find(marker, start)) >= 0:
+        end, groups = found + len(marker) - 1, []
+        while len(groups) < arity and text.startswith("{", end):
+            if (group := _balanced_braces(text, end)) is None:
+                break
+            groups.append(group)
+            end += len(group) + 2
+        if len(groups) < arity:
+            if text.startswith("{", end):  # an unbalanced group: the rest stays verbatim
+                break
+            out.append(text[start:end])  # a missing group: the command stays verbatim
+            start = end
+            continue
+        out.append(text[start:found] + form(*[_rewrite_all(g, depth + 1) for g in groups]))
+        start = end
+    out.append(text[start:])
+    return "".join(out)
 
 
-def _rewrite_sqrt(text: str) -> str:
-    marker = "\\sqrt{"
-    found = text.find(marker)
-    if found < 0:
-        return text
-    brace = found + len(marker) - 1
-    inner = _balanced_braces(text, brace)
-    if inner is None:
-        return text
-    rest = brace + len(inner) + 2
-    return text[:found] + f"sqrt({_rewrite_all(inner)})" + _rewrite_sqrt(text[rest:])
-
-
-def _rewrite_all(text: str) -> str:
-    return _rewrite_sqrt(_rewrite_frac(text))
+def _rewrite_all(text: str, depth: int = 0) -> str:
+    if depth > calculator.MAX_NESTING:
+        raise RecursionError(f"groups nested past {calculator.MAX_NESTING} levels")
+    text = _rewrite(text, depth, "\\frac{", 2, lambda p, q: f"{_wrap_part(p)}/{_wrap_part(q)}")
+    return _rewrite(text, depth, "\\sqrt{", 1, lambda inner: f"sqrt({inner})")
 
 
 def normalize_answer(raw: str) -> str:
@@ -144,7 +136,10 @@ def normalize_answer(raw: str) -> str:
     s = s.replace("$", "")
     s = s.replace("\\left", "").replace("\\right", "")
     s = re.sub(r"^(?:the\s+)?(?:final\s+)?answer\s+is\s*:?\s*", "", s, flags=re.IGNORECASE)
-    s = _rewrite_all(s)
+    try:
+        s = _rewrite_all(s)
+    except RecursionError:  # nested too deeply: keep the groups as written
+        pass
     s = re.sub(r"\s+", " ", s)
     return s.strip()
 
@@ -170,73 +165,53 @@ def answers_equal(a: str, b: str) -> bool:
 # --------------------------------------------------------------------------
 
 
-def _problem_from_fields(obj: dict, problem_id: str, file: str, line: Optional[int] = None) -> Problem:
+def _problem_from_fields(obj, problem_id=None, subject=None) -> Problem:
+    """The problem ``obj`` holds, with ``problem_id`` and ``subject`` unless
+    it names its own ``id`` and ``type``; a wrong shape raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError("must hold a JSON object")
     for required in ("problem", "solution"):
         if required not in obj:
-            raise FormatError(f"missing field {required!r}", file, line)
+            raise ValueError(f"missing field {required!r}")
     statement = obj["problem"]
     solution = obj["solution"]
     if not isinstance(statement, str) or not statement.strip():
-        raise FormatError("field 'problem' must be non-empty text", file, line)
+        raise ValueError("field 'problem' must be non-empty text")
     if not isinstance(solution, str) or not solution.strip():
-        raise FormatError("field 'solution' must be non-empty text", file, line)
+        raise ValueError("field 'solution' must be non-empty text")
     try:
         reference = extract_final_answer(solution)
     except NoFinalAnswer:
         reference = ""
     return Problem(
-        id=str(obj.get("id", problem_id)),
+        id=str(obj["id"]) if "id" in obj else problem_id,
         statement=statement,
         reference_solution=solution,
         reference_answer=reference,
         level=obj.get("level"),
-        subject=obj.get("type"),
+        subject=obj.get("type", subject),
     )
 
 
-def _undecodable(exc: ValueError, file: str, line: Optional[int] = None) -> FormatError:
-    detail = f"invalid JSON: {exc.msg}" if isinstance(exc, json.JSONDecodeError) else str(exc)
-    return FormatError(detail, file, line)
-
-
 def load_dataset(path, format: str = "math_dir") -> list[Problem]:
-    """Load problems from a directory tree or a JSON Lines file."""
+    """Load problems from a directory tree or a JSON Lines file. A file, or
+    a line, that fails raises FormatError naming it."""
     path = Path(path)
     if format == "math_dir":
         if not path.is_dir():
             raise FileNotFoundError(f"dataset directory {path} does not exist")
         problems = []
         for file in sorted(path.rglob("*.json")):
-            try:
-                obj = json.loads(file.read_text(encoding="utf-8"))
-            except ValueError as exc:  # not UTF-8, or not JSON
-                raise _undecodable(exc, str(file)) from exc
-            if not isinstance(obj, dict):
-                raise FormatError("problem file must hold a JSON object", str(file))
-            relative = file.relative_to(path).with_suffix("")
-            problem_id = relative.as_posix()
-            fields = dict(obj)
-            fields.setdefault("type", file.parent.name if file.parent != path else None)
-            problems.append(_problem_from_fields(fields, problem_id, str(file)))
+            problem_id = file.relative_to(path).with_suffix("").as_posix()
+            subject = file.parent.name if file.parent != path else None
+            problems.append(read_json(file, partial(
+                _problem_from_fields, problem_id=problem_id, subject=subject
+            )))
         return problems
     if format == "jsonl":
-        if not path.is_file():
-            raise FileNotFoundError(f"dataset file {path} does not exist")
-        problems = []
-        with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
-            for number, raw in enumerate(fh, start=1):
-                try:
-                    if not (line := raw.decode("utf-8").strip()):
-                        continue
-                    obj = json.loads(line)
-                except ValueError as exc:  # not UTF-8, or not JSON
-                    raise _undecodable(exc, str(path), number) from exc
-                if not isinstance(obj, dict):
-                    raise FormatError("line must hold a JSON object", str(path), number)
-                problems.append(
-                    _problem_from_fields(obj, f"line{number}", str(path), number)
-                )
-        return problems
+        lines = read_lines(path, lambda line: _problem_from_fields(json.loads(line)),
+                           lambda exc, number: FormatError(exc, path, number))
+        return [p if p.id is not None else replace(p, id=f"line{n}") for n, p in lines]
     raise ValueError(f"unknown dataset format {format!r}")
 
 

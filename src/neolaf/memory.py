@@ -11,8 +11,9 @@ appends a new version of the item, and reload keeps the last one per id.
 Opening a store decodes every knowledge line, but a record line only when it
 lacks the canonical ``{"id":N,`` prefix, or is the last; open checks that ids
 increase. The rest are decoded, once, by the ``records``, ``get_record`` or
-``consolidate`` call that first reaches them. A corrupt line fails the open, or
-that call, with a StorageError naming its file and line. Items are set through
+``consolidate`` call that first reaches them. Read by ``errors.read_lines``,
+a corrupt line (one nested too deeply to decode too) fails the open, or that
+call, with a StorageError naming its file and line. Items are set through
 their slots, at half the frozen constructor's cost: a 10k-item store opens in
 ~90 ms on one shared core (log scan 22, knowledge JSON 37, items 21). The open
 pauses the (process-wide) cyclic collector, as nothing it builds is cyclic
@@ -58,9 +59,9 @@ from enum import Enum
 from functools import partial, reduce
 from operator import attrgetter, mul, or_
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Optional
 
-from .errors import NeolafError
+from .errors import BAD_INPUT, NeolafError, read_lines
 from .kstar import (
     KstarRecord, deserialize_record, dumps, enum_decoder, loads, serialize_record, validate_record,
 )
@@ -167,9 +168,7 @@ def consolidation_example_from_dict(obj: dict) -> ConsolidationExample:
 def read_consolidation(path) -> list[ConsolidationExample]:
     """The examples of a consolidation file; a corrupt line raises
     StorageError naming the file and the line."""
-    lines = _read_lines(
-        Path(path), _consolidation_line, f"consolidation file {path}", missing_ok=False
-    )
+    lines = read_lines(path, _consolidation_line, _corrupt(f"consolidation file {path}"))
     return [example for _, example in lines]
 
 
@@ -387,26 +386,12 @@ def _knowledge_bytes(items: list[KnowledgeItem]) -> bytes:
     return "".join([dumps(knowledge_item_to_dict(item)) + "\n" for item in items]).encode("utf-8")
 
 
-_CORRUPT = (NeolafError, ValueError, KeyError, TypeError, AttributeError)
+def _corrupt(what: str) -> Callable[[Any, int], StorageError]:
+    """The ``read_lines`` failure of line ``number`` of the file ``what``, as ``exc`` says."""
+    return lambda exc, number: StorageError(f"{what} corrupt at line {number}: {exc}")
 
 
-def _read_lines(
-    path: Path, decode: Callable[[str], Any], what: str, missing_ok: bool = True
-) -> Iterator[tuple[int, Any]]:
-    """Decode each non-blank line of ``path``; a line that fails raises
-    StorageError naming ``what`` and the line number. A missing file has
-    no lines if ``missing_ok``, as a store's files may not exist yet."""
-    if missing_ok and not path.exists():
-        return
-    with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
-        for number, raw in enumerate(fh, start=1):
-            try:
-                if not (line := raw.decode("utf-8").strip()):
-                    continue
-                value = decode(line)
-            except _CORRUPT as exc:
-                raise StorageError(f"{what} corrupt at line {number}: {exc}") from exc
-            yield number, value
+_log_corrupt, _knowledge_corrupt = _corrupt("record log"), _corrupt("knowledge file")
 
 
 class EpisodicStore:
@@ -437,18 +422,17 @@ class EpisodicStore:
         gc.disable()
         try:
             last_id = 0
-            lines = _read_lines(self.log_path, _record_entry, "record log")
+            lines = read_lines(self.log_path, _record_entry, _log_corrupt, True)
             for number, (record_id, entry) in lines:
                 if record_id <= last_id:
-                    raise StorageError(
-                        f"record log corrupt at line {number}: id {record_id} after {last_id}"
-                    )
+                    raise _log_corrupt(f"id {record_id} after {last_id}", number)
                 last_id = record_id
                 self._ids.append(record_id)
                 self._records.append((number, entry) if type(entry) is str else entry)
             if self._records:  # a torn last line fails here, not under the next append
                 self._record_at(-1)
-            for _, item in _read_lines(self.knowledge_path, _knowledge_line, "knowledge file"):
+            lines = read_lines(self.knowledge_path, _knowledge_line, _knowledge_corrupt, True)
+            for _, item in lines:
                 self._knowledge[item.id] = item
         finally:
             if enabled:
@@ -468,8 +452,8 @@ class EpisodicStore:
                 entry, prefix_id = _record_line(line), self._ids[index]
                 if entry.id != prefix_id:
                     raise ValueError(f"id {entry.id} where the line starts with id {prefix_id}")
-            except _CORRUPT as exc:
-                raise StorageError(f"record log corrupt at line {number}: {exc}") from exc
+            except BAD_INPUT as exc:
+                raise _log_corrupt(exc, number) from exc
             self._records[index] = entry
         return entry
 

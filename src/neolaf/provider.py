@@ -41,7 +41,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional
 
-from .errors import NeolafError
+from .errors import NeolafError, read_json
 
 
 class ProviderError(NeolafError):
@@ -139,19 +139,18 @@ class ScriptedProvider(CompletionProvider):
         return _counted(request, self._script[key])
 
 
+def _script_from_value(data) -> dict[str, str]:
+    if not isinstance(data, dict):
+        raise ValueError("must hold a JSON object")
+    for key, text in data.items():
+        if not isinstance(text, str):
+            raise ValueError(f"key {key!r} must map to text, not {text!r}")
+    return data
+
+
 def load_script(path) -> dict[str, str]:
     """Load a script file: a JSON object mapping fingerprint to text."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("must hold a JSON object")
-        for key, text in data.items():
-            if not isinstance(text, str):
-                raise ValueError(f"key {key!r} must map to text, not {text!r}")
-    except ValueError as exc:
-        raise ValueError(f"script file {path}: {exc}") from exc
-    return data
+    return read_json(path, _script_from_value)
 
 
 def save_script(script: dict[str, str], path) -> None:

@@ -293,7 +293,7 @@ def test_malformed_kit_file_exits_two(tmp_path, capsys):
     ])
     err = capsys.readouterr().err
     assert code == 2
-    assert f"kit file {kit_path}: a kit must be a JSON object" in err
+    assert f"{kit_path}: a kit must be a JSON object" in err
 
 
 def test_kit_template_slot_that_is_not_text_exits_two(tmp_path, capsys):
@@ -307,7 +307,7 @@ def test_kit_template_slot_that_is_not_text_exits_two(tmp_path, capsys):
     ])
     err = capsys.readouterr().err
     assert code == 2
-    assert f"kit file {kit_path}: kit field 'prompt_templates' entry 'plan'" in err
+    assert f"{kit_path}: kit field 'prompt_templates' entry 'plan'" in err
 
 
 def test_script_reply_that_is_not_text_exits_two(tmp_path, capsys):
@@ -316,7 +316,7 @@ def test_script_reply_that_is_not_text_exits_two(tmp_path, capsys):
     code = main(["solve", QUERY, "--script", str(script), "--store", str(tmp_path / "store")])
     err = capsys.readouterr().err
     assert code == 2
-    assert f"script file {script}: key '0123456789abcdef' must map to text" in err
+    assert f"{script}: key '0123456789abcdef' must map to text" in err
 
 
 def test_memory_commands(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,16 @@ def test_extract_skips_unbalanced_final_box():
     assert extract_final_answer(text) == "7"
 
 
+def test_a_long_run_of_unclosed_boxes_loads_in_linear_time(tmp_path):
+    # a scan to the end of the text from each unclosed box would take seconds
+    path = tmp_path / "problems.jsonl"
+    solution = "\\boxed{1} " + "\\boxed{" * (100_000 // len("\\boxed{"))
+    path.write_text(json.dumps({"problem": "x", "solution": solution}) + "\n", encoding="utf-8")
+    started = time.perf_counter()
+    assert [p.reference_answer for p in load_dataset(path, "jsonl")] == ["1"]
+    assert time.perf_counter() - started < 1.0
+
+
 # ---------------------------------------------------------------------------
 # Normalization and equality
 # ---------------------------------------------------------------------------
@@ -98,6 +109,17 @@ def test_normalize_idempotent_on_random_strings():
         raw = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
         once = normalize_answer(raw)
         assert normalize_answer(once) == once
+
+
+@pytest.mark.parametrize("raw", [
+    "\\frac{1}{2}+" * 1000,  # once one stack frame per occurrence
+    "\\frac{" * 500 + "1" + "}{2}" * 500,  # past calculator.MAX_NESTING: kept as written
+], ids=["sequential", "nested"])
+def test_normalize_takes_many_and_deeply_nested_groups(raw):
+    once = normalize_answer(raw)
+    assert normalize_answer(once) == once
+    assert answers_equal(raw, raw)
+    assert extract_final_answer(f"\\boxed{{{raw}}}") == once
 
 
 def test_answers_equal_rational_decimal_agreement():
@@ -210,7 +232,7 @@ def test_load_jsonl_refuses_a_line_that_is_not_an_object(tmp_path, row):
     path = tmp_path / "problems.jsonl"
     path.write_text('{"problem": "x", "solution": "$\\\\boxed{1}$"}\n' + row + "\n",
                     encoding="utf-8")
-    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: line must hold a JSON object$"):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: must hold a JSON object$"):
         load_dataset(path, "jsonl")
 
 
