@@ -2,7 +2,7 @@
 
 import json
 import random
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -396,6 +396,64 @@ def test_record_text_that_is_not_one_object_fails_as_json_loads_does():
     )
     assert _decode_error("[1]") == "record must be a JSON object"
     assert _decode_error("NaN") == "record must be a JSON object"
+
+
+_CONTRACT_LINE = (
+    '{"id":4,"timestamp":"2024-03-01T12:00:00+00:00","knowledge_used":[1,2],'
+    '"situation":{"description":"add two fractions","context_tags":["math"],"source":"harness"},'
+    '"task":{"goal":"compute 1/3 + 1/6","subtasks":[{"goal":"find a common denominator",'
+    '"subtasks":[],"cotasks":{"planning":"done","forecasting":"done","grounding":"done"}}],'
+    '"cotasks":{"planning":"done","forecasting":"done","grounding":"done"}},'
+    '"plan":[{"agent":"self","skill":"restate the sum","constraints":["stay exact"],'
+    '"status":"executed","observed_output":"1/3 + 1/6"},'
+    '{"agent":"self","skill":"TOOL calc(expr=\\"1/3+1/6\\")","constraints":[],'
+    '"status":"planned","observed_output":null}],'
+    '"forecast":{"expected_result":"1/2","success_probability":0.9},'
+    '"outcome":{"actual_result":"1/2","success":true,"grounding_evidence":[{"tool_name":"calc",'
+    '"input":"{\\"expr\\":\\"1/3+1/6\\"}","output":"1/2"}],"feedback":null},'
+    '"knowledge_delta":[3],"metrics":{"latency_ms":12,"provider_calls":4,"tool_calls":1,"replans":0}}'
+)
+
+
+def _non_ascii_record():
+    """The contract record with non-ASCII text and a +05:30 timestamp."""
+    return replace(
+        _contract_record(),
+        timestamp=datetime(2024, 2, 29, 23, 30, 15, 250_000,
+                           tzinfo=timezone(timedelta(hours=5, minutes=30))),
+        situation=Situation("½ + ⅓ = ? — «réduire»", ("maths", "ü"), SituationSource.AGENT),
+        outcome=Outcome("5/6", False, (), 'könnte besser sein "zitiert" \\ 分'),
+    )
+
+
+_NON_ASCII_LINE = (
+    '{"id":4,"timestamp":"2024-02-29T18:00:15.250000+00:00","knowledge_used":[1,2],'
+    '"situation":{"description":"½ + ⅓ = ? — «réduire»","context_tags":["maths","ü"],'
+    '"source":"agent"},'
+    '"task":{"goal":"compute 1/3 + 1/6","subtasks":[{"goal":"find a common denominator",'
+    '"subtasks":[],"cotasks":{"planning":"done","forecasting":"done","grounding":"done"}}],'
+    '"cotasks":{"planning":"done","forecasting":"done","grounding":"done"}},'
+    '"plan":[{"agent":"self","skill":"restate the sum","constraints":["stay exact"],'
+    '"status":"executed","observed_output":"1/3 + 1/6"},'
+    '{"agent":"self","skill":"TOOL calc(expr=\\"1/3+1/6\\")","constraints":[],'
+    '"status":"planned","observed_output":null}],'
+    '"forecast":{"expected_result":"1/2","success_probability":0.9},'
+    '"outcome":{"actual_result":"5/6","success":false,"grounding_evidence":[],'
+    '"feedback":"könnte besser sein \\"zitiert\\" \\\\ 分"},'
+    '"knowledge_delta":[3],"metrics":{"latency_ms":12,"provider_calls":4,"tool_calls":1,"replans":0}}'
+)
+
+
+@pytest.mark.parametrize(
+    "record, line",
+    [(_contract_record(), _CONTRACT_LINE), (_non_ascii_record(), _NON_ASCII_LINE)],
+    ids=["contract", "non-ascii"],
+)
+def test_canonical_line_is_pinned(record, line):
+    """Key order at every depth, no spaces, UTF-8 text unescaped, UTC timestamps."""
+    assert serialize_record(record) == line
+    assert deserialize_record(line) == record
+    assert deserialize_record(line).timestamp.tzinfo is timezone.utc
 
 
 @pytest.mark.parametrize("before, after", [(" ", ""), ("\n", " \n"), ("\t", "\r\n")])
