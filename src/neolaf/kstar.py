@@ -6,6 +6,13 @@ state machine that orders an in-flight encounter, validation of the
 schema invariants, and a canonical JSON codec. Nothing here talks to a
 model, a tool, or the filesystem.
 
+The record dataclasses are the codec's one field list. The encoder writes
+each as an object of its fields in declaration order; the decoder walks
+the same fields with their type hints, so a field is added or renamed in
+its dataclass alone. A decoded line names the first bad field it meets,
+in that order: ``missing field <path>.<name>`` (the root is ``record``) or
+``bad field value at <path>: <detail>``.
+
 An in-flight encounter is a single-owner object mutated by one logical
 thread; completed records are frozen dataclasses and safe to share.
 """
@@ -13,11 +20,11 @@ thread; completed records are frozen dataclasses and safe to share.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from operator import itemgetter
-from typing import Any, Callable, Optional
+from functools import cache, partial
+from typing import Any, Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import NeolafError
 
@@ -100,7 +107,7 @@ class TaskSpec:
     """A goal, optionally decomposed into an ordered subtask tree."""
 
     goal: str
-    subtasks: tuple["TaskSpec", ...] = ()
+    subtasks: tuple[TaskSpec, ...] = ()
     cotasks: CoTasks = field(default_factory=CoTasks)
 
 
@@ -249,25 +256,15 @@ def advance(
 # --------------------------------------------------------------------------
 
 
-def _walk_task(
-    task: TaskSpec,
-    depth: int,
-    path: str,
-    seen: set[int],
-    violations: list[str],
-) -> None:
-    if id(task) in seen:
-        violations.append(f"{path} introduces a cycle in the subtask tree")
-        return
-    seen.add(id(task))
+def _walk_task(task: TaskSpec, depth: int, path: str, violations: list[str]) -> None:
+    """The depth bound ends every walk, also over a task built to contain itself."""
     if not task.goal.strip():
         violations.append(f"{path}.goal empty")
     if depth > DEFAULT_SUBTASK_DEPTH:
         violations.append(f"{path} exceeds subtask depth {DEFAULT_SUBTASK_DEPTH}")
         return
     for i, sub in enumerate(task.subtasks):
-        _walk_task(sub, depth + 1, f"{path}.subtasks[{i}]", seen, violations)
-    seen.discard(id(task))
+        _walk_task(sub, depth + 1, f"{path}.subtasks[{i}]", violations)
 
 
 def validate_record(record: KstarRecord) -> list[str]:
@@ -291,7 +288,7 @@ def validate_record(record: KstarRecord) -> list[str]:
     if len(set(s.context_tags)) != len(s.context_tags):
         v.append("situation.context_tags must be deduplicated")
 
-    _walk_task(record.task, 0, "task", set(), v)
+    _walk_task(record.task, 0, "task", v)
 
     if not record.plan:
         v.append("plan empty: at least one action step is required")
@@ -332,75 +329,94 @@ def validate_record(record: KstarRecord) -> list[str]:
 # Canonical serialization
 # --------------------------------------------------------------------------
 #
-# One UTF-8 JSON object per record, keys in a fixed order so equal records
-# produce identical bytes and logs stay diffable. Timestamps are RFC 3339.
+# One UTF-8 JSON object per record. Each object's keys are its dataclass's
+# fields in declaration order, so equal records produce identical bytes and
+# logs stay diffable; the dataclasses are the one field list. Timestamps are
+# RFC 3339 in UTC, ``str`` enums their values, tuples arrays.
 
 
-def _task_to_dict(task: TaskSpec) -> dict[str, Any]:
-    return {
-        "goal": task.goal,
-        "subtasks": [_task_to_dict(t) for t in task.subtasks],
-        "cotasks": {
-            "planning": task.cotasks.planning.value,
-            "forecasting": task.cotasks.forecasting.value,
-            "grounding": task.cotasks.grounding.value,
-        },
-    }
+@cache
+def _schema(cls: type) -> tuple[tuple[str, Optional[Callable[[Any, str], Any]], bool], ...]:
+    """Each field of the dataclass ``cls`` in declaration order: its name, its
+    decoder (None: the JSON value as it is), and whether it may be absent, as
+    a field typed ``Optional[...]`` may (it then reads as None)."""
+    hints = get_type_hints(cls)
+    schema = []
+    for f in fields(cls):
+        hint, optional = hints[f.name], get_origin(hints[f.name]) is Union
+        if optional:
+            (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+        schema.append((f.name, _decoder(hint), optional))
+    return tuple(schema)
 
 
-def record_to_dict(record: KstarRecord) -> dict[str, Any]:
-    """Build the canonical dict form (fixed key order) of a record."""
-    return {
-        "id": record.id,
-        "timestamp": record.timestamp.astimezone(timezone.utc).isoformat(),
-        "knowledge_used": list(record.knowledge_used),
-        "situation": {
-            "description": record.situation.description,
-            "context_tags": list(record.situation.context_tags),
-            "source": record.situation.source.value,
-        },
-        "task": _task_to_dict(record.task),
-        "plan": [
-            {
-                "agent": step.agent,
-                "skill": step.skill,
-                "constraints": list(step.constraints),
-                "status": step.status.value,
-                "observed_output": step.observed_output,
-            }
-            for step in record.plan
-        ],
-        "forecast": {
-            "expected_result": record.forecast.expected_result,
-            "success_probability": record.forecast.success_probability,
-        },
-        "outcome": {
-            "actual_result": record.outcome.actual_result,
-            "success": record.outcome.success,
-            "grounding_evidence": [
-                {"tool_name": e.tool_name, "input": e.input, "output": e.output}
-                for e in record.outcome.grounding_evidence
-            ],
-            "feedback": record.outcome.feedback,
-        },
-        "knowledge_delta": list(record.knowledge_delta),
-        "metrics": {
-            "latency_ms": record.metrics.latency_ms,
-            "provider_calls": record.metrics.provider_calls,
-            "tool_calls": record.metrics.tool_calls,
-            "replans": record.metrics.replans,
-        },
-    }
+def _decoder(hint: Any) -> Optional[Callable[[Any, str], Any]]:
+    """``decode(value, path)`` for a field typed ``hint``, found at ``path``."""
+    if is_dataclass(hint):
+        return partial(_build, hint)
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        return partial(_build_each, item) if is_dataclass(item) else _leaf(tuple)
+    if hint is datetime:
+        return _leaf(_parse_timestamp)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return _leaf(enum_decoder(hint))
+    return None
 
 
-# Every store line is ``json.dumps(obj, ensure_ascii=False, separators=(",", ":"))``;
-# ``json.dumps`` builds a new encoder per call for such arguments, so build it once.
-dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+def _leaf(decode: Callable[[Any], Any]) -> Callable[[Any, str], Any]:
+    return lambda value, path: decode(value)
+
+
+def _build(cls: type, obj: Any, path: str) -> Any:
+    """``cls`` from the JSON object ``obj`` found at ``path`` ("" for a record),
+    its fields read and checked in declaration order."""
+    if type(obj) is not dict:
+        if not path:
+            raise MalformedRecord("record must be a JSON object")
+        detail = f"expected an object, not {type(obj).__name__}"
+        raise MalformedRecord(f"bad field value at {path}: {detail}")
+    values = []
+    for name, decode, optional in _schema(cls):
+        if name in obj:
+            value = obj[name]
+        elif optional:
+            value = None
+        else:
+            raise MalformedRecord(f"missing field {path or 'record'}.{name}")
+        if decode is not None and not (value is None and optional):
+            where = f"{path}.{name}" if path else name
+            try:
+                value = decode(value, where)
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise MalformedRecord(f"bad field value at {where}: {exc}") from exc
+        values.append(value)
+    return cls(*values)
+
+
+def _build_each(cls: type, items: Any, path: str) -> tuple:
+    return tuple([_build(cls, obj, f"{path}[{i}]") for i, obj in enumerate(items)])
+
+
+def _plain(obj: Any) -> Any:
+    """The encoder's hook for what JSON lacks: a dataclass as its fields in
+    declaration order, a ``datetime`` as RFC 3339 text in UTC."""
+    if type(obj) is datetime:
+        return obj.astimezone(timezone.utc).isoformat()
+    return {name: getattr(obj, name) for name, _, _ in _schema(type(obj))}
+
+
+# Every store line is ``dumps(obj)``; ``json.dumps`` would build a new encoder per call.
+# What it encodes is a tree (a frozen record cannot hold itself), so the per-container
+# circular-reference bookkeeping, a fifth of a record's encoding time, is left out.
+dumps = json.JSONEncoder(
+    ensure_ascii=False, separators=(",", ":"), default=_plain, check_circular=False
+).encode
 
 
 def serialize_record(record: KstarRecord) -> str:
     """Serialize to the canonical single-line JSON form."""
-    return dumps(record_to_dict(record))
+    return dumps(record)
 
 
 def _parse_timestamp(raw: str) -> datetime:
@@ -417,88 +433,6 @@ def enum_decoder(enum: type[Enum]) -> Callable[[Any], Any]:
     anything else, and every miss, goes to ``enum`` and raises its own error."""
     members = {member.value: member for member in enum}
     return lambda v: members[v] if isinstance(v, str) and v in members else enum(v)
-
-
-_source = enum_decoder(SituationSource)
-_step_status = enum_decoder(StepStatus)
-_cotask_state = enum_decoder(CoTaskState)
-_forecast = itemgetter("expected_result", "success_probability")
-_evidence = itemgetter("tool_name", "input", "output")
-_metrics = itemgetter("latency_ms", "provider_calls", "tool_calls", "replans")
-
-
-def _decode(build: Callable[[Any], Any], obj: Any, path: str, *args: Any) -> Any:
-    """``build(obj)``; a missing key raises MalformedRecord naming the field, formatting
-    ``path`` with ``args`` only then. Builders index their fields in the order checked."""
-    try:
-        return build(obj)
-    except KeyError as exc:
-        raise MalformedRecord(f"missing field {path.format(*args)}.{exc.args[0]}") from None
-
-
-def _situation(s: Any) -> Situation:
-    return Situation(s["description"], tuple(s["context_tags"]), _source(s["source"]))
-
-
-def _task_path(path: Any) -> str:
-    """``path`` as errors name it: a string, or (its parent's path, i) for subtask i."""
-    return path if isinstance(path, str) else f"{_task_path(path[0])}.subtasks[{path[1]}]"
-
-
-def _cotasks(c: Any, path: Any) -> CoTasks:
-    try:  # each state in turn, so the first bad field raises
-        return CoTasks(_cotask_state(c["planning"]), _cotask_state(c["forecasting"]),
-                       _cotask_state(c["grounding"]))
-    except KeyError as exc:
-        raise MalformedRecord(f"missing field {_task_path(path)}.cotasks.{exc.args[0]}") from None
-    except ValueError as exc:
-        raise MalformedRecord(f"bad co-task state in {_task_path(path)}: {exc}") from exc
-
-
-def _task(t: Any, path: Any) -> TaskSpec:
-    try:
-        cotasks = _cotasks(t["cotasks"], path)
-        goal = t["goal"]
-        subtasks = tuple([_task(u, (path, i)) for i, u in enumerate(t["subtasks"])])
-    except KeyError as exc:
-        raise MalformedRecord(f"missing field {_task_path(path)}.{exc.args[0]}") from None
-    return TaskSpec(goal, subtasks, cotasks)
-
-
-def _step(s: Any) -> ActionStep:
-    agent, skill, constraints, status = s["agent"], s["skill"], tuple(s["constraints"]), s["status"]
-    return ActionStep(agent, skill, constraints, _step_status(status), s.get("observed_output"))
-
-
-def _outcome(o: Any) -> Outcome:
-    actual, success, evidence = o["actual_result"], o["success"], o["grounding_evidence"]
-    evidence = [_decode(_evidence, e, "grounding_evidence[{}]", i) for i, e in enumerate(evidence)]
-    evidence = tuple([GroundingEvidence(*values) for values in evidence])
-    return Outcome(actual, success, evidence, o.get("feedback"))
-
-
-def record_from_dict(obj: dict[str, Any]) -> KstarRecord:
-    """Rebuild a record from its canonical dict form."""
-    if not isinstance(obj, dict):
-        raise MalformedRecord("record must be a JSON object")
-    try:
-        sit, fc, out, met = obj["situation"], obj["forecast"], obj["outcome"], obj["metrics"]
-        return KstarRecord(  # the fields in order, and checked in this order
-            obj["id"],
-            _parse_timestamp(obj["timestamp"]),
-            tuple(obj["knowledge_used"]),
-            _decode(_situation, sit, "situation"),
-            _task(obj["task"], "task"),
-            tuple([_decode(_step, s, "plan[{}]", i) for i, s in enumerate(obj["plan"])]),
-            Forecast(*_decode(_forecast, fc, "forecast")),
-            _decode(_outcome, out, "outcome"),
-            tuple(obj["knowledge_delta"]),
-            EncounterMetrics(*_decode(_metrics, met, "metrics")),
-        )
-    except KeyError as exc:
-        raise MalformedRecord(f"missing field record.{exc.args[0]}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise MalformedRecord(f"bad field value: {exc}") from exc
 
 
 _scan_once = json.JSONDecoder().scan_once  # the C scanner json.loads calls
@@ -522,4 +456,4 @@ def deserialize_record(text: str) -> KstarRecord:
         obj = loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedRecord(f"invalid JSON: {exc.msg}", position=exc.pos) from exc
-    return record_from_dict(obj)
+    return _build(KstarRecord, obj, "")

@@ -54,7 +54,7 @@ import threading
 from array import array
 from bisect import bisect_left, insort
 from collections import defaultdict
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial, reduce
 from operator import attrgetter, mul, or_
@@ -124,6 +124,7 @@ def knowledge_item_to_dict(item: KnowledgeItem) -> dict:
 
 
 _kind = enum_decoder(KnowledgeKind)
+
 # Each field's slot setter: a frozen instance's ``__setattr__`` does not guard it
 _set_id, _set_statement, _set_kind, _set_provenance, _set_confidence, _set_embedding = (
     KnowledgeItem.__dict__[name].__set__ for name in KnowledgeItem.__slots__
@@ -135,7 +136,10 @@ def knowledge_item_from_dict(obj: dict) -> KnowledgeItem:
     embedding = obj.get("embedding")
     item = object.__new__(KnowledgeItem)
     _set_id(item, obj["id"])
-    _set_statement(item, obj["statement"])
+    statement = obj["statement"]
+    if type(statement) is not str:  # retrieval tokenizes every statement
+        raise ValueError(f"statement must be a string, not {statement!r}")
+    _set_statement(item, statement)
     _set_kind(item, _kind(obj["kind"]))
     _set_provenance(item, tuple(obj["provenance"]))
     confidence = obj["confidence"]
@@ -391,9 +395,6 @@ def _corrupt(what: str) -> Callable[[Any, int], StorageError]:
     return lambda exc, number: StorageError(f"{what} corrupt at line {number}: {exc}")
 
 
-_log_corrupt, _knowledge_corrupt = _corrupt("record log"), _corrupt("knowledge file")
-
-
 class EpisodicStore:
     """Append-only store of encounter records plus the knowledge index."""
 
@@ -402,6 +403,7 @@ class EpisodicStore:
         self.log_path = Path(directory) / RECORD_LOG_NAME
         self.knowledge_path = Path(directory) / KNOWLEDGE_FILE_NAME
         self.embedder = embedder
+        self._log_corrupt = _corrupt(f"record log {self.log_path}")
         self.lock = threading.RLock()
         # A record, or (line number, line) until its first use; ids in log order
         self._records: list[KstarRecord | tuple[int, str]] = []
@@ -422,16 +424,17 @@ class EpisodicStore:
         gc.disable()
         try:
             last_id = 0
-            lines = read_lines(self.log_path, _record_entry, _log_corrupt, True)
+            lines = read_lines(self.log_path, _record_entry, self._log_corrupt, True)
             for number, (record_id, entry) in lines:
                 if record_id <= last_id:
-                    raise _log_corrupt(f"id {record_id} after {last_id}", number)
+                    raise self._log_corrupt(f"id {record_id} after {last_id}", number)
                 last_id = record_id
                 self._ids.append(record_id)
                 self._records.append((number, entry) if type(entry) is str else entry)
             if self._records:  # a torn last line fails here, not under the next append
                 self._record_at(-1)
-            lines = read_lines(self.knowledge_path, _knowledge_line, _knowledge_corrupt, True)
+            knowledge_corrupt = _corrupt(f"knowledge file {self.knowledge_path}")
+            lines = read_lines(self.knowledge_path, _knowledge_line, knowledge_corrupt, True)
             for _, item in lines:
                 self._knowledge[item.id] = item
         finally:
@@ -453,7 +456,7 @@ class EpisodicStore:
                 if entry.id != prefix_id:
                     raise ValueError(f"id {entry.id} where the line starts with id {prefix_id}")
             except BAD_INPUT as exc:
-                raise _log_corrupt(exc, number) from exc
+                raise self._log_corrupt(exc, number) from exc
             self._records[index] = entry
         return entry
 
@@ -621,7 +624,7 @@ class EpisodicStore:
             ))
         if out_path is not None:
             try:
-                text = "".join([dumps(asdict(example)) + "\n" for example in examples])
+                text = "".join([dumps(example) + "\n" for example in examples])
                 Path(out_path).write_text(text, encoding="utf-8")
             except OSError as exc:
                 raise StorageError(f"cannot write consolidation file: {exc}") from exc

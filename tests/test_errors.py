@@ -25,11 +25,11 @@ READERS = {
     "jsonl line": ("problems.jsonl", lambda path: load_dataset(path, "jsonl"), "{path}:2: "),
     "record log": (
         "s/episodic.jsonl", lambda path: EpisodicStore.open(path.parent),
-        "record log corrupt at line 2: ",
+        "record log {path} corrupt at line 2: ",
     ),
     "knowledge file": (
         "s/knowledge.jsonl", lambda path: EpisodicStore.open(path.parent),
-        "knowledge file corrupt at line 2: ",
+        "knowledge file {path} corrupt at line 2: ",
     ),
     "consolidation file": (
         "data.jsonl", read_consolidation, "consolidation file {path} corrupt at line 2: "

@@ -38,12 +38,19 @@ FIELDS = ("id", "statement", "kind", "provenance", "confidence", "embedding")
 NOT_OBJECTS = ("[]", "[1, 2]", "5", "1.5", '"text"', "null", "true", "{", '{"id": 1', "")
 
 
+def _text(statement):
+    if type(statement) is not str:
+        raise ValueError(f"statement must be a string, not {statement!r}")
+    return statement
+
+
 def oracle(line: str) -> KnowledgeItem:
-    """The decoder as it was: the frozen dataclass's own constructor."""
+    """The decoder as it was: the frozen dataclass's own constructor, given a
+    statement once it is checked to be a string."""
     obj = loads(line)
     embedding = obj.get("embedding")
     return memory._int_id(KnowledgeItem(
-        obj["id"], obj["statement"], _kind(obj["kind"]), tuple(obj["provenance"]),
+        obj["id"], _text(obj["statement"]), _kind(obj["kind"]), tuple(obj["provenance"]),
         obj["confidence"], EmbeddingVector(tuple(embedding)) if embedding else None,
     ))
 

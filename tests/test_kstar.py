@@ -28,7 +28,6 @@ from neolaf.kstar import (
     TaskSpec,
     advance,
     deserialize_record,
-    record_to_dict,
     serialize_record,
     validate_record,
 )
@@ -175,6 +174,15 @@ def test_validate_rejects_deep_subtask_tree():
     assert any("depth" in v for v in validate_record(record))
 
 
+def test_validate_ends_the_walk_of_a_task_that_contains_itself():
+    task = TaskSpec("loop")
+    object.__setattr__(task, "subtasks", (task,))
+    record = replace(_valid_record(), task=task)
+    assert validate_record(record) == [
+        "task.subtasks[0].subtasks[0].subtasks[0].subtasks[0] exceeds subtask depth 3"
+    ]
+
+
 def test_validate_rejects_uppercase_or_duplicate_tags():
     record = _valid_record()
     record = replace(record, situation=replace(record.situation, context_tags=("Math",)))
@@ -199,7 +207,7 @@ def test_equal_records_share_canonical_bytes():
 
 
 def test_canonical_key_order_is_fixed():
-    keys = list(record_to_dict(_valid_record()).keys())
+    keys = list(json.loads(serialize_record(_valid_record())).keys())
     assert keys == [
         "id", "timestamp", "knowledge_used", "situation", "task", "plan",
         "forecast", "outcome", "knowledge_delta", "metrics",
@@ -214,18 +222,14 @@ def test_truncated_text_raises_malformed_with_position():
 
 
 def test_missing_field_raises_malformed_naming_field():
-    import json
-
-    obj = record_to_dict(_valid_record())
+    obj = json.loads(serialize_record(_valid_record()))
     del obj["forecast"]
     with pytest.raises(MalformedRecord, match="forecast"):
         deserialize_record(json.dumps(obj))
 
 
 def test_timestamp_z_suffix_accepted():
-    import json
-
-    obj = record_to_dict(_valid_record())
+    obj = json.loads(serialize_record(_valid_record()))
     obj["timestamp"] = "2024-03-01T12:00:00Z"
     record = deserialize_record(json.dumps(obj))
     assert record.timestamp.utcoffset().total_seconds() == 0
@@ -281,7 +285,8 @@ _SUB_OBJECTS = [
     (("plan", 1), "plan[1]", _STEP_KEYS),
     (("forecast",), "forecast", ("expected_result", "success_probability")),
     (("outcome",), "outcome", ("actual_result", "success", "grounding_evidence")),
-    (("outcome", "grounding_evidence", 0), "grounding_evidence[0]", ("tool_name", "input", "output")),
+    (("outcome", "grounding_evidence", 0), "outcome.grounding_evidence[0]",
+     ("tool_name", "input", "output")),
     (("metrics",), "metrics", ("latency_ms", "provider_calls", "tool_calls", "replans")),
 ]
 _OPTIONAL = {("plan", 0, "observed_output"), ("plan", 1, "observed_output"), ("outcome", "feedback")}
@@ -304,7 +309,7 @@ def _key_paths(obj, where=()):
 
 def _edited(path, value=None, delete=False):
     """The contract record as JSON text, with one field replaced or deleted."""
-    obj = record_to_dict(_contract_record())
+    obj = json.loads(serialize_record(_contract_record()))
     parent = obj
     for step in path[:-1]:
         parent = parent[step]
@@ -322,7 +327,7 @@ def _decode_error(text):
 
 
 def test_contract_covers_every_key_of_the_record():
-    paths = set(_key_paths(record_to_dict(_contract_record())))
+    paths = set(_key_paths(json.loads(serialize_record(_contract_record()))))
     assert paths == {path for path, _ in _REQUIRED} | _OPTIONAL
 
 
@@ -344,16 +349,19 @@ def test_missing_optional_field_decodes_as_none(path):
     "path, value, message",
     [
         (("situation", "source"), "bogus",
-         "bad field value: 'bogus' is not a valid SituationSource"),
+         "bad field value at situation.source: 'bogus' is not a valid SituationSource"),
         (("plan", 1, "status"), "bogus",
-         "bad field value: 'bogus' is not a valid StepStatus"),
+         "bad field value at plan[1].status: 'bogus' is not a valid StepStatus"),
         (("plan", 0, "status"), ["executed"],
-         "bad field value: ['executed'] is not a valid StepStatus"),
+         "bad field value at plan[0].status: ['executed'] is not a valid StepStatus"),
         (("task", "cotasks", "planning"), "bogus",
-         "bad co-task state in task: 'bogus' is not a valid CoTaskState"),
+         "bad field value at task.cotasks.planning: 'bogus' is not a valid CoTaskState"),
         (("task", "subtasks", 0, "cotasks", "grounding"), "bogus",
-         "bad co-task state in task.subtasks[0]: 'bogus' is not a valid CoTaskState"),
+         "bad field value at task.subtasks[0].cotasks.grounding: "
+         "'bogus' is not a valid CoTaskState"),
     ],
+    ids=["situation.source", "plan[1].status", "plan[0].status-unhashable",
+         "task.cotasks.planning", "task.subtasks[0].cotasks.grounding"],
 )
 def test_unknown_enum_value_is_named(path, value, message):
     assert _decode_error(_edited(path, value)) == message
@@ -372,6 +380,42 @@ def test_unknown_enum_value_is_named(path, value, message):
 )
 def test_mistyped_field_raises_malformed(path, value):
     assert _decode_error(_edited(path, value))
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("plan",), [3], "bad field value at plan[0]: expected an object, not int"),
+        (("outcome", "grounding_evidence"), [None],
+         "bad field value at outcome.grounding_evidence[0]: expected an object, not NoneType"),
+        (("task", "subtasks", 0, "subtasks"), 5,
+         "bad field value at task.subtasks[0].subtasks: 'int' object is not iterable"),
+        (("timestamp",), "2024-03-01T12:00:00",
+         "bad field value at timestamp: timestamp missing timezone offset"),
+    ],
+    ids=["plan-step", "evidence", "subtasks", "timestamp"],
+)
+def test_mistyped_field_is_named_with_its_path(path, value, message):
+    assert _decode_error(_edited(path, value)) == message
+
+
+@pytest.mark.parametrize(
+    "paths, message",
+    [
+        ([("forecast",), ("id",)], "missing field record.id"),
+        ([("task", "cotasks"), ("task", "goal")], "missing field task.goal"),
+        ([("metrics", "replans"), ("situation", "source")], "missing field situation.source"),
+    ],
+    ids=["record", "task", "nested"],
+)
+def test_several_faults_name_the_first_field_in_declaration_order(paths, message):
+    obj = json.loads(serialize_record(_contract_record()))
+    for path in paths:
+        parent = obj
+        for step in path[:-1]:
+            parent = parent[step]
+        del parent[path[-1]]
+    assert _decode_error(json.dumps(obj)) == message
 
 
 def test_record_that_is_not_an_object_is_refused():
@@ -411,7 +455,8 @@ _CONTRACT_LINE = (
     '"forecast":{"expected_result":"1/2","success_probability":0.9},'
     '"outcome":{"actual_result":"1/2","success":true,"grounding_evidence":[{"tool_name":"calc",'
     '"input":"{\\"expr\\":\\"1/3+1/6\\"}","output":"1/2"}],"feedback":null},'
-    '"knowledge_delta":[3],"metrics":{"latency_ms":12,"provider_calls":4,"tool_calls":1,"replans":0}}'
+    '"knowledge_delta":[3],'
+    '"metrics":{"latency_ms":12,"provider_calls":4,"tool_calls":1,"replans":0}}'
 )
 
 
@@ -440,7 +485,8 @@ _NON_ASCII_LINE = (
     '"forecast":{"expected_result":"1/2","success_probability":0.9},'
     '"outcome":{"actual_result":"5/6","success":false,"grounding_evidence":[],'
     '"feedback":"könnte besser sein \\"zitiert\\" \\\\ 分"},'
-    '"knowledge_delta":[3],"metrics":{"latency_ms":12,"provider_calls":4,"tool_calls":1,"replans":0}}'
+    '"knowledge_delta":[3],'
+    '"metrics":{"latency_ms":12,"provider_calls":4,"tool_calls":1,"replans":0}}'
 )
 
 
@@ -464,7 +510,7 @@ def test_record_text_with_whitespace_around_it_decodes(before, after):
 def _cotasks_edited(**fields):
     """The contract record as JSON text, with the task's co-task fields
     replaced, or deleted where the value is None."""
-    obj = record_to_dict(_contract_record())
+    obj = json.loads(serialize_record(_contract_record()))
     cotasks = obj["task"]["cotasks"]
     for key, value in fields.items():
         if value is None:
@@ -477,12 +523,14 @@ def _cotasks_edited(**fields):
 @pytest.mark.parametrize(
     "fields, message",
     [
-        ({"planning": []}, "bad co-task state in task: [] is not a valid CoTaskState"),
+        ({"planning": []},
+         "bad field value at task.cotasks.planning: [] is not a valid CoTaskState"),
         ({"planning": "bogus", "forecasting": None},
-         "bad co-task state in task: 'bogus' is not a valid CoTaskState"),
+         "bad field value at task.cotasks.planning: 'bogus' is not a valid CoTaskState"),
         ({"planning": None, "grounding": "bogus"}, "missing field task.cotasks.planning"),
         ({"grounding": None}, "missing field task.cotasks.grounding"),
-        ({"forecasting": 1}, "bad co-task state in task: 1 is not a valid CoTaskState"),
+        ({"forecasting": 1},
+         "bad field value at task.cotasks.forecasting: 1 is not a valid CoTaskState"),
     ],
     ids=["unhashable", "bad-then-missing", "missing-then-bad", "missing", "not-a-string"],
 )
@@ -491,9 +539,10 @@ def test_cotasks_outside_the_shared_table_fail_in_field_order(fields, message):
 
 
 def test_error_in_a_nested_subtask_names_its_whole_path():
-    obj = record_to_dict(_contract_record())
+    obj = json.loads(serialize_record(_contract_record()))
     leaf = obj["task"]["subtasks"][0]
     leaf["subtasks"] = [dict(leaf), {"goal": "x", "subtasks": [], "cotasks": {}}]
     assert _decode_error(json.dumps(obj)) == (
         "missing field task.subtasks[0].subtasks[1].cotasks.planning"
     )
+
