@@ -407,8 +407,9 @@ def _plain(obj: Any) -> Any:
 
 
 # Every store line is ``dumps(obj)``; ``json.dumps`` would build a new encoder per call.
-# What it encodes is a tree (a frozen record cannot hold itself), so the per-container
-# circular-reference bookkeeping, a fifth of a record's encoding time, is left out.
+# What it encodes is a tree, so the per-container circular-reference bookkeeping, a fifth
+# of a record's encoding time, is left out; a task made (by object.__setattr__) to hold
+# itself raises RecursionError.
 dumps = json.JSONEncoder(
     ensure_ascii=False, separators=(",", ":"), default=_plain, check_circular=False
 ).encode

@@ -124,7 +124,6 @@ def knowledge_item_to_dict(item: KnowledgeItem) -> dict:
 
 
 _kind = enum_decoder(KnowledgeKind)
-
 # Each field's slot setter: a frozen instance's ``__setattr__`` does not guard it
 _set_id, _set_statement, _set_kind, _set_provenance, _set_confidence, _set_embedding = (
     KnowledgeItem.__dict__[name].__set__ for name in KnowledgeItem.__slots__
