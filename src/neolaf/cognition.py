@@ -105,9 +105,12 @@ class StarterKit:
             raise ValueError("retrieval_k must be >= 0")
         if self.context_token_budget < 1:
             raise ValueError("context_token_budget must be positive")
-        missing = [name for name in TEMPLATE_NAMES if name not in self.prompt_templates]
-        if missing:
+        if missing := [name for name in TEMPLATE_NAMES if name not in self.prompt_templates]:
             raise ValueError(f"prompt_templates missing slots: {', '.join(missing)}")
+        # a blank text would fail only at the first request built from it
+        texts = {**self.prompt_templates, "system_prompt": self.system_prompt}
+        if blank := [k for k in ("system_prompt", *TEMPLATE_NAMES) if not texts[k].strip()]:
+            raise ValueError(f"kit text must not be blank: {', '.join(blank)}")
         object.__setattr__(self, "prompt_templates", dict(self.prompt_templates))
         object.__setattr__(self, "tool_allowlist", tuple(self.tool_allowlist))
 
@@ -677,9 +680,9 @@ def run_system2(
     new_items.extend(extract_knowledge(draft, lesson))
 
     metrics = ledger.metrics(replans=state.replan_count)
-    boosts = used_ids if outcome.success and forecast_matched(draft) else ()
-    record_id = store.store_record(replace(draft, metrics=metrics), new_items, boosts)
-    record = store.get_record(record_id)
+    reinforced = used_ids if outcome.success and forecast_matched(draft) else ()
+    draft = replace(draft, metrics=metrics, knowledge_delta=reinforced)
+    record = store.get_record(store.store_record(draft, new_items))
     explanation = "\n".join(step.observed_output for step in executed if step.observed_output)
     return _solution(answer, explanation, Route.SYSTEM2, record), record
 

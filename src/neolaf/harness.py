@@ -354,7 +354,6 @@ class ComparisonRow:
     accuracy: float
     mean_elapsed_ms: float
     provider_calls: int
-    error: Optional[str] = None
 
 
 def compare(
@@ -362,10 +361,9 @@ def compare(
     problems: Sequence[Problem],
     limit: Optional[int] = None,
 ) -> tuple[ComparisonRow, ...]:
-    """Run every configuration over the same problems.
-
-    A failing configuration yields an error row; the others still run.
-    A negative ``limit`` raises ValueError.
+    """Run every configuration over the same problems. A failing
+    configuration fails the comparison, as it fails ``run_eval``; a
+    negative ``limit`` raises ValueError.
     """
     if not configs:
         raise ValueError("compare needs at least one configuration")
@@ -373,32 +371,21 @@ def compare(
         raise ValueError("limit must be >= 0")
     rows = []
     for config in configs:
-        try:
-            report = run_eval(config, problems, limit=limit)
-            rows.append(
-                ComparisonRow(
-                    config_name=config.name,
-                    accuracy=report.aggregate.accuracy,
-                    mean_elapsed_ms=report.aggregate.mean_elapsed_ms,
-                    provider_calls=sum(r.provider_calls for r in report.per_problem),
-                )
+        report = run_eval(config, problems, limit=limit)
+        rows.append(
+            ComparisonRow(
+                config_name=config.name,
+                accuracy=report.aggregate.accuracy,
+                mean_elapsed_ms=report.aggregate.mean_elapsed_ms,
+                provider_calls=sum(r.provider_calls for r in report.per_problem),
             )
-        except Exception as exc:  # keep other configs running
-            rows.append(
-                ComparisonRow(
-                    config_name=config.name,
-                    accuracy=0.0,
-                    mean_elapsed_ms=0.0,
-                    provider_calls=0,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+        )
     return tuple(rows)
 
 
 def render_comparison(rows: Sequence[ComparisonRow]) -> str:
     """Aligned table of a comparison run."""
-    headers = ("config", "accuracy", "mean_ms", "provider_calls", "error")
+    headers = ("config", "accuracy", "mean_ms", "provider_calls")
     table = [headers]
     for r in rows:
         table.append(
@@ -407,7 +394,6 @@ def render_comparison(rows: Sequence[ComparisonRow]) -> str:
                 f"{r.accuracy:.3f}",
                 f"{r.mean_elapsed_ms:.1f}",
                 str(r.provider_calls),
-                r.error or "-",
             )
         )
     widths = [max(len(row[i]) for row in table) for i in range(len(headers))]

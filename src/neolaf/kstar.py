@@ -279,6 +279,8 @@ def validate_record(record: KstarRecord) -> list[str]:
         v.append("id must be a positive integer")
     if record.timestamp.tzinfo is None:
         v.append("timestamp must be timezone-aware UTC")
+    if not all(type(item_id) is int for item_id in record.knowledge_used + record.knowledge_delta):
+        v.append("knowledge_used and knowledge_delta must hold integer ids")
 
     s = record.situation
     if not s.description.strip():

@@ -4,21 +4,21 @@ model: extraction turns a record, and the lesson the agent distilled
 from it, into knowledge items.
 
 The two JSON Lines files under a store directory are the single source
-of truth; the in-memory indexes are rebuildable caches. The record log
-is strictly append-only. The knowledge file is also append-only: a boost
-appends a new version of the item, and reload keeps the last one per id.
+of truth; the in-memory indexes are rebuildable caches. Both files are
+append-only, and a knowledge line is written once: the open raises the items each
+record's ``knowledge_delta`` reinforced (an older store's version lines load, the last wins).
 
-Opening a store decodes every knowledge line, but a record line only when it
-lacks the canonical ``{"id":N,`` prefix, or is the last; open checks that ids
-increase. The rest are decoded, once, by the ``records``, ``get_record`` or
-``consolidate`` call that first reaches them. Read by ``errors.read_lines``,
-a corrupt line (one nested too deeply to decode too) fails the open, or that
-call, with a StorageError naming its file and line. Items are set through
-their slots, at half the frozen constructor's cost: a 10k-item store opens in
-~90 ms on one shared core (log scan 22, knowledge JSON 37, items 21). The open
-pauses the (process-wide) cyclic collector, as nothing it builds is cyclic
-garbage, and then leaves it as the caller had it; if it was on, one
-young-generation pass moves what was built to the oldest.
+Opening a store decodes every knowledge line, but a record line only when it lacks the
+canonical ``{"id":N,`` prefix or ``knowledge_delta`` tail, or is the last; open checks
+that ids increase, and reads the other lines' deltas from their tails in one ``loads``.
+The rest are decoded, once, by the ``records``, ``get_record`` or ``consolidate`` call
+that first reaches them. Read by ``errors.read_lines``, a corrupt line (one nested too
+deeply to decode too) fails the open, or that call, with a StorageError naming its file
+and line. Items are set through their slots, at half the frozen constructor's cost: a
+10k-item store opens in ~100 ms on one shared core (log scan 27, with 5 for the delta
+tails; knowledge JSON 37; items 21; fold 3). The open pauses the (process-wide) cyclic
+collector, as nothing it builds is cyclic garbage, and then leaves it as the caller had
+it; if it was on, one young-generation pass moves what was built to the oldest.
 
 Retrieval keeps one more rebuildable cache, built on the first ``retrieve``
 after open rather than at load. For embedder scoring it holds each item's
@@ -30,12 +30,12 @@ whole masks of equal score at a time, taking the highest slots (the newest
 ids) first. Updates never change an item's statement, and new items take
 the next id, so an add only sets the top slot's bits.
 
-An encounter is one commit, ``store_record(record, items, boosts)``: the record
-and its new items are numbered, checked and encoded; then the record line is
-appended, and then the new items and the boosted versions in one more append.
-The record is the commit point: a crash between the two appends leaves a record
-whose ``knowledge_delta`` names unwritten items, never an item whose provenance
-names a missing record.
+An encounter is one commit, ``store_record(record, items)``: the record and its
+new items are numbered, checked and encoded; then the record line is appended,
+and then the new items in one more append. The record is the commit point: a
+crash between the two appends leaves a record whose ``knowledge_delta`` names
+unwritten items, never an item whose provenance names a missing record. New
+item ids start past every id a record names.
 
 The store makes its directory when opened. Each append is one ``os.write`` of
 whole UTF-8 lines to a descriptor opened ``O_APPEND`` for that append alone (a
@@ -363,18 +363,29 @@ def _int_id(value):
 
 
 def _record_line(line: str) -> KstarRecord:
-    return _int_id(deserialize_record(line))
+    record = _int_id(deserialize_record(line))
+    if all(type(item_id) is int for item_id in record.knowledge_delta):  # as the fold reads ids
+        return record
+    raise ValueError(f"knowledge_delta must hold integer ids, not {record.knowledge_delta!r}")
 
 
 _ID_PREFIX = re.compile(r'\{"id":(0|[1-9][0-9]*),')
+# A canonical line's end: a top-level ``knowledge_delta`` of JSON ints short enough that one
+# ``loads`` reads them all, then ``metrics``, an object holding none, that ends the line. A
+# quote in a JSON string is escaped, so ``rfind`` of the key finds a key, the one JSON reads.
+_DELTA_TAIL = re.compile(
+    r'"knowledge_delta":(\[(?:[1-9]\d{0,17}(?:,[1-9]\d{0,17})*)?\]),"metrics":\{[^}]*\}\}', re.A)
 
 
-def _record_entry(line: str) -> tuple[int, KstarRecord | str]:
-    """The id and the line, or the id and the record when the line lacks the prefix."""
-    if match := _ID_PREFIX.match(line):
-        return int(match[1]), line
+def _record_entry(line: str) -> tuple[int, KstarRecord | str, str]:
+    """The id, the line and its ``knowledge_delta`` as JSON text; the record, not the
+    line, when the line lacks the canonical prefix or tail (no key: a match from 0)."""
+    if (match := _ID_PREFIX.match(line)) and (
+        tail := _DELTA_TAIL.fullmatch(line, line.rfind('"knowledge_delta":['))
+    ):
+        return int(match[1]), line, tail[1]
     record = _record_line(line)
-    return record.id, record
+    return record.id, record, dumps(record.knowledge_delta)
 
 
 def _knowledge_line(line: str) -> KnowledgeItem:
@@ -422,20 +433,23 @@ class EpisodicStore:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            last_id = 0
+            last_id, deltas = 0, []
             lines = read_lines(self.log_path, _record_entry, self._log_corrupt, True)
-            for number, (record_id, entry) in lines:
+            for number, (record_id, entry, delta) in lines:
                 if record_id <= last_id:
                     raise self._log_corrupt(f"id {record_id} after {last_id}", number)
                 last_id = record_id
                 self._ids.append(record_id)
                 self._records.append((number, entry) if type(entry) is str else entry)
+                deltas.append(delta)
             if self._records:  # a torn last line fails here, not under the next append
                 self._record_at(-1)
             knowledge_corrupt = _corrupt(f"knowledge file {self.knowledge_path}")
             lines = read_lines(self.knowledge_path, _knowledge_line, knowledge_corrupt, True)
             for _, item in lines:
                 self._knowledge[item.id] = item
+            self._next_knowledge_id = max(self._knowledge, default=0) + 1
+            self._fold(zip(self._ids, loads(f"[{','.join(deltas)}]")))
         finally:
             if enabled:
                 gc.enable()
@@ -443,7 +457,6 @@ class EpisodicStore:
                 # to the oldest; the passes that the next allocations start
                 # would scan all of it twice on the way, inside later calls.
                 gc.collect(1)
-        self._next_knowledge_id = max(self._knowledge, default=0) + 1
 
     def _record_at(self, index: int) -> KstarRecord:
         """The record at ``index``, decoded on first use; call with the lock held."""
@@ -471,17 +484,27 @@ class EpisodicStore:
             raise StorageError(f"cannot append to {path}: {exc}") from exc
 
     def _write_knowledge(self, items: list[KnowledgeItem], data: bytes = b"") -> None:
-        """Append one line per item (``data``, if already encoded) in a
-        single write, then apply them in order. No items, no write."""
+        """Append a line per new item (``data``, if encoded) in one write, then hold them."""
         if not items:
             return
         self._append(self.knowledge_path, data or _knowledge_bytes(items))
         for item in items:
-            if item.id not in self._knowledge:
-                if self._index is not None:
-                    self._index.add(item)
-                self._next_knowledge_id = max(self._next_knowledge_id, item.id + 1)
+            if self._index is not None:
+                self._index.add(item)
             self._knowledge[item.id] = item
+        self._next_knowledge_id = items[-1].id + 1
+
+    def _fold(self, deltas: Iterable[tuple[int, Iterable[int]]]) -> None:
+        """Fold in records' ``(id, knowledge_delta)``, in log order: each id of a held item
+        whose provenance does not name that record raises it; new ids start past them all."""
+        held, raised, named = self._knowledge.get, [], self._next_knowledge_id - 1
+        for record_id, item_ids in deltas:
+            for item_id in item_ids:
+                if (item := held(item_id)) is not None and record_id not in item.provenance:
+                    raised.append(item_id)
+                named = item_id if item_id > named else named
+        self.boost_confidence(raised)
+        self._next_knowledge_id = named + 1
 
     def _new_item(self, item: KnowledgeItem, item_id: int, provenance: tuple) -> KnowledgeItem:
         """``item`` checked, numbered ``item_id`` with ``provenance``, and
@@ -494,18 +517,6 @@ class EpisodicStore:
         if embedding is None and self.embedder is not None:
             embedding = self.embedder.embed(item.statement)
         return replace(item, id=item_id, provenance=provenance, embedding=embedding)
-
-    def _boosted(self, item_ids: Iterable[int], delta: float) -> list[KnowledgeItem]:
-        """A version of each known item with its confidence raised by
-        ``delta``; a repeated id gets a further version, an unknown one none."""
-        boosted: dict[int, KnowledgeItem] = {}
-        versions = []
-        for item_id in item_ids:
-            item = boosted.get(item_id) or self._knowledge.get(item_id)
-            if item is not None:
-                boosted[item_id] = replace(item, confidence=item.confidence + delta)
-                versions.append(boosted[item_id])
-        return versions
 
     # -- records ------------------------------------------------------
 
@@ -525,32 +536,28 @@ class EpisodicStore:
         with self.lock:
             return self._ids[-1] + 1 if self._ids else 1
 
-    def store_record(self, record: KstarRecord, items: Iterable[KnowledgeItem] = (),
-                     boosts: Iterable[int] = ()) -> int:
-        """Commit one encounter and return its record id.
-
-        The record takes the next id, and ``items``, its new knowledge, the
-        next item ids, with the record as provenance; their ids are added to
-        its ``knowledge_delta``. Each stored item in ``boosts`` gets a version
-        with its confidence raised by ``REINFORCEMENT_BOOST``. All is checked
-        and encoded first; then the record line is appended, and then the
-        new items and the boosted versions, in that order, in one write.
-        """
+    def store_record(self, record: KstarRecord, items: Iterable[KnowledgeItem] = ()) -> int:
+        """Commit one encounter, whose ``knowledge_delta`` names the held items it
+        reinforced, and return its record id. The record takes the next id, and
+        ``items``, its new knowledge, the next item ids past every id it names, with
+        the record as provenance, appended to its ``knowledge_delta``. All is checked
+        and encoded; then the record line is appended, and the items in one more."""
         with self.lock:
-            record_id, first = self.next_record_id(), self._next_knowledge_id
+            record_id = self.next_record_id()  # a delta id that is not an int fails the check
+            named = max([i for i in record.knowledge_delta if type(i) is int], default=0)
+            first = max(self._next_knowledge_id, named + 1)
             new = [self._new_item(item, first + i, (record_id,)) for i, item in enumerate(items)]
             delta = record.knowledge_delta + tuple(item.id for item in new)
             record = replace(record, id=record_id, knowledge_delta=delta)
-            violations = validate_record(record)
-            if violations:
+            if violations := validate_record(record):
                 raise ValidationFailed(violations)
-            versions = new + self._boosted(boosts, REINFORCEMENT_BOOST)
-            data = _knowledge_bytes(versions)
+            data = _knowledge_bytes(new)
             self._append(self.log_path, (serialize_record(record) + "\n").encode("utf-8"))
             self._records.append(record)
-            self._ids.append(record_id)
-            self._write_knowledge(versions, data)
-            return record_id
+            self._ids.append(record.id)
+            self._fold([(record.id, delta)])
+            self._write_knowledge(new, data)
+            return record.id
 
     # -- knowledge ----------------------------------------------------
 
@@ -570,12 +577,14 @@ class EpisodicStore:
             self._write_knowledge([stored])
             return stored.id
 
-    def boost_confidence(self, item_ids: Iterable[int], delta: float = REINFORCEMENT_BOOST) -> None:
-        """Append each known item again with its confidence raised by
-        ``delta``, in one write. Each repeat of an id appends a further
-        version; unknown ids are skipped."""
+    def boost_confidence(self, item_ids: Iterable[int]) -> None:
+        """Raise each held item's confidence by ``REINFORCEMENT_BOOST``, once per repeat
+        of its id, in memory: the record whose ``knowledge_delta`` names it keeps it."""
         with self.lock:
-            self._write_knowledge(self._boosted(item_ids, delta))
+            for item_id in item_ids:
+                if item := self._knowledge.get(item_id):
+                    raised = item.confidence + REINFORCEMENT_BOOST
+                    self._knowledge[item_id] = replace(item, confidence=raised)
 
     def retrieve(self, query: str, k: int) -> list[KnowledgeItem]:
         """Top-k knowledge items by similarity to the query.

@@ -191,15 +191,13 @@ def test_compare_configs(tmp_path, capsys, monkeypatch):
     "config_name": "one",
     "accuracy": 1.0,
     "mean_elapsed_ms": 0.0,
-    "provider_calls": 1,
-    "error": null
+    "provider_calls": 1
   },
   {
     "config_name": "two",
     "accuracy": 1.0,
     "mean_elapsed_ms": 0.0,
-    "provider_calls": 1,
-    "error": null
+    "provider_calls": 1
   }
 ]
 """
@@ -294,6 +292,35 @@ def test_malformed_kit_file_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"{kit_path}: a kit must be a JSON object" in err
+
+
+@pytest.mark.parametrize("kit, blank", [
+    ({"system_prompt": ""}, "system_prompt"),
+    ({"prompt_templates": {"plan": " \n"}}, "plan"),
+])
+def test_a_kit_with_blank_text_fails_at_load(tmp_path, capsys, kit, blank):
+    """Not at its first request: the error names the kit file, also under compare."""
+    kit_path = tmp_path / "kit.json"
+    kit_path.write_text(json.dumps(kit), encoding="utf-8")
+    code = main([
+        "eval", "--kit", str(kit_path),
+        "--dataset", str(_dataset_path(tmp_path)),
+        "--script", str(_script_path(tmp_path)),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{kit_path}: kit text must not be blank: {blank}" in err
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "kit_path": str(kit_path),
+        "provider": {"type": "scripted", "script": str(_script_path(tmp_path))},
+    }), encoding="utf-8")
+    code = main([
+        "compare", "--configs", str(config_path), "--dataset", str(_dataset_path(tmp_path)),
+    ])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert str(config_path) in err and f"{kit_path}: kit text must not be blank" in err
 
 
 def test_kit_template_slot_that_is_not_text_exits_two(tmp_path, capsys):

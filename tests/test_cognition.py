@@ -57,7 +57,7 @@ from neolaf.templates import DEFAULT_TEMPLATES
 from neolaf.toolkit import ToolRegistry, default_registry
 
 from conftest import make_record
-from fixtures.generate_fixtures import CapturingProvider, make_learner
+from fixtures.generate_fixtures import CapturingProvider, make_learner, make_responder
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -809,23 +809,44 @@ def test_record_failing_validation_raises_validation_failed(
 @pytest.mark.parametrize("system1_only", (False, True))
 def test_each_encounter_is_one_commit(kit, store, count_writes, system1_only, no_network):
     """A fast-path encounter makes one write, its record; a slow-path one
-    makes two, its record and then its knowledge with any boosts. The
-    retrieve writes nothing, whether or not it ranks anything."""
+    makes two, its record and then its new knowledge, also when it reinforced
+    what it used. The retrieve writes nothing, whether or not it ranks anything."""
     provider = ScriptedProvider(load_script(FIXTURES / "script.json"))
     writes = count_writes()
-    seen = set()
+    seen, reinforced = set(), 0
     for problem in load_dataset(FIXTURES / "math20", "math_dir"):
         before = len(writes)
         solution = solve(
             problem.statement, kit, provider, default_registry(), store,
             system1_only=system1_only,
         )
-        used = bool(store.get_record(solution.record_id).knowledge_used)
+        record = store.get_record(solution.record_id)
+        used = bool(record.knowledge_used)
         assert len(writes) - before == (1 if solution.route is Route.SYSTEM1 else 2), problem.id
         seen.add((solution.route, used))
+        reinforced += bool(set(record.knowledge_used) & set(record.knowledge_delta))
     # every case occurs: both routes, with and without retrieved knowledge
     every = {(route_taken, used) for route_taken in Route for used in (False, True)}
     assert seen == ({(Route.SYSTEM1, False)} if system1_only else every)
+    assert reinforced == (0 if system1_only else 5)
+
+
+def test_passes_on_one_store_write_each_knowledge_line_once(kit, tmp_path, no_network):
+    """A reinforcement is a fact of its record: five slow-path passes write one
+    line per item, and the open folds the same confidences back in."""
+    provider = CapturingProvider(make_responder(), {})
+    store = EpisodicStore.open(tmp_path / "s")
+    for _ in range(5):
+        for problem in load_dataset(FIXTURES / "math20", "math_dir"):
+            solve(problem.statement, kit, provider, default_registry(), store)
+    lines = (tmp_path / "s" / "knowledge.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(store.knowledge) == 60  # six slow-path problems, two items each
+    assert any(item.confidence > 0.8 for item in store.knowledge)  # some were reinforced
+    reopened = EpisodicStore.open(tmp_path / "s")
+    assert [(i.id, i.confidence) for i in reopened.knowledge] == [
+        (i.id, i.confidence) for i in store.knowledge
+    ]
+    assert reopened.knowledge == store.knowledge
 
 
 @pytest.mark.parametrize("path", ["solve", "run_system2"])

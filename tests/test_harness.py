@@ -438,7 +438,6 @@ def test_compare_single_config_matches_run_eval():
     assert len(rows) == 1
     assert rows[0].config_name == "solo"
     assert rows[0].accuracy == 1.0
-    assert rows[0].error is None
 
 
 def test_compare_empty_configs_rejected():
@@ -451,16 +450,16 @@ def test_compare_limit_below_zero_is_rejected():
         compare([_confident_config()], _problems(), limit=-1)
 
 
-def test_compare_keeps_going_after_config_error():
+def test_compare_fails_as_its_failing_config_does():
+    """No row hides a failure behind a count of zero: a bug is a traceback."""
     class ExplodingProvider(ScriptedProvider):
         def complete(self, request):
             raise RuntimeError("boom")  # not a ProviderError: run_eval dies
 
     broken = EvalConfig(name="broken", kit=default_kit(),
                         provider=ExplodingProvider({}))
-    rows = compare([broken, _confident_config("fine")], _problems())
-    assert rows[0].error is not None
-    assert rows[1].accuracy == 1.0
+    with pytest.raises(RuntimeError, match="boom"):
+        compare([_confident_config("fine"), broken], _problems())
 
 
 def test_render_comparison_table():

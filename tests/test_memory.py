@@ -162,19 +162,23 @@ def test_a_record_and_a_knowledge_add_are_one_write_each(store, rng, count_write
 
 
 def test_store_record_commits_the_record_then_its_knowledge(store, rng, count_writes):
-    old = _add_statement(store, "alpha")
+    store.store_record(replace(make_record(rng), knowledge_delta=()))
+    old = _add_statement(store, "alpha")  # its provenance names record 1
     writes = count_writes()
     items = [KnowledgeItem(0, "beta", KnowledgeKind.CORRECTIVE, (7,), 0.5),
              KnowledgeItem(0, "gamma", KnowledgeKind.DISTILLED, (), 0.6)]
-    record = replace(make_record(rng), knowledge_delta=(old,))
-    record = store.get_record(store.store_record(record, items, boosts=[old, 99]))
-    assert record.knowledge_delta == (old, old + 1, old + 2)
-    assert [store.get_knowledge(i).provenance for i in (old + 1, old + 2)] == [(record.id,)] * 2
+    # the record reinforced ``old``, and names 99, which no item holds
+    record = replace(make_record(rng), knowledge_delta=(old, 99))
+    record = store.get_record(store.store_record(record, items))
+    assert record.knowledge_delta == (old, 99, 100, 101)  # new ids start past every named id
+    assert [store.get_knowledge(i).provenance for i in (100, 101)] == [(record.id,)] * 2
     assert store.get_knowledge(old).confidence == pytest.approx(0.6)
-    # the record line is the commit point; then the new items and the boost in one write
+    # the record line is the commit point; then the new items in one write, and no version
     assert writes[0] == (serialize_record(record) + "\n").encode("utf-8")
-    assert [json.loads(line)["id"] for line in writes[1].splitlines()] == [old + 1, old + 2, old]
+    assert [json.loads(line)["id"] for line in writes[1].splitlines()] == [100, 101]
     assert len(writes) == 2
+    store.store_record(replace(record, knowledge_delta=(old,)))  # a raise alone: one write
+    assert len(writes) == 3 and store.get_knowledge(old).confidence == pytest.approx(0.7)
     reopened = EpisodicStore.open(store.log_path.parent)
     assert reopened.records == store.records and reopened.knowledge == store.knowledge
 
@@ -183,18 +187,23 @@ def test_a_commit_that_fails_a_check_writes_nothing(store, rng, count_writes, mo
     old = _add_statement(store, "alpha")
     writes = count_writes()
     good = KnowledgeItem(0, "beta", KnowledgeKind.DISTILLED, (), 0.6)
+    reinforcing = replace(make_record(rng), knowledge_delta=(old,))
     # a blank statement, and one that cannot be encoded (UnicodeEncodeError is a ValueError)
     for bad in (replace(good, statement="  "), replace(good, statement="beta \ud800")):
         with pytest.raises(ValueError):
-            store.store_record(make_record(rng), [good, bad], [old])
+            store.store_record(reinforcing, [good, bad])
+    # an id that is not an int would make the log unloadable
+    for delta in ((True,), ("x",), (2.0,), (old, None)):
+        with pytest.raises(ValidationFailed, match="knowledge_delta must hold integer ids"):
+            store.store_record(replace(reinforcing, knowledge_delta=delta), [good])
     monkeypatch.setattr(memory, "validate_record", lambda record: ["forced violation"])
     with pytest.raises(ValidationFailed):
-        store.store_record(make_record(rng), [good], [old])
+        store.store_record(reinforcing, [good])
     assert writes == [] and store.records == ()
     assert [(item.id, item.confidence) for item in store.knowledge] == [(old, 0.5)]
     monkeypatch.undo()
     # nothing was used up: the next commit takes the ids the failed ones were given
-    assert store.store_record(make_record(rng), [good]) == 1
+    assert store.store_record(replace(reinforcing, knowledge_delta=()), [good]) == 1
     assert store.get_knowledge(old + 1).provenance == (1,)
 
 
@@ -205,9 +214,8 @@ def test_short_writes_still_append_whole_lines(tmp_path, rng, monkeypatch):
         store = EpisodicStore.open(directory)
         for record in records:
             store.store_record(record)
-        for statement in ("fraction ½ of ünits", "alpha", "fraction"):
-            _add_statement(store, statement)
-        store.boost_confidence([1, 3, 1])
+        ids = [_add_statement(store, s) for s in ("fraction ½ of ünits", "alpha", "fraction")]
+        store.store_record(replace(records[0], knowledge_delta=(ids[0], ids[2], ids[0])))
         store.retrieve("fraction", 2)
         return store
 
@@ -239,19 +247,22 @@ def test_failed_write_names_the_file_and_closes_it(store, rng, monkeypatch):
     assert store.records == ()
 
 
-def test_knowledge_survives_reload_with_last_version(tmp_path):
-    store = EpisodicStore.open(tmp_path / "s")
-    item_id = store.add_knowledge(
-        KnowledgeItem(0, "check denominators", KnowledgeKind.CORRECTIVE, (1,), 0.5)
+def test_knowledge_survives_reload_with_last_version(tmp_path, rng):
+    """An older store wrote a version line per raise, and its record names only
+    the item it created: the last version wins, and the fold adds nothing."""
+    store_dir = tmp_path / "s"
+    store_dir.mkdir()
+    item = {"id": 1, "statement": "check denominators", "kind": "corrective",
+            "provenance": [1], "confidence": 0.5, "embedding": None}
+    versions = [item, {**item, "confidence": 0.8}, {**item, "confidence": 1.0}]
+    (store_dir / "knowledge.jsonl").write_text(
+        "".join(dumps(line) + "\n" for line in versions), encoding="utf-8"
     )
-    store.boost_confidence([item_id], 0.3)
-    store.boost_confidence([item_id], 0.3)
-    reloaded = EpisodicStore.open(tmp_path / "s")
-    item = reloaded.get_knowledge(item_id)
-    assert item.confidence == pytest.approx(1.0)  # capped
-    # the file stayed append-only: one line per version
-    lines = (tmp_path / "s" / "knowledge.jsonl").read_text().strip().splitlines()
-    assert len(lines) == 3
+    record = replace(make_record(rng), id=1, knowledge_delta=(1,))
+    (store_dir / "episodic.jsonl").write_text(serialize_record(record) + "\n", encoding="utf-8")
+    reloaded = EpisodicStore.open(store_dir)
+    assert [(item.id, item.confidence) for item in reloaded.knowledge] == [(1, 1.0)]
+    assert _add_statement(reloaded, "reduce fractions") == 2
 
 
 @pytest.mark.parametrize("embedder", [None, DeterministicEmbedder()], ids=["jaccard", "embedder"])
@@ -647,7 +658,8 @@ def test_reopened_store_reproduces_every_line_and_item(tmp_path):
     store.add_knowledge(
         KnowledgeItem(0, "lesson", KnowledgeKind.REINFORCEMENT, (3,), 0.8)
     )
-    store.boost_confidence([plain], 0.25)
+    store.store_record(replace(_edge_records()[1], knowledge_delta=(plain,)))  # a raise
+    assert store.get_knowledge(plain).confidence == pytest.approx(0.6)
     with_embedder = EpisodicStore.open(tmp_path / "e", DeterministicEmbedder(dimension=8))
     with_embedder.add_knowledge(
         KnowledgeItem(0, "embed me ü", KnowledgeKind.DISTILLED, (1,), 0.6)
@@ -668,7 +680,7 @@ def test_reopened_store_reproduces_every_line_and_item(tmp_path):
         fh.write(nan_line + "\n")
     with pytest.raises(StorageError) as excinfo:
         EpisodicStore.open(store_dir)
-    assert str(excinfo.value) == _knowledge_corrupt(store_dir, 5) + "embedding values must be finite"
+    assert str(excinfo.value) == _knowledge_corrupt(store_dir, 4) + "embedding values must be finite"
 
 
 def test_concurrent_appends_serialize(tmp_path, rng):
@@ -704,9 +716,13 @@ def test_confidence_never_leaves_unit_interval(tmp_path):
     item_id = store.add_knowledge(
         KnowledgeItem(0, "lesson", KnowledgeKind.REINFORCEMENT, (1,), 0.9)
     )
-    for delta in (0.5, 0.5, -2.0, 0.7, -0.2):
-        store.boost_confidence([item_id], delta)
+    for _ in range(3):
+        store.boost_confidence([item_id])
         assert 0.0 <= store.get_knowledge(item_id).confidence <= 1.0
+    assert store.get_knowledge(item_id).confidence == 1.0
+    for confidence in (-2.0, -0.2, 1.7):
+        item = replace(store.get_knowledge(item_id), confidence=confidence)
+        assert item.confidence == (0.0 if confidence < 0 else 1.0)
 
 
 def test_add_knowledge_after_reload_continues_past_an_id_gap(tmp_path):
@@ -723,7 +739,7 @@ def test_add_knowledge_after_reload_continues_past_an_id_gap(tmp_path):
     )
     store = EpisodicStore.open(store_dir)
     assert _add_statement(store, "d") == 6
-    store.boost_confidence([2])
+    store.boost_confidence([2])  # in memory only
     assert _add_statement(store, "e") == 7
     assert _add_statement(EpisodicStore.open(store_dir), "f") == 8
 
@@ -939,27 +955,73 @@ def test_retrieve_sees_adds_after_the_index_is_built_and_across_a_reopen(tmp_pat
     assert _ids(reopened.retrieve("root prime", 4)) == [later + 1, wide, later, tie]
 
 
-def test_boost_confidence_appends_its_versions_in_one_write(store, count_writes):
+def test_boost_confidence_raises_in_memory_and_writes_nothing(store, count_writes):
     for statement in ("alpha", "beta", "gamma"):
         _add_statement(store, statement)
     writes = count_writes()
-    store.boost_confidence([1, 3, 99], 0.25)
-    assert len(writes) == 1 and writes[0].count(b"\n") == 2
-    assert [item.confidence for item in store.knowledge] == [0.75, 0.5, 0.75]
-    store.boost_confidence([99, 100], 0.25)  # nothing known: nothing written
-    assert len(writes) == 1
+    store.boost_confidence([1, 3, 99])  # an unknown id is skipped
+    assert [item.confidence for item in store.knowledge] == [0.5 + 0.1, 0.5, 0.5 + 0.1]
+    assert writes == []
+    # only a record makes a raise last
+    reopened = EpisodicStore.open(store.log_path.parent)
+    assert [item.confidence for item in reopened.knowledge] == [0.5, 0.5, 0.5]
 
 
-def test_boost_confidence_appends_a_version_per_repeated_id(tmp_path):
+def test_boost_confidence_raises_once_per_repeated_id(tmp_path, rng):
     store = EpisodicStore.open(tmp_path / "s")
-    item_id = _add_statement(store, "alpha", confidence=0.5)
-    store.boost_confidence([item_id, item_id], 0.1)
-    path = tmp_path / "s" / "knowledge.jsonl"
-    confidences = [json.loads(line)["confidence"] for line in path.read_text().splitlines()]
-    assert len(confidences) == 3
-    assert confidences[1:] == [pytest.approx(0.6), pytest.approx(0.7)]
-    assert store.get_knowledge(item_id).confidence == pytest.approx(0.5 + 2 * 0.1)
+    store.store_record(replace(make_record(rng), knowledge_delta=()))
+    item_id = _add_statement(store, "alpha", confidence=0.5)  # its provenance names record 1
+    store.store_record(replace(make_record(rng), knowledge_delta=(item_id, item_id)))
+    assert store.get_knowledge(item_id).confidence == 0.5 + 0.1 + 0.1  # in this order
+    assert len((tmp_path / "s" / "knowledge.jsonl").read_text().splitlines()) == 1
     assert EpisodicStore.open(tmp_path / "s").get_knowledge(item_id) == store.get_knowledge(item_id)
+
+
+def test_item_ids_start_past_every_id_a_record_names(tmp_path, rng):
+    """Else an item added after a record, with an id the record names, would be
+    raised by it at the next open and not in the store that added it."""
+    for reopen in (False, True):
+        store_dir = tmp_path / f"s{reopen}"
+        store = EpisodicStore.open(store_dir)
+        store.store_record(replace(make_record(rng), knowledge_delta=(40,)))
+        if reopen:
+            store = EpisodicStore.open(store_dir)
+        assert _add_statement(store, "alpha") == 41
+        assert EpisodicStore.open(store_dir).knowledge == store.knowledge
+
+
+@pytest.mark.parametrize("delta", ["[true]", '["x"]', "[1.0]"])
+@pytest.mark.parametrize("number", [2, 3], ids=["kept", "last"])
+def test_a_delta_id_that_is_not_an_int_fails_the_open(tmp_path, rng, delta, number):
+    store_dir = tmp_path / "s"
+    store = EpisodicStore.open(store_dir)
+    for _ in range(3):
+        store.store_record(replace(make_record(rng), knowledge_delta=(1,)))
+    path = store_dir / "episodic.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[number - 1] = lines[number - 1].replace('"knowledge_delta":[1]',
+                                                  f'"knowledge_delta":{delta}')
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(StorageError) as excinfo:
+        EpisodicStore.open(store_dir)
+    assert str(excinfo.value).startswith(
+        _log_corrupt(store_dir, number) + "knowledge_delta must hold integer ids, not ("
+    )
+
+
+def test_the_fold_reads_a_line_without_the_canonical_tail_by_decoding_it(tmp_path, rng):
+    """A ``knowledge_delta`` key nested in ``metrics`` is not the record's delta."""
+    store_dir = tmp_path / "s"
+    store = EpisodicStore.open(store_dir)
+    store.store_record(replace(make_record(rng), knowledge_delta=()))
+    first, second = (_add_statement(store, s, confidence=0.5) for s in ("alpha", "beta"))
+    record = serialize_record(replace(make_record(rng), id=2, knowledge_delta=(first,)))
+    nested = record[:-2] + f',"extra":{{"knowledge_delta":[{second}]}}}}}}'
+    last = serialize_record(replace(make_record(rng), id=3, knowledge_delta=()))
+    with open(store_dir / "episodic.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(nested + "\n" + last + "\n")
+    reopened = EpisodicStore.open(store_dir)
+    assert [item.confidence for item in reopened.knowledge] == [0.5 + 0.1, 0.5]
 
 
 def test_retrieve_with_embedder_uses_cached_embeddings(tmp_path):
