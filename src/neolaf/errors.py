@@ -44,19 +44,21 @@ def read_json(path, build: Callable[[Any], Any]) -> Any:
 
 
 def read_lines(path, decode: Callable[[str], Any], fail: Callable[[Any, int], Exception],
-               missing_ok: bool = False) -> Iterator[tuple[int, Any]]:
-    """The number and ``decode`` of each non-blank line of ``path``, decoded
-    from bytes one at a time so that a bad byte names its line. A line that
-    fails raises ``fail(exc, number)``. A missing file has no lines if
-    ``missing_ok``, as a store's files may not exist yet."""
+               missing_ok: bool = False) -> Iterator[tuple[int, Any, int, int]]:
+    """The number, ``decode``, byte offset and byte length (its newline included) of
+    each non-blank line of ``path``, decoded from bytes one at a time so that a bad
+    byte names its line. A line that fails raises ``fail(exc, number)``. A missing
+    file has no lines if ``missing_ok``, as a store's files may not exist yet."""
     if missing_ok and not os.path.exists(path):
         return
+    end = 0
     with open(path, "rb") as fh:
         for number, raw in enumerate(fh, start=1):
+            end += len(raw)
             try:
                 if not (line := raw.decode("utf-8").strip()):
                     continue
                 value = decode(line)
             except BAD_INPUT as exc:
                 raise fail(exc, number) from exc
-            yield number, value
+            yield number, value, end - len(raw), len(raw)

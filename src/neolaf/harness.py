@@ -211,7 +211,7 @@ def load_dataset(path, format: str = "math_dir") -> list[Problem]:
     if format == "jsonl":
         lines = read_lines(path, lambda line: _problem_from_fields(json.loads(line)),
                            lambda exc, number: FormatError(exc, path, number))
-        return [p if p.id is not None else replace(p, id=f"line{n}") for n, p in lines]
+        return [p if p.id is not None else replace(p, id=f"line{n}") for n, p, _, _ in lines]
     raise ValueError(f"unknown dataset format {format!r}")
 
 

@@ -9,9 +9,12 @@ model, a tool, or the filesystem.
 The record dataclasses are the codec's one field list. The encoder writes
 each as an object of its fields in declaration order; the decoder walks
 the same fields with their type hints, so a field is added or renamed in
-its dataclass alone. A decoded line names the first bad field it meets,
-in that order: ``missing field <path>.<name>`` (the root is ``record``) or
-``bad field value at <path>: <detail>``.
+its dataclass alone. Each value must have its field's type, and is taken as
+it is: a tuple is a JSON array, and a ``str``, ``int``, ``float`` or ``bool``
+is of that type (a float may be an int; a number is never a bool). A decoded
+line names the first bad field it meets, in that order: ``missing field
+<path>.<name>`` (the root is ``record``) or ``bad field value at <path>:
+<detail>``.
 
 An in-flight encounter is a single-owner object mutated by one logical
 thread; completed records are frozen dataclasses and safe to share.
@@ -23,7 +26,7 @@ import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from functools import cache, partial
+from functools import cache
 from typing import Any, Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import NeolafError
@@ -338,10 +341,10 @@ def validate_record(record: KstarRecord) -> list[str]:
 
 
 @cache
-def _schema(cls: type) -> tuple[tuple[str, Optional[Callable[[Any, str], Any]], bool], ...]:
+def _schema(cls: type) -> tuple[tuple[str, Callable[[Any, str, Any], Any], bool], ...]:
     """Each field of the dataclass ``cls`` in declaration order: its name, its
-    decoder (None: the JSON value as it is), and whether it may be absent, as
-    a field typed ``Optional[...]`` may (it then reads as None)."""
+    decoder, and whether it may be absent, as a field typed ``Optional[...]``
+    may (it then reads as None)."""
     hints = get_type_hints(cls)
     schema = []
     for f in fields(cls):
@@ -352,22 +355,42 @@ def _schema(cls: type) -> tuple[tuple[str, Optional[Callable[[Any, str], Any]], 
     return tuple(schema)
 
 
-def _decoder(hint: Any) -> Optional[Callable[[Any, str], Any]]:
-    """``decode(value, path)`` for a field typed ``hint``, found at ``path``."""
+# The JSON values a scalar field takes as they are: a float field takes an int too, and
+# neither number field a bool, though ``bool`` is an ``int`` subclass
+_SCALARS = {str: (str,), int: (int,), float: (int, float), bool: (bool,)}
+
+
+def _decoder(hint: Any) -> Callable[[Any, str, Any], Any]:
+    """``decode(value, path, key)`` for a field typed ``hint``, found as field (or
+    item) ``key`` of the value at ``path``. The path is spelled out only where it
+    is needed: for a nested object, or in an error."""
     if is_dataclass(hint):
-        return partial(_build, hint)
+        return lambda value, path, key: _build(hint, value, _at(path, key))
     if get_origin(hint) is tuple:
-        item = get_args(hint)[0]
-        return partial(_build_each, item) if is_dataclass(item) else _leaf(tuple)
+        item = _decoder(get_args(hint)[0])
+        return lambda value, path, key: _build_each(item, value, _at(path, key))
     if hint is datetime:
         return _leaf(_parse_timestamp)
     if isinstance(hint, type) and issubclass(hint, Enum):
         return _leaf(enum_decoder(hint))
-    return None
+    name, types = hint.__name__, _SCALARS[hint]
+
+    def scalar(value, path, key):
+        if type(value) in types:
+            return value
+        raise TypeError(f"expected {name}, not {value!r}")
+    return scalar
 
 
-def _leaf(decode: Callable[[Any], Any]) -> Callable[[Any, str], Any]:
-    return lambda value, path: decode(value)
+def _leaf(decode: Callable[[Any], Any]) -> Callable[[Any, str, Any], Any]:
+    return lambda value, path, key: decode(value)
+
+
+def _at(path: str, key: Any) -> str:
+    """The path of field ``key``, or of item ``key`` if an int, of the value at ``path``."""
+    if type(key) is int:
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
 
 
 def _build(cls: type, obj: Any, path: str) -> Any:
@@ -386,18 +409,20 @@ def _build(cls: type, obj: Any, path: str) -> Any:
             value = None
         else:
             raise MalformedRecord(f"missing field {path or 'record'}.{name}")
-        if decode is not None and not (value is None and optional):
-            where = f"{path}.{name}" if path else name
+        if not (value is None and optional):
             try:
-                value = decode(value, where)
+                value = decode(value, path, name)
             except (TypeError, ValueError, AttributeError) as exc:
-                raise MalformedRecord(f"bad field value at {where}: {exc}") from exc
+                raise MalformedRecord(f"bad field value at {_at(path, name)}: {exc}") from exc
         values.append(value)
     return cls(*values)
 
 
-def _build_each(cls: type, items: Any, path: str) -> tuple:
-    return tuple([_build(cls, obj, f"{path}[{i}]") for i, obj in enumerate(items)])
+def _build_each(decode: Callable[[Any, str, Any], Any], items: Any, path: str) -> tuple:
+    """A tuple field from the JSON array ``items`` found at ``path``."""
+    if type(items) is not list:
+        raise TypeError(f"expected an array, not {items!r}")
+    return tuple([decode(item, path, i) for i, item in enumerate(items)])
 
 
 def _plain(obj: Any) -> Any:

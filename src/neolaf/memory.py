@@ -8,17 +8,23 @@ of truth; the in-memory indexes are rebuildable caches. Both files are
 append-only, and a knowledge line is written once: the open raises the items each
 record's ``knowledge_delta`` reinforced (an older store's version lines load, the last wins).
 
-Opening a store decodes every knowledge line, but a record line only when it lacks the
-canonical ``{"id":N,`` prefix or ``knowledge_delta`` tail, or is the last; open checks
-that ids increase, and reads the other lines' deltas from their tails in one ``loads``.
-The rest are decoded, once, by the ``records``, ``get_record`` or ``consolidate`` call
-that first reaches them. Read by ``errors.read_lines``, a corrupt line (one nested too
-deeply to decode too) fails the open, or that call, with a StorageError naming its file
-and line. Items are set through their slots, at half the frozen constructor's cost: a
-10k-item store opens in ~100 ms on one shared core (log scan 27, with 5 for the delta
-tails; knowledge JSON 37; items 21; fold 3). The open pauses the (process-wide) cyclic
-collector, as nothing it builds is cyclic garbage, and then leaves it as the caller had
-it; if it was on, one young-generation pass moves what was built to the oldest.
+Opening a store scans every line of both files. It decodes every knowledge line, but a
+record line only when it lacks the canonical ``{"id":N,`` prefix or ``knowledge_delta``
+tail, or is the last; open checks that ids increase, and reads the other lines' deltas
+from their tails in one ``loads``. Of a line it leaves undecoded it keeps the place in
+the log (line number, byte offset, length), not the text, as Bitcask's keydir does, so
+an open store's memory grows with the number of records, not with their bytes. The ``records``,
+``get_record`` or ``consolidate`` call that first reaches one reads it back (``records``
+opens the log once for all), decodes it, once, and checks its id against the prefix's.
+Read by ``errors.read_lines``, a corrupt line (one nested too deeply to decode too), or
+one cut or replaced since the open, fails the open, or that call, with a StorageError
+naming its file and line. Items are set through their slots, at half the frozen
+constructor's cost. The benchmark's seed-0 store (10k items, 5k records, 9.2 MB) opens
+in ~100 ms on one shared core (log scan 27, with 7 for the delta tails; knowledge JSON
+32; items 19; fold 4) and then holds 4.9 MiB, 11.3 when it kept the lines (tracemalloc).
+The open pauses the (process-wide) cyclic collector, as nothing it builds is cyclic
+garbage, and then leaves it as the caller had it; if it was on, one young-generation
+pass moves what was built to the oldest.
 
 Retrieval keeps one more rebuildable cache, built on the first ``retrieve``
 after open rather than at load. For embedder scoring it holds each item's
@@ -54,6 +60,7 @@ import threading
 from array import array
 from bisect import bisect_left, insort
 from collections import defaultdict
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial, reduce
@@ -172,7 +179,7 @@ def read_consolidation(path) -> list[ConsolidationExample]:
     """The examples of a consolidation file; a corrupt line raises
     StorageError naming the file and the line."""
     lines = read_lines(path, _consolidation_line, _corrupt(f"consolidation file {path}"))
-    return [example for _, example in lines]
+    return [example for _, example, _, _ in lines]
 
 
 # --------------------------------------------------------------------------
@@ -362,13 +369,6 @@ def _int_id(value):
     return value
 
 
-def _record_line(line: str) -> KstarRecord:
-    record = _int_id(deserialize_record(line))
-    if all(type(item_id) is int for item_id in record.knowledge_delta):  # as the fold reads ids
-        return record
-    raise ValueError(f"knowledge_delta must hold integer ids, not {record.knowledge_delta!r}")
-
-
 _ID_PREFIX = re.compile(r'\{"id":(0|[1-9][0-9]*),')
 # A canonical line's end: a top-level ``knowledge_delta`` of JSON ints short enough that one
 # ``loads`` reads them all, then ``metrics``, an object holding none, that ends the line. A
@@ -377,14 +377,14 @@ _DELTA_TAIL = re.compile(
     r'"knowledge_delta":(\[(?:[1-9]\d{0,17}(?:,[1-9]\d{0,17})*)?\]),"metrics":\{[^}]*\}\}', re.A)
 
 
-def _record_entry(line: str) -> tuple[int, KstarRecord | str, str]:
-    """The id, the line and its ``knowledge_delta`` as JSON text; the record, not the
-    line, when the line lacks the canonical prefix or tail (no key: a match from 0)."""
+def _record_entry(line: str) -> tuple[int, Optional[KstarRecord], str]:
+    """The id, the record (None: left undecoded) and its ``knowledge_delta`` as JSON text;
+    a line that lacks the canonical prefix or tail is decoded (no key: a match from 0)."""
     if (match := _ID_PREFIX.match(line)) and (
         tail := _DELTA_TAIL.fullmatch(line, line.rfind('"knowledge_delta":['))
     ):
-        return int(match[1]), line, tail[1]
-    record = _record_line(line)
+        return int(match[1]), None, tail[1]
+    record = deserialize_record(line)
     return record.id, record, dumps(record.knowledge_delta)
 
 
@@ -415,8 +415,9 @@ class EpisodicStore:
         self.embedder = embedder
         self._log_corrupt = _corrupt(f"record log {self.log_path}")
         self.lock = threading.RLock()
-        # A record, or (line number, line) until its first use; ids in log order
-        self._records: list[KstarRecord | tuple[int, str]] = []
+        # A record, or (line number, byte offset, byte length) of its line until its
+        # first use; ids in log order
+        self._records: list[KstarRecord | tuple[int, int, int]] = []
         self._ids: list[int] = []
         self._knowledge: dict[int, KnowledgeItem] = {}
         self._next_knowledge_id = 1
@@ -435,18 +436,18 @@ class EpisodicStore:
         try:
             last_id, deltas = 0, []
             lines = read_lines(self.log_path, _record_entry, self._log_corrupt, True)
-            for number, (record_id, entry, delta) in lines:
+            for number, (record_id, record, delta), offset, length in lines:
                 if record_id <= last_id:
                     raise self._log_corrupt(f"id {record_id} after {last_id}", number)
                 last_id = record_id
                 self._ids.append(record_id)
-                self._records.append((number, entry) if type(entry) is str else entry)
+                self._records.append((number, offset, length) if record is None else record)
                 deltas.append(delta)
             if self._records:  # a torn last line fails here, not under the next append
-                self._record_at(-1)
+                self._read_back([-1])
             knowledge_corrupt = _corrupt(f"knowledge file {self.knowledge_path}")
             lines = read_lines(self.knowledge_path, _knowledge_line, knowledge_corrupt, True)
-            for _, item in lines:
+            for _, item, _, _ in lines:
                 self._knowledge[item.id] = item
             self._next_knowledge_id = max(self._knowledge, default=0) + 1
             self._fold(zip(self._ids, loads(f"[{','.join(deltas)}]")))
@@ -458,19 +459,27 @@ class EpisodicStore:
                 # would scan all of it twice on the way, inside later calls.
                 gc.collect(1)
 
-    def _record_at(self, index: int) -> KstarRecord:
-        """The record at ``index``, decoded on first use; call with the lock held."""
-        entry = self._records[index]
-        if type(entry) is tuple:
-            number, line = entry
-            try:
-                entry, prefix_id = _record_line(line), self._ids[index]
-                if entry.id != prefix_id:
-                    raise ValueError(f"id {entry.id} where the line starts with id {prefix_id}")
-            except BAD_INPUT as exc:
-                raise self._log_corrupt(exc, number) from exc
-            self._records[index] = entry
-        return entry
+    def _read_back(self, indexes: Iterable[int]) -> None:
+        """Decode each record at ``indexes`` not decoded yet, read back from its place in
+        the log, which is opened once for them all; call with the lock held."""
+        with ExitStack() as stack:
+            log = None
+            for index in indexes:
+                if type(entry := self._records[index]) is not tuple:
+                    continue
+                number, offset, length = entry
+                try:
+                    log = log or stack.enter_context(open(self.log_path, "rb"))
+                    log.seek(offset)
+                    if len(line := log.read(length)) < length:
+                        raise ValueError("the log is shorter than when the store was opened")
+                    record = deserialize_record(line.decode("utf-8").strip())
+                    if record.id != (prefix_id := self._ids[index]):
+                        raise ValueError(
+                            f"id {record.id} where the line starts with id {prefix_id}")
+                except (OSError, *BAD_INPUT) as exc:
+                    raise self._log_corrupt(exc, number) from exc
+                self._records[index] = record
 
     def _append(self, path: Path, data: bytes) -> None:
         try:
@@ -523,13 +532,15 @@ class EpisodicStore:
     @property
     def records(self) -> tuple[KstarRecord, ...]:
         with self.lock:
-            return tuple([self._record_at(i) for i in range(len(self._records))])
+            self._read_back(range(len(self._records)))
+            return tuple(self._records)
 
     def get_record(self, record_id: int) -> Optional[KstarRecord]:
         with self.lock:
             i = bisect_left(self._ids, record_id)
             if i < len(self._ids) and self._ids[i] == record_id:
-                return self._record_at(i)
+                self._read_back([i])
+                return self._records[i]
         return None
 
     def next_record_id(self) -> int:

@@ -1,11 +1,13 @@
 """Every input file is read by ``errors.read_json`` or ``errors.read_lines``,
 so each reader names its file, and the line, for one bad value."""
 
+import json
+
 import pytest
 
 from neolaf.cli import _load_eval_config
 from neolaf.cognition import load_kit
-from neolaf.errors import FormatError
+from neolaf.errors import FormatError, read_lines
 from neolaf.harness import load_dataset
 from neolaf.memory import EpisodicStore, StorageError, read_consolidation
 from neolaf.provider import load_script
@@ -47,3 +49,16 @@ def test_a_deeply_nested_value_is_a_bad_file_named_with_its_line(tmp_path, reade
         read(path)
     assert str(excinfo.value).startswith(prefix.format(path=path))
     assert isinstance(excinfo.value.__cause__, RecursionError)
+
+
+def test_read_lines_reports_the_place_of_each_line_in_the_bytes(tmp_path):
+    """Blank lines are skipped, a CRLF line and multi-byte UTF-8 count in bytes,
+    and the last line needs no newline."""
+    raw = b'"a"\n\n  "\xc3\xa9\xe2\x82\xac"\r\n \r\n"\xf0\x9f\x99\x82"'
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(raw)
+    lines = list(read_lines(path, json.loads, lambda exc, number: FormatError(exc, path, number)))
+    assert [(number, value) for number, value, _, _ in lines] == [(1, "a"), (3, "é€"), (5, "🙂")]
+    assert [raw[offset:offset + length] for _, _, offset, length in lines] == [
+        b'"a"\n', b'  "\xc3\xa9\xe2\x82\xac"\r\n', b'"\xf0\x9f\x99\x82"'
+    ]

@@ -28,6 +28,7 @@ from neolaf.kstar import (
     TaskSpec,
     advance,
     deserialize_record,
+    dumps,
     serialize_record,
     validate_record,
 )
@@ -389,14 +390,47 @@ def test_mistyped_field_raises_malformed(path, value):
         (("outcome", "grounding_evidence"), [None],
          "bad field value at outcome.grounding_evidence[0]: expected an object, not NoneType"),
         (("task", "subtasks", 0, "subtasks"), 5,
-         "bad field value at task.subtasks[0].subtasks: 'int' object is not iterable"),
+         "bad field value at task.subtasks[0].subtasks: expected an array, not 5"),
         (("timestamp",), "2024-03-01T12:00:00",
          "bad field value at timestamp: timestamp missing timezone offset"),
+        (("id",), True, "bad field value at id: expected int, not True"),
+        (("knowledge_used",), [1, 2.0], "bad field value at knowledge_used: expected int, not 2.0"),
+        (("situation", "description"), None,
+         "bad field value at situation.description: expected str, not None"),
+        (("situation", "context_tags"), "ab",
+         "bad field value at situation.context_tags: expected an array, not 'ab'"),
+        (("situation", "context_tags"), ["math", 5],
+         "bad field value at situation.context_tags: expected str, not 5"),
+        (("plan",), {"agent": "self"},
+         "bad field value at plan: expected an array, not {'agent': 'self'}"),
+        (("plan", 0, "skill"), None, "bad field value at plan[0].skill: expected str, not None"),
+        (("plan", 0, "observed_output"), 5,
+         "bad field value at plan[0].observed_output: expected str, not 5"),
+        (("forecast", "success_probability"), True,
+         "bad field value at forecast.success_probability: expected float, not True"),
+        (("forecast", "success_probability"), "0.9",
+         "bad field value at forecast.success_probability: expected float, not '0.9'"),
+        (("outcome", "success"), 1, "bad field value at outcome.success: expected bool, not 1"),
+        (("outcome", "grounding_evidence", 0, "output"), ["1/2"],
+         "bad field value at outcome.grounding_evidence[0].output: expected str, not ['1/2']"),
+        (("metrics", "latency_ms"), 12.0,
+         "bad field value at metrics.latency_ms: expected int, not 12.0"),
     ],
-    ids=["plan-step", "evidence", "subtasks", "timestamp"],
+    ids=["plan-step", "evidence", "subtasks", "timestamp", "id-bool", "used-float",
+         "description-null", "tags-string", "tags-int", "plan-object", "skill-null",
+         "output-int", "probability-bool", "probability-string", "success-int",
+         "evidence-list", "latency-float"],
 )
 def test_mistyped_field_is_named_with_its_path(path, value, message):
     assert _decode_error(_edited(path, value)) == message
+
+
+@pytest.mark.parametrize("value", [0, 1])
+def test_a_float_field_takes_an_int_as_it_is(value):
+    text = _edited(("forecast", "success_probability"), value)
+    record = deserialize_record(text)
+    assert type(record.forecast.success_probability) is int
+    assert serialize_record(record) == dumps(json.loads(text))
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import os
 import random
 import re
 import shutil
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -404,7 +405,7 @@ def test_record_id_that_is_not_an_integer_names_its_line(tmp_path, rng, bad_id):
     with pytest.raises(StorageError) as excinfo:
         EpisodicStore.open(store_dir)
     assert str(excinfo.value) == (
-        f"{_log_corrupt(store_dir, 2)}id must be an integer, not {bad_id!r}"
+        f"{_log_corrupt(store_dir, 2)}bad field value at id: expected int, not {bad_id!r}"
     )
 
 
@@ -499,7 +500,7 @@ def test_open_pauses_the_collector_and_then_restarts_it(tmp_path, rng, monkeypat
         with open(store_dir / corrupt, "a", encoding="utf-8") as fh:
             fh.write("{\n")
     enabled_while_decoding = []
-    for name in ("_record_line", "_knowledge_line"):
+    for name in ("deserialize_record", "_knowledge_line"):
         decode = getattr(memory, name)
         monkeypatch.setattr(memory, name, lambda line, decode=decode: (
             enabled_while_decoding.append(gc.isenabled()) or decode(line)
@@ -552,6 +553,96 @@ def test_corrupt_record_body_under_a_good_prefix_fails_each_access_that_decodes_
     assert main(["memory", "list", "--store", str(store_dir)]) == 2
     out, err = capsys.readouterr()
     assert err == f"neolaf: error: {message}\n" and "Traceback" not in out
+
+
+def test_a_field_of_the_wrong_type_fails_each_command_that_reads_it(tmp_path, rng, capsys):
+    store_dir = tmp_path / "s"
+    lines = _three_record_lines(store_dir, rng)
+    obj = json.loads(lines[1])
+    obj["plan"][0]["skill"] = None
+    lines[1] = dumps(obj)  # keeps the id prefix
+    _write_log(store_dir, lines)
+    message = _log_corrupt(store_dir, 2) + "bad field value at plan[0].skill: expected str, not None"
+    for command in (["memory", "list"], ["memory", "show", "2"],
+                    ["consolidate", "--out", str(tmp_path / "out.jsonl")]):
+        assert main([*command, "--store", str(store_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"neolaf: error: {message}\n" and "Traceback" not in out
+
+
+@pytest.mark.parametrize("change", ["emptied", "cut-in-line-2", "deleted"])
+def test_a_log_cut_after_the_open_fails_each_read_back_naming_the_line(tmp_path, rng, change):
+    """Records 1 and 2 are read back from the log on first use; 3 was decoded at the open."""
+    store_dir = tmp_path / "s"
+    path = store_dir / "episodic.jsonl"
+    lines = _three_record_lines(store_dir, rng)
+    good = EpisodicStore.open(store_dir).records
+    store = EpisodicStore.open(store_dir)
+    if change == "deleted":
+        path.unlink()
+    else:
+        with open(path, "r+b") as fh:
+            fh.truncate(0 if change == "emptied" else len(lines[0].encode("utf-8")) + 10)
+    number = 2 if change == "cut-in-line-2" else 1
+    for access in (lambda: store.get_record(number), lambda: store.records):
+        with pytest.raises(StorageError) as excinfo:
+            access()
+        if change == "deleted":
+            assert str(excinfo.value).startswith(_log_corrupt(store_dir, number))
+            assert isinstance(excinfo.value.__cause__, FileNotFoundError)
+        else:
+            assert str(excinfo.value) == (
+                _log_corrupt(store_dir, number) + "the log is shorter than when the store was opened"
+            )
+    assert store.get_record(3) == good[2]
+    if change == "cut-in-line-2":
+        assert store.get_record(1) == good[0]
+
+
+def test_a_log_replaced_after_the_open_fails_the_id_check(tmp_path, rng):
+    store_dir = tmp_path / "s"
+    lines = _three_record_lines(store_dir, rng)
+    store = EpisodicStore.open(store_dir)
+    # Another store's log, whose lines sit where these did: ids 7, 8 and 9
+    _write_log(tmp_path, [line.replace(f'{{"id":{n},', f'{{"id":{n + 6},', 1)
+                          for n, line in enumerate(lines, 1)])
+    os.replace(tmp_path / "episodic.jsonl", store_dir / "episodic.jsonl")
+    with pytest.raises(StorageError) as excinfo:
+        store.get_record(2)
+    assert str(excinfo.value) == _log_corrupt(store_dir, 2) + "id 8 where the line starts with id 2"
+    with pytest.raises(StorageError) as excinfo:
+        store.records
+    assert str(excinfo.value) == _log_corrupt(store_dir, 1) + "id 7 where the line starts with id 1"
+
+
+def test_lines_a_second_handle_appends_leave_every_old_record_readable(tmp_path, rng):
+    store_dir = tmp_path / "s"
+    _three_record_lines(store_dir, rng)
+    store = EpisodicStore.open(store_dir)
+    second = EpisodicStore.open(store_dir)
+    for _ in range(2):
+        second.store_record(make_record(rng))
+    assert store.get_record(2) == second.get_record(2)
+    assert store.records == EpisodicStore.open(store_dir).records[:3]
+
+
+def test_an_open_store_keeps_each_records_place_in_the_log_not_its_text(tmp_path, rng):
+    store_dir = tmp_path / "s"
+    store = EpisodicStore.open(store_dir)
+    for _ in range(200):
+        record = make_record(rng)
+        situation = replace(record.situation, description="a long situation " * 600)
+        store.store_record(replace(record, situation=situation))
+    log_bytes, store = (store_dir / "episodic.jsonl").stat().st_size, None
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = EpisodicStore.open(store_dir)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert log_bytes > 2_000_000 and retained < log_bytes / 20
+    assert store.records[0].situation.description.startswith("a long situation")
 
 
 def test_torn_final_record_line_fails_the_open(tmp_path, rng):
@@ -1005,7 +1096,7 @@ def test_a_delta_id_that_is_not_an_int_fails_the_open(tmp_path, rng, delta, numb
     with pytest.raises(StorageError) as excinfo:
         EpisodicStore.open(store_dir)
     assert str(excinfo.value).startswith(
-        _log_corrupt(store_dir, number) + "knowledge_delta must hold integer ids, not ("
+        _log_corrupt(store_dir, number) + "bad field value at knowledge_delta: expected int, not "
     )
 
 
