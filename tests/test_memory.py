@@ -162,6 +162,32 @@ def test_a_record_and_a_knowledge_add_are_one_write_each(store, rng, count_write
     assert json.loads(writes[1]) == memory.knowledge_item_to_dict(store.get_knowledge(item_id))
 
 
+def test_golden_knowledge_lines():
+    """The exact bytes of knowledge lines, each decoding back to its item."""
+    signs = "check the sign of each root twice"
+    items = [
+        KnowledgeItem(1, "check the denominators", KnowledgeKind.CORRECTIVE, (1,), 0.5),
+        KnowledgeItem(2, signs, KnowledgeKind.DISTILLED, (2,), 0.6,
+                      DeterministicEmbedder(dimension=8).embed(signs)),
+        KnowledgeItem(3, "分母を確認 — ½", KnowledgeKind.REINFORCEMENT, (3,), 0.1 + 0.2),
+        KnowledgeItem(4, "two sources", KnowledgeKind.DISTILLED, (4, 12), 1.0),
+    ]
+    data = memory._knowledge_bytes(items)
+    assert data == (
+        '{"id":1,"statement":"check the denominators","kind":"corrective",'
+        '"provenance":[1],"confidence":0.5,"embedding":null}\n'
+        '{"id":2,"statement":"check the sign of each root twice","kind":"distilled",'
+        '"provenance":[2],"confidence":0.6,"embedding":[0.2581988897471611,0.0,'
+        '0.2581988897471611,-0.5163977794943222,0.0,0.0,0.7745966692414834,0.0]}\n'
+        '{"id":3,"statement":"分母を確認 — ½","kind":"reinforcement",'
+        '"provenance":[3],"confidence":0.30000000000000004,"embedding":null}\n'
+        '{"id":4,"statement":"two sources","kind":"distilled",'
+        '"provenance":[4,12],"confidence":1.0,"embedding":null}\n'
+    ).encode("utf-8")
+    lines = data.decode("utf-8").splitlines()
+    assert [memory._knowledge_line(line) for line in lines] == items
+
+
 def test_store_record_commits_the_record_then_its_knowledge(store, rng, count_writes):
     store.store_record(replace(make_record(rng), knowledge_delta=()))
     old = _add_statement(store, "alpha")  # its provenance names record 1
