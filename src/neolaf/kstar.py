@@ -13,8 +13,8 @@ its dataclass alone. Each value must have its field's type, and is taken as
 it is: a tuple is a JSON array, and a ``str``, ``int``, ``float`` or ``bool``
 is of that type (a float may be an int; a number is never a bool). A decoded
 line names the first bad field it meets, in that order: ``missing field
-<path>.<name>`` (the root is ``record``) or ``bad field value at <path>:
-<detail>``.
+<path>.<name>`` (the root is ``record``, or the name the caller gives the
+line's object) or ``bad field value at <path>: <detail>``.
 
 An in-flight encounter is a single-owner object mutated by one logical
 thread; completed records are frozen dataclasses and safe to share.
@@ -393,12 +393,12 @@ def _at(path: str, key: Any) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _build(cls: type, obj: Any, path: str) -> Any:
-    """``cls`` from the JSON object ``obj`` found at ``path`` ("" for a record),
-    its fields read and checked in declaration order."""
+def _build(cls: type, obj: Any, path: str, root: str = "record") -> Any:
+    """``cls`` from the JSON object ``obj`` found at ``path`` ("" for a line's own
+    object, called ``root`` in errors), its fields read and checked in declaration order."""
     if type(obj) is not dict:
         if not path:
-            raise MalformedRecord("record must be a JSON object")
+            raise MalformedRecord(f"{root} must be a JSON object")
         detail = f"expected an object, not {type(obj).__name__}"
         raise MalformedRecord(f"bad field value at {path}: {detail}")
     values = []
@@ -408,7 +408,7 @@ def _build(cls: type, obj: Any, path: str) -> Any:
         elif optional:
             value = None
         else:
-            raise MalformedRecord(f"missing field {path or 'record'}.{name}")
+            raise MalformedRecord(f"missing field {path or root}.{name}")
         if not (value is None and optional):
             try:
                 value = decode(value, path, name)

@@ -7,6 +7,10 @@ The two JSON Lines files under a store directory are the single source
 of truth; the in-memory indexes are rebuildable caches. Both files are
 append-only, and a knowledge line is written once: the open raises the items each
 record's ``knowledge_delta`` reinforced (an older store's version lines load, the last wins).
+``kstar.dumps`` writes every line. The record decoder, ``kstar._build``, reads record and
+consolidation lines, checking each value against its field's type hint. A knowledge line has
+a decoder of its own, with like checks, that sets each field by slot, as an open builds every
+item: a generic slot-setting ``_build`` took 2.3-2.8 times as long on the 10k items below.
 
 Opening a store scans every line of both files. It decodes every knowledge line, but a
 record line only when it lacks the canonical ``{"id":N,`` prefix or ``knowledge_delta``
@@ -18,8 +22,7 @@ an open store's memory grows with the number of records, not with their bytes. T
 opens the log once for all), decodes it, once, and checks its id against the prefix's.
 Read by ``errors.read_lines``, a corrupt line (one nested too deeply to decode too), or
 one cut or replaced since the open, fails the open, or that call, with a StorageError
-naming its file and line. Items are set through their slots, at half the frozen
-constructor's cost. The benchmark's seed-0 store (10k items, 5k records, 9.2 MB) opens
+naming its file and line. The benchmark's seed-0 store (10k items, 5k records, 9.2 MB) opens
 in ~100 ms on one shared core (log scan 27, with 7 for the delta tails; knowledge JSON
 32; items 19; fold 4) and then holds 4.9 MiB, 11.3 when it kept the lines (tracemalloc).
 The open pauses the (process-wide) cyclic collector, as nothing it builds is cyclic
@@ -70,9 +73,10 @@ from typing import Any, Callable, Iterable, Optional
 
 from .errors import BAD_INPUT, NeolafError, read_lines
 from .kstar import (
-    KstarRecord, deserialize_record, dumps, enum_decoder, loads, serialize_record, validate_record,
+    KstarRecord, _build, deserialize_record, dumps, enum_decoder, loads, serialize_record,
+    validate_record,
 )
-from .provider import DeterministicEmbedder, EmbeddingVector, cosine
+from .provider import DeterministicEmbedder, cosine
 
 # Fixed starter-kit constants for the knowledge update rules.
 CORRECTIVE_CONFIDENCE = 0.5
@@ -113,21 +117,21 @@ class KnowledgeItem:
     kind: KnowledgeKind
     provenance: tuple[int, ...]
     confidence: float
-    embedding: Optional[EmbeddingVector] = None
+    embedding: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "confidence", _clamp(self.confidence))
+        _check_embedding(self.embedding or ())  # so no item is written that the open refuses
 
 
-def knowledge_item_to_dict(item: KnowledgeItem) -> dict:
-    return {
-        "id": item.id,
-        "statement": item.statement,
-        "kind": item.kind.value,
-        "provenance": list(item.provenance),
-        "confidence": item.confidence,
-        "embedding": list(item.embedding.values) if item.embedding else None,
-    }
+def _check_embedding(values) -> None:
+    """Raise ValueError unless every value is a finite number."""
+    try:
+        if all(map(math.isfinite, values)):
+            return
+    except (TypeError, OverflowError):  # not a number, or an int past a float's range
+        raise ValueError(f"embedding must be an array of numbers, not {list(values)!r}") from None
+    raise ValueError("embedding values must be finite")
 
 
 _kind = enum_decoder(KnowledgeKind)
@@ -137,22 +141,35 @@ _set_id, _set_statement, _set_kind, _set_provenance, _set_confidence, _set_embed
 )
 
 
-def knowledge_item_from_dict(obj: dict) -> KnowledgeItem:
-    """``KnowledgeItem(...)`` of ``obj``'s fields, read in its argument order, set by slot."""
-    embedding = obj.get("embedding")
+def _knowledge_line(line: str) -> KnowledgeItem:
+    """``KnowledgeItem(...)`` of the line's fields, each checked and set by slot in its
+    argument order: the open's hot path, written out as ``kstar._build`` is over twice as slow."""
+    obj = loads(line)
+    embedding = obj.get("embedding")  # read first, so a line not an object fails here
     item = object.__new__(KnowledgeItem)
-    _set_id(item, obj["id"])
+    # A string id breaks the comparisons of id order, a float one (or a bool) the next id
+    if type(item_id := obj["id"]) is not int:
+        raise ValueError(f"id must be an integer, not {item_id!r}")
+    _set_id(item, item_id)
     statement = obj["statement"]
     if type(statement) is not str:  # retrieval tokenizes every statement
         raise ValueError(f"statement must be a string, not {statement!r}")
     _set_statement(item, statement)
     _set_kind(item, _kind(obj["kind"]))
-    _set_provenance(item, tuple(obj["provenance"]))
-    confidence = obj["confidence"]
-    _set_embedding(item, EmbeddingVector(tuple(embedding)) if embedding else None)
+    if type(provenance := obj["provenance"]) is not list:
+        raise ValueError(f"provenance must be an array, not {provenance!r}")
+    _set_provenance(item, tuple(provenance))
     # ``_clamp`` keeps such a float; it makes an int a float, and NaN and -0.0 0.0
-    ok = type(confidence) is float and 0.0 < confidence <= 1.0
-    _set_confidence(item, confidence if ok else _clamp(confidence))
+    if not (type(confidence := obj["confidence"]) is float and 0.0 < confidence <= 1.0):
+        if type(confidence) not in (int, float):
+            raise ValueError(f"confidence must be a number, not {confidence!r}")
+        confidence = _clamp(confidence)
+    _set_confidence(item, confidence)
+    if embedding is not None:
+        if type(embedding) is not list:
+            raise ValueError(f"embedding must be an array of numbers, not {embedding!r}")
+        _check_embedding(embedding := tuple(embedding))
+    _set_embedding(item, embedding or None)  # an empty array reads as no embedding
     return item
 
 
@@ -164,15 +181,6 @@ class ConsolidationExample:
     completion: str
     source_record: int
     tags: tuple[str, ...] = ()
-
-
-def consolidation_example_from_dict(obj: dict) -> ConsolidationExample:
-    return ConsolidationExample(
-        prompt=obj["prompt"],
-        completion=obj["completion"],
-        source_record=obj["source_record"],
-        tags=tuple(obj.get("tags", ())),
-    )
 
 
 def read_consolidation(path) -> list[ConsolidationExample]:
@@ -335,14 +343,14 @@ class _VectorIndex:
     def add(self, item: KnowledgeItem) -> None:
         vec = item.embedding or self.embedder.embed(item.statement)
         self.ids.append(item.id)
-        self.vectors.append(vec.values)
-        self.norms.append(math.sqrt(sum(map(mul, vec.values, vec.values))))  # as ``cosine``
-        if vec.dimension != self.embedder.dimension:
+        self.vectors.append(vec)
+        self.norms.append(math.sqrt(sum(map(mul, vec, vec))))  # as ``cosine``
+        if len(vec) != self.embedder.dimension:
             self.mismatched += 1
 
     def top(self, query: str, k: int) -> list[int]:
         """Every item, scored ``(cosine + 1) / 2``."""
-        values = self.embedder.embed(query).values
+        values = self.embedder.embed(query)
         if self.mismatched:
             raise ValueError("cannot compare embeddings of different dimensions")
         nq = math.sqrt(sum(map(mul, values, values)))
@@ -359,14 +367,6 @@ class _VectorIndex:
 # --------------------------------------------------------------------------
 # Store
 # --------------------------------------------------------------------------
-
-
-def _int_id(value):
-    """``value``, once its ``id`` is checked to be an int: a string id breaks
-    the comparisons of id order, and a float one the next id."""
-    if type(value.id) is not int:  # bool is an int subclass, and refused too
-        raise ValueError(f"id must be an integer, not {value.id!r}")
-    return value
 
 
 _ID_PREFIX = re.compile(r'\{"id":(0|[1-9][0-9]*),')
@@ -388,16 +388,12 @@ def _record_entry(line: str) -> tuple[int, Optional[KstarRecord], str]:
     return record.id, record, dumps(record.knowledge_delta)
 
 
-def _knowledge_line(line: str) -> KnowledgeItem:
-    return _int_id(knowledge_item_from_dict(loads(line)))
-
-
 def _consolidation_line(line: str) -> ConsolidationExample:
-    return consolidation_example_from_dict(loads(line))
+    return _build(ConsolidationExample, loads(line), "", "example")
 
 
 def _knowledge_bytes(items: list[KnowledgeItem]) -> bytes:
-    return "".join([dumps(knowledge_item_to_dict(item)) + "\n" for item in items]).encode("utf-8")
+    return "".join([dumps(item) + "\n" for item in items]).encode("utf-8")
 
 
 def _corrupt(what: str) -> Callable[[Any, int], StorageError]:

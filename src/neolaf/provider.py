@@ -22,10 +22,10 @@ completion providers ship in-tree:
 A provider that cannot answer raises a ``ProviderError``, which the agent
 encodes as a failed encounter that makes no further call (see cognition).
 
-Embeddings: ``DeterministicEmbedder`` hashes a bag of tokens into a
-fixed number of signed buckets and L2-normalizes, so retrieval is fully
-testable offline. A remote embedder could implement the same ``embed``
-surface; none ships here.
+Embeddings: an embedding is a plain ``tuple[float, ...]``, its dimension
+its length. ``DeterministicEmbedder`` hashes a bag of tokens into a fixed
+number of signed buckets and L2-normalizes, so retrieval is fully testable
+offline. A remote embedder could implement the same ``embed``; none ships.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional
@@ -274,26 +274,12 @@ def provider_from_config(config: dict) -> CompletionProvider:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: tuple[float, ...]
-    dimension: int = field(default=0)
-
-    def __post_init__(self):
-        if self.dimension == 0:
-            object.__setattr__(self, "dimension", len(self.values))
-        if len(self.values) != self.dimension:
-            raise ValueError("embedding length must equal its dimension")
-        if not all(map(math.isfinite, self.values)):
-            raise ValueError("embedding values must be finite")
-
-
-def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    if a.dimension != b.dimension:
+def cosine(a: tuple[float, ...], b: tuple[float, ...]) -> float:
+    if len(a) != len(b):
         raise ValueError("cannot compare embeddings of different dimensions")
-    dot = sum(x * y for x, y in zip(a.values, b.values))
-    na = math.sqrt(sum(x * x for x in a.values))
-    nb = math.sqrt(sum(y * y for y in b.values))
+    dot = sum(x * y for x, y in zip(a, b))
+    na = math.sqrt(sum(x * x for x in a))
+    nb = math.sqrt(sum(y * y for y in b))
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
@@ -321,12 +307,10 @@ class DeterministicEmbedder:
         sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
         return h % self.dimension, sign
 
-    def embed(self, text: str) -> EmbeddingVector:
+    def embed(self, text: str) -> tuple[float, ...]:
         if not text:
             raise ValueError("cannot embed empty text")
-        tokens = _TOKEN_PATTERN.findall(text.lower())
-        if not tokens:
-            tokens = [text]
+        tokens = _TOKEN_PATTERN.findall(text.lower()) or [text]
         values = [0.0] * self.dimension
         for token in tokens:
             index, sign = self._bucket(token)
@@ -338,4 +322,4 @@ class DeterministicEmbedder:
             index, sign = self._bucket(text)
             values[index] = sign
             norm = 1.0
-        return EmbeddingVector(values=tuple(v / norm for v in values))
+        return tuple(v / norm for v in values)

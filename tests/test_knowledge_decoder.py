@@ -2,11 +2,13 @@
 
 ``memory._knowledge_line`` builds items through the slot setters of the
 frozen ``KnowledgeItem``, not its constructor. ``oracle`` is the
-constructor-based decoder it replaced. On seeded knowledge lines (valid
-ones, ones with keys deleted or values replaced by junk, bad kinds, odd
-confidences and embeddings, lines that are not objects or not JSON) both
-must give the same item, field by field, or raise the same exception type
-with the same text.
+constructor-based decoder it replaced, given the same checks of each
+value's JSON type: an integer id, a string statement, an array provenance,
+a number confidence, and an array of finite numbers or null as embedding.
+On seeded knowledge lines (valid ones, ones with keys deleted or values
+replaced by junk, bad kinds, odd confidences and embeddings, lines that are
+not objects or not JSON) both must give the same item, field by field, or
+raise the same exception type with the same text.
 
 Tier-1 runs 2,000 cases. For a longer run, give the number of cases and,
 optionally, the seeds:
@@ -24,7 +26,6 @@ import sys
 from neolaf import memory
 from neolaf.kstar import loads
 from neolaf.memory import KnowledgeItem, _kind
-from neolaf.provider import EmbeddingVector
 
 NAN, INF = float("nan"), float("inf")
 CONFIDENCES = (0, 1, True, False, -0.0, 0.0, 1.0, 1.5, -0.5, NAN, INF, -INF, "x", None,
@@ -33,26 +34,39 @@ JUNK = (None, True, False, 0, 1, -1, 7.5, -0.0, NAN, INF, "", "x", "corrective",
         ["a"], {}, {"a": 1}, 2 ** 70)
 KINDS = ("corrective", "reinforcement", "distilled", "Corrective", "CORRECTIVE", "bogus", "")
 EMBEDDINGS = (None, [], [0.5, -0.25], [1.0] * 8, [1, 2, 3], [NAN], [INF, 1.0], ["a"], [None],
-              [[1.0]], "ab", 5, 0.5, True, {"x": 1.0})
+              [[1.0]], [True], [2 ** 1100], [0.5, NAN, "a"], "ab", 5, 0.5, True, {"x": 1.0})
 FIELDS = ("id", "statement", "kind", "provenance", "confidence", "embedding")
 NOT_OBJECTS = ("[]", "[1, 2]", "5", "1.5", '"text"', "null", "true", "{", '{"id": 1', "")
 
 
-def _text(statement):
-    if type(statement) is not str:
-        raise ValueError(f"statement must be a string, not {statement!r}")
-    return statement
+def _checked(test, message):
+    """``check(value)``: ``value`` if ``test`` holds for it, else ValueError."""
+    def check(value):
+        if not test(value):
+            raise ValueError(f"{message}, not {value!r}")
+        return value
+    return check
+
+
+_id = _checked(lambda value: type(value) is int, "id must be an integer")
+_text = _checked(lambda value: type(value) is str, "statement must be a string")
+_array = _checked(lambda value: type(value) is list, "provenance must be an array")
+_number = _checked(lambda value: type(value) in (int, float), "confidence must be a number")
+_vector = _checked(lambda value: value is None or type(value) is list,
+                   "embedding must be an array of numbers")
 
 
 def oracle(line: str) -> KnowledgeItem:
-    """The decoder as it was: the frozen dataclass's own constructor, given a
-    statement once it is checked to be a string."""
+    """The decoder as it was: the frozen dataclass's own constructor, which checks
+    that an embedding's values are finite numbers, given each value once it is
+    checked to have its field's JSON type, in argument order."""
     obj = loads(line)
     embedding = obj.get("embedding")
-    return memory._int_id(KnowledgeItem(
-        obj["id"], _text(obj["statement"]), _kind(obj["kind"]), tuple(obj["provenance"]),
-        obj["confidence"], EmbeddingVector(tuple(embedding)) if embedding else None,
-    ))
+    return KnowledgeItem(
+        _id(obj["id"]), _text(obj["statement"]), _kind(obj["kind"]),
+        tuple(_array(obj["provenance"])), _number(obj["confidence"]),
+        tuple(_vector(embedding) or ()) or None,
+    )
 
 
 def knowledge_object(rng: random.Random) -> dict:

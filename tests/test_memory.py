@@ -39,7 +39,6 @@ from neolaf.memory import (
     KnowledgeKind,
     StorageError,
     ValidationFailed,
-    consolidation_example_from_dict,
     extract_knowledge,
     read_consolidation,
     render_plan,
@@ -47,7 +46,7 @@ from neolaf.memory import (
 )
 from neolaf.cli import main
 from neolaf.cognition import default_kit, distill_request
-from neolaf.provider import DeterministicEmbedder, EmbeddingVector, ScriptedProvider, fingerprint
+from neolaf.provider import DeterministicEmbedder, ScriptedProvider, fingerprint
 
 from conftest import make_record
 
@@ -159,7 +158,7 @@ def test_a_record_and_a_knowledge_add_are_one_write_each(store, rng, count_write
     assert writes == [(serialize_record(store.get_record(record_id)) + "\n").encode("utf-8")]
     item_id = _add_statement(store, "alpha ½")
     assert len(writes) == 2 and writes[1].count(b"\n") == 1
-    assert json.loads(writes[1]) == memory.knowledge_item_to_dict(store.get_knowledge(item_id))
+    assert writes[1] == (dumps(store.get_knowledge(item_id)) + "\n").encode("utf-8")
 
 
 def test_golden_knowledge_lines():
@@ -458,6 +457,61 @@ def test_knowledge_statement_that_is_not_text_fails_the_open(tmp_path, capsys, s
     assert main(["memory", "search", "a", "--store", str(store_dir)]) == 2
     out, err = capsys.readouterr()
     assert err == f"neolaf: error: {message}\n" and "Traceback" not in out
+
+
+@pytest.mark.parametrize(
+    "field, value, detail",
+    [
+        ("provenance", "ab", "provenance must be an array, not 'ab'"),
+        ("provenance", 1, "provenance must be an array, not 1"),
+        ("confidence", "x", "confidence must be a number, not 'x'"),
+        ("confidence", None, "confidence must be a number, not None"),
+        ("confidence", True, "confidence must be a number, not True"),
+        ("confidence", [0.5], "confidence must be a number, not [0.5]"),
+        ("embedding", "ab", "embedding must be an array of numbers, not 'ab'"),
+        ("embedding", 0, "embedding must be an array of numbers, not 0"),
+        ("embedding", {}, "embedding must be an array of numbers, not {}"),
+        ("embedding", [0.5, "a"], "embedding must be an array of numbers, not [0.5, 'a']"),
+        ("embedding", [None], "embedding must be an array of numbers, not [None]"),
+        ("embedding", [10 ** 400], f"embedding must be an array of numbers, not [{10 ** 400}]"),
+        ("embedding", [float("inf")], "embedding values must be finite"),
+    ],
+    ids=["text-provenance", "number-provenance", "text-confidence", "null-confidence",
+         "bool-confidence", "array-confidence", "text-embedding", "number-embedding",
+         "object-embedding", "text-in-embedding", "null-in-embedding", "huge-int-in-embedding",
+         "infinite-embedding"],
+)
+def test_knowledge_value_of_the_wrong_type_fails_the_open(tmp_path, capsys, field, value, detail):
+    """A provenance given as text once loaded as its characters, and an embedding
+    int past a float's range crashed the open with an OverflowError traceback."""
+    store_dir = tmp_path / "s"
+    _write_knowledge_file(store_dir, [(1, "a")])
+    obj = {"id": 2, "statement": "b", "kind": "distilled", "provenance": [1],
+           "confidence": 0.5, field: value}
+    with open(store_dir / "knowledge.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj) + "\n")
+    message = _knowledge_corrupt(store_dir, 2) + detail
+    with pytest.raises(StorageError) as excinfo:
+        EpisodicStore.open(store_dir)
+    assert str(excinfo.value) == message
+    assert main(["memory", "search", "a", "--store", str(store_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"neolaf: error: {message}\n" and "Traceback" not in out
+
+
+def test_an_item_with_an_embedding_that_is_not_finite_is_never_built_or_written(store):
+    for bad in ((float("nan"),), (1.0, float("inf")), ("a",)):
+        with pytest.raises(ValueError, match="embedding"):
+            KnowledgeItem(0, "x", KnowledgeKind.DISTILLED, (1,), 0.5, embedding=bad)
+    store.store_record(_sample_record())
+    _add_statement(store, "alpha")
+    files = {path: path.read_bytes() for path in (store.log_path, store.knowledge_path)}
+    item = KnowledgeItem(0, "x", KnowledgeKind.DISTILLED, (1,), 0.5)
+    object.__setattr__(item, "embedding", (float("nan"),))  # past the constructor's check
+    with pytest.raises(ValueError, match="embedding values must be finite"):
+        store.add_knowledge(item)
+    assert {path: path.read_bytes() for path in files} == files
+    assert EpisodicStore.open(store.log_path.parent).knowledge == store.knowledge
 
 
 _KNOWLEDGE_LINE = (
@@ -770,7 +824,7 @@ def test_reopened_store_reproduces_every_line_and_item(tmp_path):
     )
     store.add_knowledge(
         KnowledgeItem(0, "分母を確認", KnowledgeKind.DISTILLED, (2, 3), 0.6,
-                      embedding=EmbeddingVector((0.6, -0.8, 0.0)))
+                      embedding=(0.6, -0.8, 0.0))
     )
     store.add_knowledge(
         KnowledgeItem(0, "lesson", KnowledgeKind.REINFORCEMENT, (3,), 0.8)
@@ -1352,8 +1406,6 @@ def test_consolidation_lines_round_trip(store, tmp_path):
     assert example.source_record == 1
     assert example.prompt == "add unlike fractions\ncompute 1/3 + 1/6"
     assert "1/2" in example.completion
-    line_obj = json.loads(out.read_text().splitlines()[0])
-    assert consolidation_example_from_dict(line_obj) == example
 
 
 def test_consolidation_line_text(store, tmp_path):
@@ -1378,11 +1430,42 @@ def test_corrupt_consolidation_line_names_the_file_and_the_line(store, tmp_path)
     with pytest.raises(StorageError) as excinfo:
         read_consolidation(out)
     assert str(excinfo.value) == (
-        f"consolidation file {out} corrupt at line 3: 'source_record'"
+        f"consolidation file {out} corrupt at line 3: missing field example.source_record"
     )
     out.write_text(out.read_text(encoding="utf-8").replace('{"prompt": "p"', "{"), "utf-8")
     with pytest.raises(StorageError, match=r"consolidation file .* corrupt at line 3: Expecting"):
         read_consolidation(out)
+
+
+@pytest.mark.parametrize(
+    "line, detail",
+    [
+        ('{"prompt":"p","completion":"c","source_record":1,"tags":"ab"}',
+         "bad field value at tags: expected an array, not 'ab'"),
+        ('{"prompt":"p","completion":"c","source_record":1,"tags":[5]}',
+         "bad field value at tags: expected str, not 5"),
+        ('{"prompt":"p","completion":"c","source_record":"x","tags":[]}',
+         "bad field value at source_record: expected int, not 'x'"),
+        ('{"prompt":"p","completion":"c","source_record":true,"tags":[]}',
+         "bad field value at source_record: expected int, not True"),
+        ('{"prompt":null,"completion":"c","source_record":1,"tags":[]}',
+         "bad field value at prompt: expected str, not None"),
+        ('{"prompt":"p","completion":"c","source_record":1}', "missing field example.tags"),
+        ("[1]", "example must be a JSON object"),
+    ],
+    ids=["string-tags", "number-tag", "string-source", "bool-source", "null-prompt",
+         "no-tags", "array"],
+)
+def test_consolidation_line_of_the_wrong_shape_names_the_file_and_the_line(
+    tmp_path, line, detail
+):
+    """A consolidation line decodes through the record codec, with its type checks."""
+    out = tmp_path / "data.jsonl"
+    good = '{"prompt":"p","completion":"c","source_record":1,"tags":["a"]}'
+    out.write_text(f"{good}\n{line}\n", encoding="utf-8")
+    with pytest.raises(StorageError) as excinfo:
+        read_consolidation(out)
+    assert str(excinfo.value) == f"consolidation file {out} corrupt at line 2: {detail}"
 
 
 def test_missing_consolidation_file_is_not_found(tmp_path):
