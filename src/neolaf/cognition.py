@@ -682,7 +682,7 @@ def run_system2(
     metrics = ledger.metrics(replans=state.replan_count)
     reinforced = used_ids if outcome.success and forecast_matched(draft) else ()
     draft = replace(draft, metrics=metrics, knowledge_delta=reinforced)
-    record = store.get_record(store.store_record(draft, new_items))
+    record = store.store_record(draft, new_items)
     explanation = "\n".join(step.observed_output for step in executed if step.observed_output)
     return _solution(answer, explanation, Route.SYSTEM2, record), record
 
@@ -752,7 +752,7 @@ def solve(
     if ledger.error is None and (system1_only or route(confidence, kit) is Route.SYSTEM1):
         record = _lightweight_record(query, source, answer, confidence, retrieved,
                                      ledger.metrics())
-        record = store.get_record(store.store_record(record))
+        record = store.store_record(record)
         return _solution(answer, explanation, Route.SYSTEM1, record)
     return run_system2(query, kit, ledger, registry, store, source=source,
                        plan_review=plan_review, retrieved=retrieved)[0]

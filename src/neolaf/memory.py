@@ -15,16 +15,16 @@ item: a generic slot-setting ``_build`` took 2.3-2.8 times as long on the 10k it
 Opening a store scans every line of both files. It decodes every knowledge line, but a
 record line only when it lacks the canonical ``{"id":N,`` prefix or ``knowledge_delta``
 tail, or is the last; open checks that ids increase, and reads the other lines' deltas
-from their tails in one ``loads``. Of a line it leaves undecoded it keeps the place in
-the log (line number, byte offset, length), not the text, as Bitcask's keydir does, so
-an open store's memory grows with the number of records, not with their bytes. The ``records``,
-``get_record`` or ``consolidate`` call that first reaches one reads it back (``records``
-opens the log once for all), decodes it, once, and checks its id against the prefix's.
-Read by ``errors.read_lines``, a corrupt line (one nested too deeply to decode too), or
-one cut or replaced since the open, fails the open, or that call, with a StorageError
-naming its file and line. The benchmark's seed-0 store (10k items, 5k records, 9.2 MB) opens
-in ~100 ms on one shared core (log scan 27, with 7 for the delta tails; knowledge JSON
-32; items 19; fold 4) and then holds 4.9 MiB, 11.3 when it kept the lines (tracemalloc).
+from their tails in one ``loads``. Of each record, the ones it commits too, it keeps only
+the place of its line in the log (line number, byte offset, length), as Bitcask's keydir
+does, so an open store's memory grows with the number of records, not with their bytes.
+Each ``records``, ``get_record`` or ``consolidate`` call reads the records it returns back
+from the log (opened once per call), decodes them, checks each id against the prefix's,
+and keeps none. Read by ``errors.read_lines``, a corrupt line (one nested too deeply to
+decode too), or one cut or replaced since the open, fails the open, or that call, with a
+StorageError naming its file and line. The benchmark's seed-0 store (10k items, 5k records,
+9.2 MB) opens in 60-115 ms on one shared core and then holds 4.4 MB (tracemalloc), as
+much after a ``consolidate``.
 The open pauses the (process-wide) cyclic collector, as nothing it builds is cyclic
 garbage, and then leaves it as the caller had it; if it was on, one young-generation
 pass moves what was built to the oldest.
@@ -48,8 +48,8 @@ item ids start past every id a record names.
 
 The store makes its directory when opened. Each append is one ``os.write`` of
 whole UTF-8 lines to a descriptor opened ``O_APPEND`` for that append alone (a
-short write is finished by another); nothing is fsynced. Writes serialize on the
-store lock; completed records are immutable, so many readers may share them freely.
+short write is finished by another); nothing is fsynced. Writes, and reads of the log,
+serialize on the store lock.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from enum import Enum
 from functools import partial, reduce
 from operator import attrgetter, mul, or_
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import BAD_INPUT, NeolafError, read_lines
 from .kstar import (
@@ -169,7 +169,7 @@ def _knowledge_line(line: str) -> KnowledgeItem:
         if type(embedding) is not list:
             raise ValueError(f"embedding must be an array of numbers, not {embedding!r}")
         _check_embedding(embedding := tuple(embedding))
-    _set_embedding(item, embedding or None)  # an empty array reads as no embedding
+    _set_embedding(item, embedding)
     return item
 
 
@@ -377,15 +377,15 @@ _DELTA_TAIL = re.compile(
     r'"knowledge_delta":(\[(?:[1-9]\d{0,17}(?:,[1-9]\d{0,17})*)?\]),"metrics":\{[^}]*\}\}', re.A)
 
 
-def _record_entry(line: str) -> tuple[int, Optional[KstarRecord], str]:
-    """The id, the record (None: left undecoded) and its ``knowledge_delta`` as JSON text;
-    a line that lacks the canonical prefix or tail is decoded (no key: a match from 0)."""
+def _record_entry(line: str) -> tuple[int, str]:
+    """The id and the ``knowledge_delta`` as JSON text; a line that lacks the canonical
+    prefix or tail is decoded for them (no key: a match from 0)."""
     if (match := _ID_PREFIX.match(line)) and (
         tail := _DELTA_TAIL.fullmatch(line, line.rfind('"knowledge_delta":['))
     ):
-        return int(match[1]), None, tail[1]
+        return int(match[1]), tail[1]
     record = deserialize_record(line)
-    return record.id, record, dumps(record.knowledge_delta)
+    return record.id, dumps(record.knowledge_delta)
 
 
 def _consolidation_line(line: str) -> ConsolidationExample:
@@ -411,10 +411,9 @@ class EpisodicStore:
         self.embedder = embedder
         self._log_corrupt = _corrupt(f"record log {self.log_path}")
         self.lock = threading.RLock()
-        # A record, or (line number, byte offset, byte length) of its line until its
-        # first use; ids in log order
-        self._records: list[KstarRecord | tuple[int, int, int]] = []
-        self._ids: list[int] = []
+        self._ids: list[int] = []  # in log order
+        # The keydir: each record's line number, byte offset and byte length in the log
+        self._places = array("q")
         self._knowledge: dict[int, KnowledgeItem] = {}
         self._next_knowledge_id = 1
         self._index: _TokenIndex | _VectorIndex | None = None  # built by retrieve
@@ -432,15 +431,15 @@ class EpisodicStore:
         try:
             last_id, deltas = 0, []
             lines = read_lines(self.log_path, _record_entry, self._log_corrupt, True)
-            for number, (record_id, record, delta), offset, length in lines:
+            for number, (record_id, delta), offset, length in lines:
                 if record_id <= last_id:
                     raise self._log_corrupt(f"id {record_id} after {last_id}", number)
                 last_id = record_id
                 self._ids.append(record_id)
-                self._records.append((number, offset, length) if record is None else record)
+                self._places.extend((number, offset, length))
                 deltas.append(delta)
-            if self._records:  # a torn last line fails here, not under the next append
-                self._read_back([-1])
+            if self._ids:  # a torn last line fails here, not under the next append
+                next(self._read_back([len(self._ids) - 1]))
             knowledge_corrupt = _corrupt(f"knowledge file {self.knowledge_path}")
             lines = read_lines(self.knowledge_path, _knowledge_line, knowledge_corrupt, True)
             for _, item, _, _ in lines:
@@ -455,15 +454,13 @@ class EpisodicStore:
                 # would scan all of it twice on the way, inside later calls.
                 gc.collect(1)
 
-    def _read_back(self, indexes: Iterable[int]) -> None:
-        """Decode each record at ``indexes`` not decoded yet, read back from its place in
-        the log, which is opened once for them all; call with the lock held."""
+    def _read_back(self, indexes: Iterable[int]) -> Iterator[KstarRecord]:
+        """Each record at ``indexes``, read back from its place in the log, which is opened
+        once for them all, and decoded; iterate with the lock held."""
         with ExitStack() as stack:
             log = None
             for index in indexes:
-                if type(entry := self._records[index]) is not tuple:
-                    continue
-                number, offset, length = entry
+                number, offset, length = self._places[3 * index:3 * index + 3]
                 try:
                     log = log or stack.enter_context(open(self.log_path, "rb"))
                     log.seek(offset)
@@ -475,14 +472,16 @@ class EpisodicStore:
                             f"id {record.id} where the line starts with id {prefix_id}")
                 except (OSError, *BAD_INPUT) as exc:
                     raise self._log_corrupt(exc, number) from exc
-                self._records[index] = record
+                yield record
 
-    def _append(self, path: Path, data: bytes) -> None:
+    def _append(self, path: Path, data: bytes) -> int:
+        """Append ``data``; return where it ends, under ``O_APPEND`` whatever others append."""
         try:
             fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
             try:
                 while data:
                     data = data[os.write(fd, data):]
+                return os.lseek(fd, 0, os.SEEK_CUR)
             finally:
                 os.close(fd)
         except OSError as exc:
@@ -528,24 +527,22 @@ class EpisodicStore:
     @property
     def records(self) -> tuple[KstarRecord, ...]:
         with self.lock:
-            self._read_back(range(len(self._records)))
-            return tuple(self._records)
+            return tuple(self._read_back(range(len(self._ids))))
 
     def get_record(self, record_id: int) -> Optional[KstarRecord]:
         with self.lock:
             i = bisect_left(self._ids, record_id)
             if i < len(self._ids) and self._ids[i] == record_id:
-                self._read_back([i])
-                return self._records[i]
+                return next(self._read_back([i]))
         return None
 
     def next_record_id(self) -> int:
         with self.lock:
             return self._ids[-1] + 1 if self._ids else 1
 
-    def store_record(self, record: KstarRecord, items: Iterable[KnowledgeItem] = ()) -> int:
+    def store_record(self, record: KstarRecord, items: Iterable[KnowledgeItem] = ()) -> KstarRecord:
         """Commit one encounter, whose ``knowledge_delta`` names the held items it
-        reinforced, and return its record id. The record takes the next id, and
+        reinforced, and return the record written. The record takes the next id, and
         ``items``, its new knowledge, the next item ids past every id it names, with
         the record as provenance, appended to its ``knowledge_delta``. All is checked
         and encoded; then the record line is appended, and the items in one more."""
@@ -558,13 +555,14 @@ class EpisodicStore:
             record = replace(record, id=record_id, knowledge_delta=delta)
             if violations := validate_record(record):
                 raise ValidationFailed(violations)
-            data = _knowledge_bytes(new)
-            self._append(self.log_path, (serialize_record(record) + "\n").encode("utf-8"))
-            self._records.append(record)
+            data, line = _knowledge_bytes(new), (serialize_record(record) + "\n").encode("utf-8")
+            start = self._append(self.log_path, line) - len(line)
+            # Numbered one past the line before (another handle's lines between are not counted)
+            self._places.extend((self._places[-3] + 1 if self._ids else 1, start, len(line)))
             self._ids.append(record.id)
             self._fold([(record.id, delta)])
             self._write_knowledge(new, data)
-            return record.id
+            return record
 
     # -- knowledge ----------------------------------------------------
 
@@ -629,14 +627,15 @@ class EpisodicStore:
         per line.
         """
         examples = []
-        for record in self.records:
-            if not record.outcome.success:
-                continue
-            prompt = f"{record.situation.description}\n{record.task.goal}"
-            completion = f"{render_plan(record.plan)}\n{record.outcome.actual_result}"
-            examples.append(ConsolidationExample(
-                prompt, completion, record.id, record.situation.context_tags
-            ))
+        with self.lock:
+            for record in self._read_back(range(len(self._ids))):
+                if not record.outcome.success:
+                    continue
+                prompt = f"{record.situation.description}\n{record.task.goal}"
+                completion = f"{render_plan(record.plan)}\n{record.outcome.actual_result}"
+                examples.append(ConsolidationExample(
+                    prompt, completion, record.id, record.situation.context_tags
+                ))
         if out_path is not None:
             try:
                 text = "".join([dumps(example) + "\n" for example in examples])

@@ -793,7 +793,7 @@ def test_record_failing_validation_raises_validation_failed(
     )
     # A store that already holds a record and an item; with retrieval_k 0
     # the item is not retrieved, so the prompts carry no context, as scripted.
-    seeded = store.get_record(store.store_record(make_record(rng)))
+    seeded = store.store_record(make_record(rng))
     store.add_knowledge(KnowledgeItem(0, "exact sums", KnowledgeKind.DISTILLED, (1,), 0.6))
     files = (store.log_path, store.knowledge_path)
     before = [path.read_bytes() for path in files]

@@ -8,7 +8,8 @@ directive number too long to convert, lone surrogates, non-finite numbers,
 stray labels, an empty reply, a result too long to render. One call in ten
 raises ``ProviderError`` instead, in whichever phase it falls. After every
 encounter it checks that ``solve`` returned a Solution, that exactly one
-record was added, that the store reopens with the same records, and that
+record was added, that the record read back from the log counts what the
+Solution counts, that the store reopens with the same records, and that
 ``answers_equal`` on the answer returns a bool.
 
 Tier-1 runs 300 encounters. For a longer run, give the number of
@@ -113,6 +114,9 @@ def fuzz(directory, seed: int, encounters: int) -> None:
         assert isinstance(solution, Solution), (seed, n)
         records = store.records
         assert len(records) == n % PASS + 1 and solution.record_id == records[-1].id, (seed, n)
+        metrics = records[-1].metrics  # the Solution counts the record its commit returned
+        assert (metrics.latency_ms, metrics.provider_calls, metrics.tool_calls) == (
+            solution.elapsed_ms, solution.provider_calls, solution.tool_calls), (seed, n)
         assert EpisodicStore.open(path).records == records, (seed, n)
         assert type(answers_equal(solution.answer, problem.reference_answer)) is bool, (seed, n)
 

@@ -65,7 +65,7 @@ def oracle(line: str) -> KnowledgeItem:
     return KnowledgeItem(
         _id(obj["id"]), _text(obj["statement"]), _kind(obj["kind"]),
         tuple(_array(obj["provenance"])), _number(obj["confidence"]),
-        tuple(_vector(embedding) or ()) or None,
+        None if _vector(embedding) is None else tuple(embedding),
     )
 
 

@@ -97,7 +97,7 @@ def _sample_record(success=True, probability=0.9, grounding=CoTaskState.DONE):
 
 
 def test_first_record_gets_id_one(store, rng):
-    assert store.store_record(make_record(rng)) == 1
+    assert store.store_record(make_record(rng)).id == 1
 
 
 def test_invalid_record_lists_violations(store, rng):
@@ -154,8 +154,8 @@ def test_append_after_the_directory_is_deleted_fails(tmp_path, rng):
 
 def test_a_record_and_a_knowledge_add_are_one_write_each(store, rng, count_writes):
     writes = count_writes()
-    record_id = store.store_record(make_record(rng))
-    assert writes == [(serialize_record(store.get_record(record_id)) + "\n").encode("utf-8")]
+    record = store.store_record(make_record(rng))
+    assert writes == [(serialize_record(record) + "\n").encode("utf-8")]
     item_id = _add_statement(store, "alpha ½")
     assert len(writes) == 2 and writes[1].count(b"\n") == 1
     assert writes[1] == (dumps(store.get_knowledge(item_id)) + "\n").encode("utf-8")
@@ -195,7 +195,7 @@ def test_store_record_commits_the_record_then_its_knowledge(store, rng, count_wr
              KnowledgeItem(0, "gamma", KnowledgeKind.DISTILLED, (), 0.6)]
     # the record reinforced ``old``, and names 99, which no item holds
     record = replace(make_record(rng), knowledge_delta=(old, 99))
-    record = store.get_record(store.store_record(record, items))
+    record = store.store_record(record, items)
     assert record.knowledge_delta == (old, 99, 100, 101)  # new ids start past every named id
     assert [store.get_knowledge(i).provenance for i in (100, 101)] == [(record.id,)] * 2
     assert store.get_knowledge(old).confidence == pytest.approx(0.6)
@@ -229,7 +229,7 @@ def test_a_commit_that_fails_a_check_writes_nothing(store, rng, count_writes, mo
     assert [(item.id, item.confidence) for item in store.knowledge] == [(old, 0.5)]
     monkeypatch.undo()
     # nothing was used up: the next commit takes the ids the failed ones were given
-    assert store.store_record(replace(reinforcing, knowledge_delta=()), [good]) == 1
+    assert store.store_record(replace(reinforcing, knowledge_delta=()), [good]).id == 1
     assert store.get_knowledge(old + 1).provenance == (1,)
 
 
@@ -311,6 +311,18 @@ def test_reopened_items_behave_like_constructed_ones(tmp_path, embedder):
         boosted = replace(item, confidence=1.5)
         assert boosted.confidence == 1.0 and boosted == replace(built, confidence=1.0)
     assert len(set(reopened) | set(store.knowledge)) == 2
+
+
+@pytest.mark.parametrize("embedder", [None, DeterministicEmbedder()], ids=["jaccard", "embedder"])
+def test_an_item_with_an_empty_embedding_reopens_equal(tmp_path, embedder):
+    store = EpisodicStore.open(tmp_path / "s", embedder)
+    store.add_knowledge(KnowledgeItem(0, "check denominators", KnowledgeKind.DISTILLED, (1,),
+                                      0.6, embedding=()))
+    _add_statement(store, "reduce fractions")
+    reopened = EpisodicStore.open(tmp_path / "s", embedder)
+    assert reopened.knowledge == store.knowledge and reopened.knowledge[0].embedding == ()
+    # ranked as an item without one: by its statement's own embedding
+    assert [item.id for item in reopened.retrieve("check denominators", 2)] == [1, 2]
 
 
 def _log_corrupt(store_dir, number):
@@ -600,7 +612,7 @@ def test_open_leaves_what_it_built_in_the_oldest_generation(tmp_path, rng):
     _store_with_one_line_each(store_dir, rng)
     store = EpisodicStore.open(store_dir)
     oldest = {id(obj) for obj in gc.get_objects(generation=2)}
-    assert id(store.records[0]) in oldest and id(store.knowledge[0]) in oldest
+    assert id(store.knowledge[0]) in oldest
 
 
 def test_open_leaves_a_paused_collector_paused(tmp_path, rng):
@@ -652,7 +664,7 @@ def test_a_field_of_the_wrong_type_fails_each_command_that_reads_it(tmp_path, rn
 
 @pytest.mark.parametrize("change", ["emptied", "cut-in-line-2", "deleted"])
 def test_a_log_cut_after_the_open_fails_each_read_back_naming_the_line(tmp_path, rng, change):
-    """Records 1 and 2 are read back from the log on first use; 3 was decoded at the open."""
+    """Every record, the last one too, is read back from the log at each use."""
     store_dir = tmp_path / "s"
     path = store_dir / "episodic.jsonl"
     lines = _three_record_lines(store_dir, rng)
@@ -663,8 +675,9 @@ def test_a_log_cut_after_the_open_fails_each_read_back_naming_the_line(tmp_path,
     else:
         with open(path, "r+b") as fh:
             fh.truncate(0 if change == "emptied" else len(lines[0].encode("utf-8")) + 10)
-    number = 2 if change == "cut-in-line-2" else 1
-    for access in (lambda: store.get_record(number), lambda: store.records):
+    first = 2 if change == "cut-in-line-2" else 1
+    accesses = [(n, lambda n=n: store.get_record(n)) for n in range(first, 4)]
+    for number, access in [*accesses, (first, lambda: store.records)]:
         with pytest.raises(StorageError) as excinfo:
             access()
         if change == "deleted":
@@ -674,7 +687,6 @@ def test_a_log_cut_after_the_open_fails_each_read_back_naming_the_line(tmp_path,
             assert str(excinfo.value) == (
                 _log_corrupt(store_dir, number) + "the log is shorter than when the store was opened"
             )
-    assert store.get_record(3) == good[2]
     if change == "cut-in-line-2":
         assert store.get_record(1) == good[0]
 
@@ -706,23 +718,48 @@ def test_lines_a_second_handle_appends_leave_every_old_record_readable(tmp_path,
     assert store.records == EpisodicStore.open(store_dir).records[:3]
 
 
-def test_an_open_store_keeps_each_records_place_in_the_log_not_its_text(tmp_path, rng):
-    store_dir = tmp_path / "s"
-    store = EpisodicStore.open(store_dir)
+def _commit_long_records(store, rng):
+    """``store`` after 200 commits of records of about 11 kB each."""
     for _ in range(200):
         record = make_record(rng)
         situation = replace(record.situation, description="a long situation " * 600)
         store.store_record(replace(record, situation=situation))
-    log_bytes, store = (store_dir / "episodic.jsonl").stat().st_size, None
+    return store
+
+
+def _retained(call):
+    """``call()``, and the bytes it left allocated (tracemalloc)."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        store = EpisodicStore.open(store_dir)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        value = call()
+        gc.collect()  # so what is left is held, not garbage awaiting the collector
+        return value, tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+
+
+def test_an_open_store_keeps_each_records_place_in_the_log_not_its_text(tmp_path, rng):
+    store_dir = tmp_path / "s"
+    _commit_long_records(EpisodicStore.open(store_dir), rng)
+    log_bytes = (store_dir / "episodic.jsonl").stat().st_size
+    store, retained = _retained(lambda: EpisodicStore.open(store_dir))
     assert log_bytes > 2_000_000 and retained < log_bytes / 20
     assert store.records[0].situation.description.startswith("a long situation")
+
+
+def test_an_open_store_keeps_no_record_it_reads_back(tmp_path, rng):
+    _commit_long_records(EpisodicStore.open(tmp_path / "s"), rng)
+    store = EpisodicStore.open(tmp_path / "s")
+    count, retained = _retained(lambda: len(store.records))
+    assert count == 200 and retained < store.log_path.stat().st_size / 20
+
+
+def test_a_handle_keeps_no_record_it_commits(tmp_path, rng):
+    store, retained = _retained(
+        lambda: _commit_long_records(EpisodicStore.open(tmp_path / "s"), rng))
+    log_bytes = store.log_path.stat().st_size
+    assert log_bytes > 2_000_000 and retained < log_bytes / 20
 
 
 def test_torn_final_record_line_fails_the_open(tmp_path, rng):
@@ -762,9 +799,9 @@ def test_open_decodes_the_last_record_line_and_a_get_decodes_one_more(tmp_path, 
     )
     reopened = EpisodicStore.open(store_dir)
     assert len(decoded) == 1 and reopened.next_record_id() == 6
-    assert reopened.get_record(2) == store.get_record(2) and len(decoded) == 2
-    assert reopened.get_record(2) is reopened.get_record(2) and len(decoded) == 2
-    assert reopened.records == store.records and len(decoded) == 5
+    assert reopened.get_record(2) == store.get_record(2) and len(decoded) == 3
+    assert reopened.get_record(2) == reopened.get_record(2) and len(decoded) == 5
+    assert reopened.records == store.records and len(decoded) == 15
 
 
 def _nested_task(depth, cotasks):
@@ -927,7 +964,7 @@ def test_get_record_hits_and_misses_across_id_gaps(tmp_path, rng):
         assert store.get_record(record.id) == record
     for missing in (0, -1, 3, 4, 10):
         assert store.get_record(missing) is None
-    assert store.store_record(make_record(rng)) == 10
+    assert store.store_record(make_record(rng)).id == 10
     assert store.get_record(10).id == 10
 
 
