@@ -23,11 +23,9 @@ from the log (opened once per call), decodes them, checks each id against the pr
 and keeps none. Read by ``errors.read_lines``, a corrupt line (one nested too deeply to
 decode too), or one cut or replaced since the open, fails the open, or that call, with a
 StorageError naming its file and line. The benchmark's seed-0 store (10k items, 5k records,
-9.2 MB) opens in 60-115 ms on one shared core and then holds 4.4 MB (tracemalloc), as
+9.2 MB) opens in 55-100 ms (fastest of 15 in-process opens on one pinned core of a shared
+2-vCPU VM, Python 3.11, at quiet and busy times) and then holds 4.4 MB (tracemalloc), as
 much after a ``consolidate``.
-The open pauses the (process-wide) cyclic collector, as nothing it builds is cyclic
-garbage, and then leaves it as the caller had it; if it was on, one young-generation
-pass moves what was built to the oldest.
 
 Retrieval keeps one more rebuildable cache, built on the first ``retrieve``
 after open rather than at load. For embedder scoring it holds each item's
@@ -48,13 +46,13 @@ item ids start past every id a record names.
 
 The store makes its directory when opened. Each append is one ``os.write`` of
 whole UTF-8 lines to a descriptor opened ``O_APPEND`` for that append alone (a
-short write is finished by another); nothing is fsynced. Writes, and reads of the log,
+short write is finished by another), led by a newline when the file's last line
+lacks one, as a crash can leave it; nothing is fsynced. Writes, and reads of the log,
 serialize on the store lock.
 """
 
 from __future__ import annotations
 
-import gc
 import heapq
 import math
 import os
@@ -424,35 +422,23 @@ class EpisodicStore:
         return cls(directory, embedder)
 
     def _load(self) -> None:
-        # None of the many containers built here is cyclic garbage, yet each
-        # collector pass would rescan them all: pause it, as the caller had it.
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            last_id, deltas = 0, []
-            lines = read_lines(self.log_path, _record_entry, self._log_corrupt, True)
-            for number, (record_id, delta), offset, length in lines:
-                if record_id <= last_id:
-                    raise self._log_corrupt(f"id {record_id} after {last_id}", number)
-                last_id = record_id
-                self._ids.append(record_id)
-                self._places.extend((number, offset, length))
-                deltas.append(delta)
-            if self._ids:  # a torn last line fails here, not under the next append
-                next(self._read_back([len(self._ids) - 1]))
-            knowledge_corrupt = _corrupt(f"knowledge file {self.knowledge_path}")
-            lines = read_lines(self.knowledge_path, _knowledge_line, knowledge_corrupt, True)
-            for _, item, _, _ in lines:
-                self._knowledge[item.id] = item
-            self._next_knowledge_id = max(self._knowledge, default=0) + 1
-            self._fold(zip(self._ids, loads(f"[{','.join(deltas)}]")))
-        finally:
-            if enabled:
-                gc.enable()
-                # One pass over the two young generations moves what was built
-                # to the oldest; the passes that the next allocations start
-                # would scan all of it twice on the way, inside later calls.
-                gc.collect(1)
+        last_id, deltas = 0, []
+        lines = read_lines(self.log_path, _record_entry, self._log_corrupt, True)
+        for number, (record_id, delta), offset, length in lines:
+            if record_id <= last_id:
+                raise self._log_corrupt(f"id {record_id} after {last_id}", number)
+            last_id = record_id
+            self._ids.append(record_id)
+            self._places.extend((number, offset, length))
+            deltas.append(delta)
+        if self._ids:  # a torn last line fails here, not under the next append
+            next(self._read_back([len(self._ids) - 1]))
+        knowledge_corrupt = _corrupt(f"knowledge file {self.knowledge_path}")
+        lines = read_lines(self.knowledge_path, _knowledge_line, knowledge_corrupt, True)
+        for _, item, _, _ in lines:
+            self._knowledge[item.id] = item
+        self._next_knowledge_id = max(self._knowledge, default=0) + 1
+        self._fold(zip(self._ids, loads(f"[{','.join(deltas)}]")))
 
     def _read_back(self, indexes: Iterable[int]) -> Iterator[KstarRecord]:
         """Each record at ``indexes``, read back from its place in the log, which is opened
@@ -475,10 +461,13 @@ class EpisodicStore:
                 yield record
 
     def _append(self, path: Path, data: bytes) -> int:
-        """Append ``data``; return where it ends, under ``O_APPEND`` whatever others append."""
+        """Append ``data``, after a newline if the file's last line lacks one; return where
+        it ends, under ``O_APPEND`` whatever others append."""
         try:
-            fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
             try:
+                if (end := os.lseek(fd, 0, os.SEEK_END)) and os.pread(fd, 1, end - 1) != b"\n":
+                    data = b"\n" + data  # else the first line would run on from that one
                 while data:
                     data = data[os.write(fd, data):]
                 return os.lseek(fd, 0, os.SEEK_CUR)

@@ -585,34 +585,19 @@ def _store_with_one_line_each(store_dir, rng):
 
 
 @pytest.mark.parametrize("corrupt", [None, "episodic.jsonl", "knowledge.jsonl"])
-def test_open_pauses_the_collector_and_then_restarts_it(tmp_path, rng, monkeypatch, corrupt):
+def test_open_leaves_the_collector_on(tmp_path, rng, corrupt):
     store_dir = tmp_path / "s"
     _store_with_one_line_each(store_dir, rng)
     if corrupt:
         with open(store_dir / corrupt, "a", encoding="utf-8") as fh:
             fh.write("{\n")
-    enabled_while_decoding = []
-    for name in ("deserialize_record", "_knowledge_line"):
-        decode = getattr(memory, name)
-        monkeypatch.setattr(memory, name, lambda line, decode=decode: (
-            enabled_while_decoding.append(gc.isenabled()) or decode(line)
-        ))
     assert gc.isenabled()
     if corrupt:
         with pytest.raises(StorageError, match="corrupt at line 2"):
             EpisodicStore.open(store_dir)
     else:
         EpisodicStore.open(store_dir)
-    assert enabled_while_decoding and not any(enabled_while_decoding)
     assert gc.isenabled()
-
-
-def test_open_leaves_what_it_built_in_the_oldest_generation(tmp_path, rng):
-    store_dir = tmp_path / "s"
-    _store_with_one_line_each(store_dir, rng)
-    store = EpisodicStore.open(store_dir)
-    oldest = {id(obj) for obj in gc.get_objects(generation=2)}
-    assert id(store.knowledge[0]) in oldest
 
 
 def test_open_leaves_a_paused_collector_paused(tmp_path, rng):
@@ -770,6 +755,26 @@ def test_torn_final_record_line_fails_the_open(tmp_path, rng):
     with pytest.raises(StorageError) as excinfo:
         EpisodicStore.open(store_dir)
     assert str(excinfo.value).startswith(_log_corrupt(store_dir, 3) + "invalid JSON: ")
+
+
+@pytest.mark.parametrize("name", [memory.RECORD_LOG_NAME, memory.KNOWLEDGE_FILE_NAME])
+def test_a_commit_ends_a_last_line_that_lacks_its_newline(tmp_path, rng, name):
+    """As a crash can leave it: the next append must not run on from that line."""
+    store_dir = tmp_path / "s"
+    store = EpisodicStore.open(store_dir)
+    lesson = KnowledgeItem(0, "a lesson", KnowledgeKind.DISTILLED, (), 0.5)
+    for _ in range(2):
+        store.store_record(make_record(rng), [lesson])
+    path = store_dir / name
+    path.write_bytes(path.read_bytes()[:-1])
+    reopened = EpisodicStore.open(store_dir)
+    assert len(reopened.records) == 2 and len(reopened.knowledge) == 2
+    record = reopened.store_record(make_record(rng), [lesson])
+    assert reopened.get_record(record.id) == record and reopened.records[:2] == store.records
+    again = EpisodicStore.open(store_dir)
+    assert again.records == reopened.records and len(again.records) == 3
+    assert again.knowledge == reopened.knowledge and len(again.knowledge) == 3
+    assert path.read_bytes().count(b"\n") == 3 and path.read_bytes().endswith(b"\n")
 
 
 @pytest.mark.parametrize("line", [1, 2], ids=["middle", "last"])

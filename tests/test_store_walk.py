@@ -4,14 +4,27 @@ An open store keeps no record: each read is decoded again from the record's
 place in the log. The walk mixes commits, reads, consolidation, reopens and a
 second read-only handle, and after every step checks that each record read
 equals the record its commit returned, and that ``next_record_id`` agrees.
+It also cuts the final newline of either file, as a crash can leave it, and
+reopens both handles: the next append must end that line first, which every
+later reopen checks, of the records and of the items' ids.
+
+Tier-1 walks 300 steps. For a longer walk, give the number of steps per seed
+and the seeds:
+
+    PYTHONPATH=src python -W error tests/test_store_walk.py 1500 1 2 3
 """
 
 from __future__ import annotations
 
 import random
+import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
-from neolaf.memory import EpisodicStore, KnowledgeItem, KnowledgeKind
+from neolaf.memory import (
+    KNOWLEDGE_FILE_NAME, RECORD_LOG_NAME, EpisodicStore, KnowledgeItem, KnowledgeKind,
+)
 
 from conftest import make_record, make_words
 
@@ -34,8 +47,8 @@ def walk(directory, seed: int, steps: int) -> None:
     committed, held = [], []  # the records the commits returned; the items they made
     for step in range(steps):
         kind = rng.choices(
-            ("commit", "get", "miss", "records", "consolidate", "reopen", "second"),
-            (8, 5, 2, 2, 1, 1, 1))[0]
+            ("commit", "get", "miss", "records", "consolidate", "reopen", "second", "cut"),
+            (8, 5, 2, 2, 1, 1, 1, 1))[0]
         if kind == "commit":
             committed.append(_commit(store, rng, held))
         elif kind == "get" and committed:
@@ -54,6 +67,15 @@ def walk(directory, seed: int, steps: int) -> None:
         elif kind == "reopen":
             store = EpisodicStore.open(directory)
             assert store.records == tuple(committed), (seed, step)
+            assert [item.id for item in store.knowledge] == held, (seed, step)
+        elif kind == "cut":
+            path = Path(directory) / rng.choice((RECORD_LOG_NAME, KNOWLEDGE_FILE_NAME))
+            if path.exists() and (data := path.read_bytes()).endswith(b"\n"):
+                path.write_bytes(data[:-1])
+                # a handle's places hold the newline: reopen, as after the crash
+                store = EpisodicStore.open(directory)
+                if second is not None:
+                    second, seen = EpisodicStore.open(directory), len(committed)
         elif kind == "second" and second is None:
             second, seen = EpisodicStore.open(directory), len(committed)
         assert store.next_record_id() == len(committed) + 1, (seed, step)
@@ -69,3 +91,11 @@ def walk(directory, seed: int, steps: int) -> None:
 
 def test_every_read_back_equals_its_commit(tmp_path):
     walk(tmp_path / "store", seed=1, steps=300)
+
+
+if __name__ == "__main__":
+    steps, *seeds = map(int, sys.argv[1:])
+    for seed in seeds:
+        with tempfile.TemporaryDirectory() as scratch:
+            walk(Path(scratch) / "store", seed, steps)
+        print(f"seed {seed}: {steps} steps, every read back equal to its commit")
