@@ -118,8 +118,12 @@ def _print_solution(solution: Solution) -> None:
 def _review_callback(steps) -> bool:
     print("proposed plan:")
     print(render_plan(steps))
-    reply = input("execute this plan? [y/n] ").strip().lower()
-    return reply.startswith("y")
+    try:
+        reply = input("execute this plan? [y/n] ")
+    except EOFError:  # no answer at the end of input: the plan is not approved
+        print()
+        return False
+    return reply.strip().lower().startswith("y")
 
 
 def _cmd_solve(args) -> int:

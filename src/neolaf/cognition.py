@@ -7,12 +7,16 @@ below the kit threshold to the slow path, which walks the state machine
 through identify, decompose, plan, forecast, execute, evaluate, and
 encode, invoking tools for grounding and replanning on failure within
 budget. Accepted fast-path answers are also encoded as lightweight
-records so consolidation sees every encounter. One ledger per encounter
-counts its provider and tool calls and times it from the start of the
-fast path, so a record's metrics cover the whole encounter (an escalated
-one's include the fast-path call and its time) and match its Solution.
+records so consolidation sees every encounter. One encounter object
+carries an encounter from its query to its commit: it checks and scrubs
+the query and retrieves knowledge for it once, both paths reading that
+context; it counts provider and tool calls and times the encounter from
+the start of the fast path; and its commit stamps those metrics on the
+record, stores it, and builds the Solution from it. So a record's metrics
+cover the whole encounter (an escalated one's include the fast-path call
+and its time) and match its Solution.
 
-The ledger is also where a provider failure ends: the failed call, and
+The encounter is also where a provider failure ends: the failed call, and
 every later one of the encounter (not made), reads as an empty reply,
 which each phase parses as usual, and the encounter is encoded as a
 failure without replanning.
@@ -383,59 +387,63 @@ def _scrub(text: str) -> str:
     return _SURROGATE_RE.sub("\ufffd", text)
 
 
-class _Ledger:
-    """The ledger of one encounter: its start time, every completion
-    attempt (successful or not), every tool call, and the encounter's
-    first provider error."""
+class _Encounter:
+    """One encounter, from its query to its commit: the query, checked and
+    its lone surrogates made U+FFFD; the knowledge retrieved for it, once,
+    and the context built from that; its start time; every completion
+    attempt (successful or not); every tool call; and its first provider
+    error."""
 
-    def __init__(self, provider: CompletionProvider):
-        self.provider = provider
+    def __init__(self, query: str, kit: StarterKit, provider: CompletionProvider,
+                 registry: ToolRegistry, store: EpisodicStore, source: SituationSource):
+        if not query or not query.strip():
+            raise ValueError("query must be non-empty")
+        self.query = _scrub(query)
+        self.kit, self.provider, self.registry = kit, provider, registry
+        self.store, self.source = store, source
         self.started = time.monotonic()
-        self.provider_calls = 0
-        self.tool_calls = 0
+        self.provider_calls = self.tool_calls = 0
         self.error: Optional[ProviderError] = None
+        retrieved = store.retrieve(self.query, kit.retrieval_k)
+        self.used_ids = tuple(item.id for item in retrieved)
+        self.context = knowledge_context(retrieved, kit.context_token_budget)
 
-    def reply(self, request: ProviderRequest) -> tuple[str, Optional[ProviderError]]:
-        """The reply text to ``request``, its lone surrogates made U+FFFD,
-        and None; or, once a call of the encounter has failed, "" and that
-        call's error, without calling the provider again."""
+    def reply(self, request: ProviderRequest) -> str:
+        """The reply text to ``request``, its lone surrogates made U+FFFD;
+        or, once a call of the encounter has failed (``error`` holds that
+        call's error), "" without calling the provider again."""
         if self.error is None:
             self.provider_calls += 1
             try:
-                return _scrub(self.provider.complete(request).text), None
+                return _scrub(self.provider.complete(request).text)
             except ProviderError as exc:
                 self.error = exc
-        return "", self.error
+        return ""
 
-    def call_tool(self, kit, registry: ToolRegistry, directive: ToolDirective,
-                  evidence: list) -> ToolResult:
+    def call_tool(self, directive: ToolDirective, evidence: list) -> ToolResult:
         """Count and make one tool call. A tool outside the kit allowlist
         is refused; a call that succeeds appends its evidence, whose input
         is the arguments as sorted-key JSON."""
         self.tool_calls += 1
         name = directive.tool_name
-        if name not in kit.tool_allowlist:
+        if name not in self.kit.tool_allowlist:
             return ToolResult("", False, f"ToolNotAllowed: {name!r} is not in the kit allowlist")
-        result = registry.invoke(name, directive.args)
+        result = self.registry.invoke(name, directive.args)
         if result.ok:
             args = json.dumps(directive.args, ensure_ascii=False, sort_keys=True)
             evidence.append(GroundingEvidence(name, args, result.output))
         return result
 
-    def metrics(self, replans: int = 0) -> EncounterMetrics:
-        return EncounterMetrics(
-            latency_ms=int((time.monotonic() - self.started) * 1000),
-            provider_calls=self.provider_calls,
-            tool_calls=self.tool_calls,
-            replans=replans,
-        )
-
-
-def _solution(answer, explanation, route_taken, record: KstarRecord) -> Solution:
-    """The Solution of a stored record, which counts and times it."""
-    metrics = record.metrics
-    return Solution(answer, explanation, route_taken, record.id, metrics.latency_ms,
-                    metrics.provider_calls, metrics.tool_calls)
+    def commit(self, record: KstarRecord, route_taken: Route, answer: str, explanation: str,
+               items=(), replans: int = 0) -> tuple[Solution, KstarRecord]:
+        """Stamp ``record`` with the encounter's metrics, store it with its
+        new knowledge ``items``, and return the Solution and the stored
+        record, which count and time the encounter alike."""
+        metrics = EncounterMetrics(int((time.monotonic() - self.started) * 1000),
+                                   self.provider_calls, self.tool_calls, replans)
+        record = self.store.store_record(replace(record, metrics=metrics), items)
+        return Solution(answer, explanation, route_taken, record.id, metrics.latency_ms,
+                        metrics.provider_calls, metrics.tool_calls), record
 
 
 def _maybe_directive(line: str) -> Optional[ToolDirective]:
@@ -446,7 +454,7 @@ def _maybe_directive(line: str) -> Optional[ToolDirective]:
         return None
 
 
-def _step_outcome(kit, ledger, registry, query, context, step, prior_outputs, evidence):
+def _step_outcome(enc, context, step, prior_outputs, evidence):
     """Run one step and return (ok, observed output).
 
     A step whose skill is a tool directive is that tool call. Any other
@@ -456,18 +464,18 @@ def _step_outcome(kit, ledger, registry, query, context, step, prior_outputs, ev
     """
     directive = _maybe_directive(step.skill)
     if directive is not None:
-        result = ledger.call_tool(kit, registry, directive, evidence)
+        result = enc.call_tool(directive, evidence)
         return result.ok, (result.output if result.ok else result.error_detail or "tool failed")
-    request = execute_request(kit, query, context, step_line(step), "\n".join(prior_outputs))
-    text, error = ledger.reply(request)
-    if error is not None:
-        return False, f"provider error: {error}"
+    text = enc.reply(execute_request(enc.kit, enc.query, context, step_line(step),
+                                     "\n".join(prior_outputs)))
+    if enc.error is not None:
+        return False, f"provider error: {enc.error}"
     parts = [text.strip()] if text.strip() else []
     for line in text.splitlines():
         directive = _maybe_directive(line)
         if directive is None:
             continue
-        result = ledger.call_tool(kit, registry, directive, evidence)
+        result = enc.call_tool(directive, evidence)
         if not result.ok:
             parts.append(f"[{directive.tool_name}] failed: {result.error_detail}")
             return False, "\n".join(parts)
@@ -475,7 +483,7 @@ def _step_outcome(kit, ledger, registry, query, context, step, prior_outputs, ev
     return True, "\n".join(parts) or "(no output)"
 
 
-def _execute_steps(kit, ledger, registry, query, context, steps):
+def _execute_steps(enc, context, steps):
     """Run plan steps in order; the first failure skips the rest."""
     evidence: list[GroundingEvidence] = []
     out_steps: list[ActionStep] = []
@@ -485,9 +493,7 @@ def _execute_steps(kit, ledger, registry, query, context, steps):
         if failed:
             out_steps.append(replace(step, status=StepStatus.SKIPPED))
             continue
-        ok, observed = _step_outcome(
-            kit, ledger, registry, query, context, step, prior_outputs, evidence
-        )
+        ok, observed = _step_outcome(enc, context, step, prior_outputs, evidence)
         status = StepStatus.EXECUTED if ok else StepStatus.FAILED
         out_steps.append(replace(step, status=status, observed_output=observed))
         if ok:
@@ -515,7 +521,7 @@ def _final_answer(steps, evidence) -> str:
     return ""
 
 
-def _evaluate(kit, ledger, registry, query, steps, forecast, evidence):
+def _evaluate(enc, steps, forecast, evidence):
     """Decide success, grounding the answer where possible.
 
     Returns (outcome, grounding co-task state, answer). Numeric answers
@@ -549,9 +555,9 @@ def _evaluate(kit, ledger, registry, query, steps, forecast, evidence):
         outcome = Outcome(answer, True, tuple(evidence), None)
         return outcome, CoTaskState.DONE, answer
 
-    calc_available = "calc" in kit.tool_allowlist and "calc" in registry.tools
+    calc_available = "calc" in enc.kit.tool_allowlist and "calc" in enc.registry.tools
     if calc_available and calculator.try_eval(answer) is not None:
-        result = ledger.call_tool(kit, registry, ToolDirective("calc", {"expr": answer}), evidence)
+        result = enc.call_tool(ToolDirective("calc", {"expr": answer}), evidence)
         if result.ok:
             outcome = Outcome(result.output, True, tuple(evidence), None)
             return outcome, CoTaskState.DONE, result.output
@@ -563,10 +569,10 @@ def _evaluate(kit, ledger, registry, query, steps, forecast, evidence):
         )
         return outcome, CoTaskState.DONE, answer
 
-    text, error = ledger.reply(evaluate_request(kit, query, forecast.expected_result, answer))
+    text = enc.reply(evaluate_request(enc.kit, enc.query, forecast.expected_result, answer))
     success, feedback = parse_verdict(text)
-    if error is not None:
-        feedback = f"evaluation unavailable: {error}"
+    if enc.error is not None:
+        feedback = f"evaluation unavailable: {enc.error}"
     outcome = Outcome(answer, success, tuple(evidence), feedback)
     return outcome, CoTaskState.SKIPPED, answer
 
@@ -579,7 +585,6 @@ def run_system2(
     store: EpisodicStore,
     source: SituationSource = SituationSource.USER,
     plan_review: Optional[Callable[[tuple[ActionStep, ...]], bool]] = None,
-    retrieved=None,
 ) -> tuple[Solution, KstarRecord]:
     """Drive one full slow-path encounter and encode it.
 
@@ -589,31 +594,21 @@ def run_system2(
     corrective knowledge captured from each failed attempt before
     replanning supersedes it.
 
-    Called from ``solve``, ``provider`` is the encounter's ledger, so the
-    record and the Solution also count the fast-path call and its time;
-    a bare provider starts a ledger here.
+    Called from ``solve``, ``provider`` is the encounter the fast path
+    began, so the record and the Solution also count the fast-path call
+    and its time; a bare provider begins an encounter here.
     """
-    if not query or not query.strip():
-        raise ValueError("query must be non-empty")
-    query = _scrub(query)
-    ledger = provider if isinstance(provider, _Ledger) else _Ledger(provider)
-
-    if retrieved is None:
-        retrieved = store.retrieve(query, kit.retrieval_k)
-    used_ids = tuple(item.id for item in retrieved)
-    context = knowledge_context(retrieved, kit.context_token_budget)
+    enc = (provider if isinstance(provider, _Encounter)
+           else _Encounter(query, kit, provider, registry, store, source))
+    query, context = enc.query, enc.context
 
     state = EncounterState()
     state = advance(state, EncounterEvent.IDENTIFY, kit.r_max)
-    description = ledger.reply(situation_request(kit, query, context))[0].strip()
-    situation = Situation(
-        description=description or f"User query: {query}",
-        context_tags=(),
-        source=source,
-    )
+    description = enc.reply(situation_request(kit, query, context)).strip()
+    situation = Situation(description or f"User query: {query}", source=enc.source)
 
     state = advance(state, EncounterEvent.DEFINE_TASK, kit.r_max)
-    subtasks = parse_subtasks(ledger.reply(decompose_request(kit, query, context))[0])
+    subtasks = parse_subtasks(enc.reply(decompose_request(kit, query, context)))
 
     state = advance(state, EncounterEvent.PLAN, kit.r_max)
     failure_note: Optional[str] = None
@@ -623,24 +618,22 @@ def run_system2(
         if failure_note is not None:
             joiner = "\n" if context else ""
             plan_context = f"{context}{joiner}Previous attempt failed: {failure_note}"
-        steps = parse_plan(ledger.reply(plan_request(kit, query, plan_context))[0])
+        steps = parse_plan(enc.reply(plan_request(kit, query, plan_context)))
         # a failed plan call proposed nothing: its placeholder is not shown
-        if plan_review is not None and ledger.error is None and not plan_review(steps):
+        if plan_review is not None and enc.error is None and not plan_review(steps):
             raise ReviewRejected("plan rejected by reviewer")
 
         state = advance(state, EncounterEvent.FORECAST, kit.r_max)
         plan_text = render_plan(steps)
-        forecast = parse_forecast(ledger.reply(forecast_request(kit, query, plan_text))[0])
+        forecast = parse_forecast(enc.reply(forecast_request(kit, query, plan_text)))
 
         state = advance(state, EncounterEvent.BEGIN_EXECUTION, kit.r_max)
-        executed, evidence = _execute_steps(kit, ledger, registry, query, plan_context, steps)
+        executed, evidence = _execute_steps(enc, plan_context, steps)
 
         state = advance(state, EncounterEvent.EVALUATE, kit.r_max)
-        outcome, grounding_state, answer = _evaluate(
-            kit, ledger, registry, query, executed, forecast, evidence
-        )
+        outcome, grounding_state, answer = _evaluate(enc, executed, forecast, evidence)
         # a provider error fails every later call, so no replan can mend it
-        if outcome.success or state.replan_count >= kit.r_max or ledger.error:
+        if outcome.success or state.replan_count >= kit.r_max or enc.error:
             break
         failed_attempts.append((executed, forecast, outcome))
         failure_note = outcome.feedback or outcome.actual_result
@@ -660,7 +653,7 @@ def run_system2(
     draft = KstarRecord(
         id=0,
         timestamp=datetime.now(timezone.utc),
-        knowledge_used=used_ids,
+        knowledge_used=enc.used_ids,
         situation=situation,
         task=task,
         plan=executed,
@@ -673,51 +666,33 @@ def run_system2(
     for a_steps, a_forecast, a_outcome in failed_attempts:
         snapshot = replace(draft, plan=a_steps, forecast=a_forecast, outcome=a_outcome)
         new_items.extend(extract_knowledge(snapshot))
-    lesson, _ = ledger.reply(
+    lesson = enc.reply(
         distill_request(kit, query, render_plan(executed), forecast.expected_result,
                         outcome.actual_result)
     )
     new_items.extend(extract_knowledge(draft, lesson))
 
-    metrics = ledger.metrics(replans=state.replan_count)
-    reinforced = used_ids if outcome.success and forecast_matched(draft) else ()
-    draft = replace(draft, metrics=metrics, knowledge_delta=reinforced)
-    record = store.store_record(draft, new_items)
+    reinforced = enc.used_ids if outcome.success and forecast_matched(draft) else ()
     explanation = "\n".join(step.observed_output for step in executed if step.observed_output)
-    return _solution(answer, explanation, Route.SYSTEM2, record), record
+    return enc.commit(replace(draft, knowledge_delta=reinforced), Route.SYSTEM2, answer,
+                      explanation, new_items, state.replan_count)
 
 
-def _lightweight_record(query, source, answer, confidence, retrieved, metrics):
+def _lightweight_record(enc, answer, confidence):
     answer_text = answer.strip() or "(no answer text)"
     return KstarRecord(
         id=0,
         timestamp=datetime.now(timezone.utc),
-        knowledge_used=tuple(item.id for item in retrieved),
-        situation=Situation(description=query, context_tags=(), source=source),
-        task=TaskSpec(
-            goal=query,
-            subtasks=(),
-            cotasks=CoTasks(
-                planning=CoTaskState.SKIPPED,
-                forecasting=CoTaskState.SKIPPED,
-                grounding=CoTaskState.SKIPPED,
-            ),
-        ),
-        plan=(
-            ActionStep(
-                agent="self",
-                skill="answer directly from prior knowledge",
-                status=StepStatus.EXECUTED,
-                observed_output=answer_text,
-            ),
-        ),
-        forecast=Forecast(
-            expected_result=f"confident direct answer: {answer_text}",
-            success_probability=confidence,
-        ),
+        knowledge_used=enc.used_ids,
+        situation=Situation(enc.query, source=enc.source),
+        task=TaskSpec(enc.query, cotasks=CoTasks(
+            CoTaskState.SKIPPED, CoTaskState.SKIPPED, CoTaskState.SKIPPED)),
+        plan=(ActionStep("self", "answer directly from prior knowledge",
+                         status=StepStatus.EXECUTED, observed_output=answer_text),),
+        forecast=Forecast(f"confident direct answer: {answer_text}", confidence),
         outcome=Outcome(actual_result=answer_text, success=True),
         knowledge_delta=(),
-        metrics=metrics,
+        metrics=EncounterMetrics(),
     )
 
 
@@ -736,23 +711,16 @@ def solve(
 
     With ``system1_only`` the fast answer is accepted unconditionally
     (the comparison baseline). Either way the encounter is encoded, and
-    one ledger counts and times it for both the record and the Solution.
+    one encounter object counts and times it for both the record and the
+    Solution.
     """
-    if not query or not query.strip():
-        raise ValueError("query must be non-empty")
-    query = _scrub(query)
-    ledger = _Ledger(provider)
-
-    retrieved = store.retrieve(query, kit.retrieval_k)
-    context = knowledge_context(retrieved, kit.context_token_budget)
+    enc = _Encounter(query, kit, provider, registry, store, source)
     answer, explanation, confidence = parse_system1(
-        ledger.reply(system1_request(kit, query, context))[0]
+        enc.reply(system1_request(kit, enc.query, enc.context))
     )
     # a fast path whose call failed has no answer to accept: it escalates
-    if ledger.error is None and (system1_only or route(confidence, kit) is Route.SYSTEM1):
-        record = _lightweight_record(query, source, answer, confidence, retrieved,
-                                     ledger.metrics())
-        record = store.store_record(record)
-        return _solution(answer, explanation, Route.SYSTEM1, record)
-    return run_system2(query, kit, ledger, registry, store, source=source,
-                       plan_review=plan_review, retrieved=retrieved)[0]
+    if enc.error is None and (system1_only or route(confidence, kit) is Route.SYSTEM1):
+        record = _lightweight_record(enc, answer, confidence)
+        return enc.commit(record, Route.SYSTEM1, answer, explanation)[0]
+    return run_system2(query, kit, enc, registry, store, source=source,
+                       plan_review=plan_review)[0]

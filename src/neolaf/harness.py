@@ -11,9 +11,12 @@ accuracy denominators. A bad file, or line, raises FormatError naming it.
 Answer equality is string equality after normalization, falling back to
 exact rational comparison (or 1e-6 relative float agreement) when both
 sides parse as arithmetic expressions. Symbolic equivalence is out of
-scope: "x+1" and "1+x" are unequal. Normalizing recurses only into nested
-``\\frac`` and ``\\sqrt`` groups, and keeps them as written past
-``calculator.MAX_NESTING`` levels; extraction scans each character once.
+scope: "x+1" and "1+x" are unequal. Normalizing drops ``$`` and ``\\$``,
+``\\left`` and ``\\right``, and a leading "the answer is"; reads ``\\dfrac``
+and ``\\tfrac`` as ``\\frac``; writes ``\\frac{p}{q}`` as ``p/q`` and
+``\\sqrt{x}`` as ``sqrt(x)``; and collapses whitespace. It recurses only
+into nested ``\\frac`` and ``\\sqrt`` groups, and keeps them as written
+past ``calculator.MAX_NESTING`` levels; extraction scans each character once.
 """
 
 from __future__ import annotations
@@ -133,8 +136,9 @@ def _rewrite_all(text: str, depth: int = 0) -> str:
 def normalize_answer(raw: str) -> str:
     """Canonical form of an answer string. Idempotent."""
     s = raw.strip()
-    s = s.replace("$", "")
+    s = s.replace("\\$", "").replace("$", "")
     s = s.replace("\\left", "").replace("\\right", "")
+    s = s.replace("\\dfrac", "\\frac").replace("\\tfrac", "\\frac")
     s = re.sub(r"^(?:the\s+)?(?:final\s+)?answer\s+is\s*:?\s*", "", s, flags=re.IGNORECASE)
     try:
         s = _rewrite_all(s)

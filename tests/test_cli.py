@@ -1,6 +1,7 @@
 """Command-line surface tests: exit codes and each subcommand."""
 
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -129,6 +130,23 @@ def test_solve_review_rejection(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert "rejected" in out
+
+
+def test_solve_review_at_end_of_input_executes_nothing(tmp_path, capsys, monkeypatch):
+    def end_of_input(prompt=""):
+        raise EOFError
+
+    monkeypatch.setattr("builtins.input", end_of_input)
+    store = str(tmp_path / "store")
+    code = main([
+        "solve", "Compute 1/3 + 1/6 as a fraction in lowest terms.", "--review",
+        "--script", str(Path(__file__).parent / "fixtures" / "script.json"),
+        "--store", store,
+    ])
+    assert code == 0
+    assert "plan rejected; nothing executed" in capsys.readouterr().out
+    assert main(["memory", "list", "--store", store]) == 0
+    assert capsys.readouterr().out == ""  # nothing was encoded
 
 
 def test_eval_writes_report(tmp_path, capsys):

@@ -461,6 +461,44 @@ def test_run_system2_review_rejection(kit, store):
     assert store.records == ()  # nothing executed, nothing encoded
 
 
+def test_run_system2_approved_review_sees_each_attempt(kit, store, no_network):
+    # the replanning transcript of test_run_system2_failure_then_replan
+    query = "Compute 5/8 - 1/8."
+    bad_plan = 'STEP 1: self | TOOL calc(expr="1/0") | exact'
+    bad_steps = parse_plan(bad_plan)
+    retry_context = "Previous attempt failed: DivisionByZero: division by zero"
+    good_plan = 'STEP 1: self | TOOL calc(expr="5/8-1/8") | exact'
+    good_steps = parse_plan(good_plan)
+    forecast_text = "EXPECTED: an exact fraction\nPROBABILITY: 0.8"
+    script = {
+        fp(situation_request(kit, query, "")): f"A subtraction task: {query}",
+        fp(decompose_request(kit, query, "")): "- compute the difference",
+        fp(plan_request(kit, query, "")): bad_plan,
+        fp(forecast_request(kit, query, render_plan(bad_steps))): forecast_text,
+        fp(plan_request(kit, query, retry_context)): good_plan,
+        fp(forecast_request(kit, query, render_plan(good_steps))): forecast_text,
+        fp(distill_request(kit, query, render_plan(good_steps), "an exact fraction", "1/2")): (
+            "Lesson: never divide by zero."
+        ),
+    }
+    reviewed = []
+
+    def approve(steps):
+        reviewed.append(steps)
+        return True
+
+    solution, record = run_system2(
+        query, kit, ScriptedProvider(script), default_registry(), store, plan_review=approve
+    )
+    assert reviewed == [bad_steps, good_steps]  # each attempt's plan, in order
+    assert solution.answer == "1/2" and record.metrics.replans == 1
+    # the record holds the plan approved last, as executed
+    assert [(s.agent, s.skill, s.constraints) for s in record.plan] == [
+        (s.agent, s.skill, s.constraints) for s in reviewed[-1]
+    ]
+    assert record.plan[0].status is StepStatus.EXECUTED
+
+
 # ---------------------------------------------------------------------------
 # solve(): routing, records, determinism
 # ---------------------------------------------------------------------------
@@ -507,6 +545,53 @@ def test_solve_escalates_low_confidence(kit, store, no_network):
     assert solution.provider_calls >= 4
     assert len(store.records) == 1
     assert_record_matches(store, solution)
+
+
+class RecordingProvider(ScriptedProvider):
+    """A scripted provider that keeps every request it is asked."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        return super().complete(request)
+
+
+@pytest.mark.parametrize("way_in", ("fast solve", "escalated solve", "run_system2"))
+def test_one_retrieve_per_encounter(kit, store, monkeypatch, no_network, way_in):
+    query = "Compute 1/3 + 1/6 exactly."
+    script, _, _ = happy_system2_script(kit, query, "1/3+1/6")
+    run_system2(query, kit, ScriptedProvider(script), default_registry(), store)
+    context = knowledge_context(store.retrieve(query, kit.retrieval_k), kit.context_token_budget)
+    assert context  # the first encounter left knowledge to retrieve
+    script, answer, _ = happy_system2_script(kit, query, "1/3+1/6", context)
+    confidence = 0.9 if way_in == "fast solve" else 0.3
+    script[fp(system1_request(kit, query, context))] = (
+        f"ANSWER: {answer}\nEXPLANATION: known\nCONFIDENCE: {confidence}"
+    )
+    provider = RecordingProvider(script)
+    retrieves, retrieve = [], EpisodicStore.retrieve
+
+    def counting(self, *args):
+        retrieves.append(args)
+        return retrieve(self, *args)
+
+    monkeypatch.setattr(EpisodicStore, "retrieve", counting)
+    if way_in == "run_system2":
+        solution, _ = run_system2(query, kit, provider, default_registry(), store)
+    else:
+        solution = solve(query, kit, provider, default_registry(), store)
+    assert retrieves == [(query, kit.retrieval_k)]
+    assert solution.answer == answer
+    seen = [fp(request) for request in provider.requests]
+    fast, slow = fp(system1_request(kit, query, context)), fp(situation_request(kit, query, context))
+    assert seen[:2] == {
+        "fast solve": [fast],
+        "escalated solve": [fast, slow],  # the slow path reads the fast path's context
+        "run_system2": [slow, fp(decompose_request(kit, query, context))],
+    }[way_in]
 
 
 def assert_record_matches(store, solution):

@@ -88,6 +88,10 @@ CASES = [
     ("a   b\t c", "a b c"),
     ("\\frac{1}{2} + \\frac{1}{3}", "1/2 + 1/3"),
     ("\\pi", "\\pi"),
+    ("\\dfrac{9}{7}", "9/7"),
+    ("\\tfrac{3}{4}", "3/4"),
+    ("\\$18", "18"),
+    ("$\\$5$", "5"),
 ]
 
 
