@@ -199,8 +199,15 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _existing_store(directory) -> EpisodicStore:
+    """The store at ``directory``, which a command that only reads it must not create."""
+    if not Path(directory).is_dir():
+        raise NeolafError(f"no store at {directory}")
+    return EpisodicStore.open(directory)
+
+
 def _cmd_memory(args) -> int:
-    store = EpisodicStore.open(args.store)
+    store = _existing_store(args.store)
     if args.memory_command == "list":
         for record in store.records:
             status = "ok" if record.outcome.success else "failed"
@@ -219,7 +226,7 @@ def _cmd_memory(args) -> int:
 
 
 def _cmd_consolidate(args) -> int:
-    store = EpisodicStore.open(args.store)
+    store = _existing_store(args.store)
     examples = store.consolidate(out_path=args.out)
     print(f"wrote {len(examples)} examples to {args.out}")
     return 0

@@ -64,7 +64,7 @@ from .memory import (
     render_plan,
     step_line,
 )
-from .provider import CompletionProvider, Message, ProviderError, ProviderRequest, Role
+from .provider import CompletionProvider, ProviderError, ProviderRequest
 from .templates import DEFAULT_TEMPLATES, TEMPLATE_NAMES, render
 from .toolkit import (
     MalformedDirective,
@@ -189,7 +189,7 @@ class Solution:
 
 def _request(kit: StarterKit, template_name: str, **subs: str) -> ProviderRequest:
     body = render(kit.prompt_templates[template_name], **subs)
-    return ProviderRequest((Message(Role.SYSTEM, kit.system_prompt), Message(Role.USER, body)))
+    return ProviderRequest(kit.system_prompt, body)
 
 
 def system1_request(kit, query, context=""):

@@ -546,8 +546,13 @@ class EpisodicStore:
                 raise ValidationFailed(violations)
             data, line = _knowledge_bytes(new), (serialize_record(record) + "\n").encode("utf-8")
             start = self._append(self.log_path, line) - len(line)
-            # Numbered one past the line before (another handle's lines between are not counted)
-            self._places.extend((self._places[-3] + 1 if self._ids else 1, start, len(line)))
+            number, offset, length = self._places[-3:] if self._ids else (1, 0, 0)
+            if self._ids and start == offset + length:
+                number += 1  # right after the last known line
+            else:  # count the newlines of blank lines, other handles' lines or the append's
+                with open(self.log_path, "rb") as log:
+                    number += os.pread(log.fileno(), max(start - offset, 0), offset).count(b"\n")
+            self._places.extend((number, start, len(line)))
             self._ids.append(record.id)
             self._fold([(record.id, delta)])
             self._write_knowledge(new, data)

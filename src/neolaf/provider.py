@@ -1,23 +1,23 @@
 """Completion and embedding providers.
 
 The agent never talks to a model directly; it builds a ``ProviderRequest``
-(its messages) and hands it to a provider, which returns a ``Completion``
-(the reply text and its prompt and completion token counts). Two
-completion providers ship in-tree:
+(the kit's system prompt and one user message) and hands it to a provider,
+which returns a ``Completion`` (the reply text and its prompt and
+completion token counts). Two completion providers ship in-tree:
 
 * ``ScriptedProvider``: a fingerprint-keyed response table. A script file
   is a JSON object mapping each fingerprint to its reply text. Keying by
-  content fingerprint (roles and contents only) means a script survives
+  content fingerprint (the two texts only) means a script survives
   prompt-template refactors that do not change content.
 * ``RemoteProvider``: a chat-completion style HTTP client. Built by
   ``provider_from_config``, each of its settings falls back to the
   ``NEOLAF_PROVIDER_URL`` / ``NEOLAF_PROVIDER_KEY`` /
   ``NEOLAF_PROVIDER_MODEL`` environment variable. Each call posts the
-  messages with ``TEMPERATURE`` and ``MAX_TOKENS`` and no stop sequence.
-  One retry with backoff on rate limiting. Its capture maps the
-  fingerprint of each prompt answered to its last reply; written by
-  ``save_script``, it is a script that replays the session offline. No
-  command captures one.
+  two texts as a system and a user message, with ``TEMPERATURE`` and
+  ``MAX_TOKENS`` and no stop sequence. One retry with backoff on rate
+  limiting. Its capture maps the fingerprint of each prompt answered to
+  its last reply; written by ``save_script``, it is a script that replays
+  the session offline. No command captures one.
 
 A provider that cannot answer raises a ``ProviderError``, which the agent
 encodes as a failed encounter that makes no further call (see cognition).
@@ -37,7 +37,6 @@ import os
 import re
 import time
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Optional
 
@@ -70,21 +69,16 @@ class Timeout(ProviderError):
     pass
 
 
-class Role(str, Enum):
-    SYSTEM = "system"
-    USER = "user"
-    ASSISTANT = "assistant"
-
-
-@dataclass(frozen=True)
-class Message:
-    role: Role
-    content: str
-
-
 @dataclass(frozen=True)
 class ProviderRequest:
-    messages: tuple[Message, ...]
+    """One model call: the kit's system prompt and one user message."""
+
+    system: str
+    user: str
+
+    def __post_init__(self):
+        if not self.system or not self.user:
+            raise ValueError("request texts must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -94,29 +88,14 @@ class Completion:
     completion_tokens: int
 
 
-def validate_request(request: ProviderRequest) -> None:
-    if not request.messages:
-        raise ValueError("request must contain at least one message")
-    if any(not m.content for m in request.messages):
-        raise ValueError("message contents must be non-empty")
-
-
 def fingerprint(request: ProviderRequest) -> str:
     """Stable short hash of the role/content pairs of a request."""
-    validate_request(request)
     payload = json.dumps(
-        [[m.role.value, m.content] for m in request.messages],
+        [["system", request.system], ["user", request.user]],
         ensure_ascii=False,
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def _counted(request: ProviderRequest, text: str) -> Completion:
-    """``text`` as the completion of ``request``, counting whitespace-separated
-    words as tokens, for the providers that have no tokenizer."""
-    prompt_tokens = sum(len(m.content.split()) for m in request.messages)
-    return Completion(text, prompt_tokens, len(text.split()))
 
 
 class CompletionProvider:
@@ -136,7 +115,10 @@ class ScriptedProvider(CompletionProvider):
         key = fingerprint(request)
         if key not in self._script:
             raise UnscriptedPrompt(key)
-        return _counted(request, self._script[key])
+        text = self._script[key]
+        # no tokenizer: whitespace-separated words count as tokens
+        prompt_tokens = len(request.system.split()) + len(request.user.split())
+        return Completion(text, prompt_tokens, len(text.split()))
 
 
 def _script_from_value(data) -> dict[str, str]:
@@ -199,7 +181,8 @@ class RemoteProvider(CompletionProvider):
         body = {
             "model": self.model,
             "messages": [
-                {"role": m.role.value, "content": m.content} for m in request.messages
+                {"role": "system", "content": request.system},
+                {"role": "user", "content": request.user},
             ],
             "temperature": TEMPERATURE,
             "max_tokens": MAX_TOKENS,
@@ -233,7 +216,6 @@ class RemoteProvider(CompletionProvider):
             raise TransportError(f"remote provider returned an unexpected payload: {exc}") from exc
 
     def complete(self, request: ProviderRequest) -> Completion:
-        validate_request(request)
         try:
             text, p_tokens, c_tokens = self._post(request)
         except RateLimited:

@@ -121,7 +121,7 @@ def make_responder():
         return meta["answer_text"].replace("\\frac{1}{2}", "1/2")
 
     def responder(request) -> str:
-        body = request.messages[-1].content
+        body = request.user
         first_line = body.splitlines()[0]
         phase = next(name for name, marker in markers.items() if marker == first_line)
         queries = _QUERY_LINE.findall(body)
@@ -179,7 +179,7 @@ def make_learner():
     marker = DEFAULT_TEMPLATES["confidence"].splitlines()[0]
 
     def learner(request) -> str:
-        body = request.messages[-1].content
+        body = request.user
         if body.splitlines()[0] == marker:
             query = _QUERY_LINE.search(body).group(1)
             for situation, result in _CONFIRMED.findall(body):
@@ -209,7 +209,7 @@ class CapturingProvider(CompletionProvider):
         self.script[key] = text
         return Completion(
             text=text,
-            prompt_tokens=sum(len(m.content.split()) for m in request.messages),
+            prompt_tokens=len(request.system.split()) + len(request.user.split()),
             completion_tokens=len(text.split()),
         )
 

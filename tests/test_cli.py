@@ -402,3 +402,15 @@ def test_consolidate_command(tmp_path, capsys):
     assert code == 0
     assert "wrote 1 examples" in message
     assert len(out_path.read_text().strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["memory", "list"], ["memory", "show", "1"], ["memory", "search", "q"],
+    ["consolidate", "--out", "out.jsonl"],
+])
+def test_a_read_only_command_needs_an_existing_store(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    store_dir = tmp_path / "typo"
+    assert main([*command, "--store", str(store_dir)]) == 2
+    assert capsys.readouterr().err == f"neolaf: error: no store at {store_dir}\n"
+    assert list(tmp_path.iterdir()) == []

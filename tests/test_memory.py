@@ -777,6 +777,28 @@ def test_a_commit_ends_a_last_line_that_lacks_its_newline(tmp_path, rng, name):
     assert path.read_bytes().count(b"\n") == 3 and path.read_bytes().endswith(b"\n")
 
 
+@pytest.mark.parametrize(
+    "change, number", [(lambda log: log + b"\n", 3), (lambda log: log[:-1], 2)],
+    ids=["blank-line-2", "last-line-lacks-its-newline"],
+)
+def test_a_commit_numbers_its_line_by_the_lines_before_it(tmp_path, rng, change, number):
+    """A blank line counts; the newline an append adds to end the last line does not."""
+    store_dir = tmp_path / "s"
+    EpisodicStore.open(store_dir).store_record(make_record(rng))
+    path = store_dir / "episodic.jsonl"
+    path.write_bytes(change(path.read_bytes()))
+    store = EpisodicStore.open(store_dir)
+    record = store.store_record(make_record(rng))
+    assert path.read_bytes().count(b"\n") == number
+    with open(path, "r+b") as fh:
+        fh.truncate(path.stat().st_size - 40)
+    with pytest.raises(StorageError) as excinfo:
+        store.get_record(record.id)
+    assert str(excinfo.value) == (
+        _log_corrupt(store_dir, number) + "the log is shorter than when the store was opened"
+    )
+
+
 @pytest.mark.parametrize("line", [1, 2], ids=["middle", "last"])
 def test_duplicate_id_key_is_caught_at_decode(tmp_path, rng, line):
     """The decoder keeps the last ``id`` key, the open reads the first."""

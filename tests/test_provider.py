@@ -16,10 +16,8 @@ from neolaf.provider import (
     AuthError,
     Completion,
     DeterministicEmbedder,
-    Message,
     ProviderRequest,
     RemoteProvider,
-    Role,
     ScriptedProvider,
     Timeout,
     TransportError,
@@ -34,9 +32,7 @@ from neolaf.toolkit import default_registry
 
 
 def req(content: str) -> ProviderRequest:
-    return ProviderRequest(
-        messages=(Message(Role.SYSTEM, "be brief"), Message(Role.USER, content)),
-    )
+    return ProviderRequest("be brief", content)
 
 
 # ---------------------------------------------------------------------------
@@ -55,16 +51,16 @@ def test_fingerprint_sensitive_to_single_character_edits():
 
 
 def test_fingerprint_sensitive_to_role():
-    a = ProviderRequest(messages=(Message(Role.USER, "hi"),))
-    b = ProviderRequest(messages=(Message(Role.ASSISTANT, "hi"),))
-    assert fingerprint(a) != fingerprint(b)
+    # the same two texts in swapped roles are a different prompt
+    assert fingerprint(ProviderRequest("a", "b")) != fingerprint(ProviderRequest("b", "a"))
 
 
 def test_fingerprint_rejects_empty_request():
+    # a request with an empty text cannot be built, so none is fingerprinted
     with pytest.raises(ValueError):
-        fingerprint(ProviderRequest(messages=()))
+        ProviderRequest("", "hi")
     with pytest.raises(ValueError):
-        fingerprint(ProviderRequest(messages=(Message(Role.USER, ""),)))
+        ProviderRequest("be brief", "")
 
 
 def test_fingerprint_is_lowercase_hex():
@@ -230,7 +226,10 @@ def test_remote_provider_posts_the_agent_request(local_server):
     RemoteProvider(url=local_server, model="m").complete(request)
     assert _Handler.bodies == [{
         "model": "m",
-        "messages": [{"role": m.role.value, "content": m.content} for m in request.messages],
+        "messages": [
+            {"role": "system", "content": request.system},
+            {"role": "user", "content": request.user},
+        ],
         "temperature": 0.0,
         "max_tokens": 1024,
     }]

@@ -3,7 +3,9 @@
 An open store keeps no record: each read is decoded again from the record's
 place in the log. The walk mixes commits, reads, consolidation, reopens and a
 second read-only handle, and after every step checks that each record read
-equals the record its commit returned, and that ``next_record_id`` agrees.
+equals the record its commit returned, that ``next_record_id`` agrees, and
+that each held item's confidence equals a naive replay of every committed
+record from scratch (``_replay``), float for float.
 It also cuts the final newline of either file, as a crash can leave it, and
 reopens both handles: the next append must end that line first, which every
 later reopen checks, of the records and of the items' ids.
@@ -23,34 +25,53 @@ from dataclasses import replace
 from pathlib import Path
 
 from neolaf.memory import (
-    KNOWLEDGE_FILE_NAME, RECORD_LOG_NAME, EpisodicStore, KnowledgeItem, KnowledgeKind,
+    KNOWLEDGE_FILE_NAME, RECORD_LOG_NAME, REINFORCEMENT_BOOST, EpisodicStore, KnowledgeItem,
+    KnowledgeKind,
 )
 
 from conftest import make_record, make_words
 
 
-def _commit(store, rng, held):
-    """Commit a record whose delta names up to two held items, with 0-2 new ones."""
+def _commit(store, rng, held, made):
+    """Commit a record whose delta names up to two held items, with 0-2 new ones, each
+    of which ``made`` maps to the id of that record and its base confidence."""
     delta = tuple(rng.sample(held, min(len(held), rng.randint(0, 2))))
     items = [KnowledgeItem(0, make_words(rng), rng.choice(list(KnowledgeKind)), (), 0.5)
              for _ in range(rng.randint(0, 2))]
     expected_id = store.next_record_id()
     record = store.store_record(replace(make_record(rng), knowledge_delta=delta), items)
     assert record.id == expected_id and record.knowledge_delta[:len(delta)] == delta
-    held.extend(record.knowledge_delta[len(delta):])
+    new = record.knowledge_delta[len(delta):]
+    made.update((item_id, (record.id, item.confidence)) for item_id, item in zip(new, items))
+    held.extend(new)
     return record
+
+
+def _replay(committed, made):
+    """Each item's confidence after the committed records, replayed in order: a new item
+    starts at its base confidence, and each later record whose delta names it raises it."""
+    confidence = {}
+    for record in committed:
+        for item_id in record.knowledge_delta:
+            maker, base = made[item_id]
+            if maker == record.id:
+                confidence[item_id] = base
+            elif item_id in confidence:
+                confidence[item_id] = min(1.0, max(0.0, confidence[item_id] + REINFORCEMENT_BOOST))
+    return confidence
 
 
 def walk(directory, seed: int, steps: int) -> None:
     rng = random.Random(seed)
     store, second, seen = EpisodicStore.open(directory), None, 0
-    committed, held = [], []  # the records the commits returned; the items they made
+    # the records the commits returned; the ids of the items they made, and each one's maker
+    committed, held, made = [], [], {}
     for step in range(steps):
         kind = rng.choices(
             ("commit", "get", "miss", "records", "consolidate", "reopen", "second", "cut"),
             (8, 5, 2, 2, 1, 1, 1, 1))[0]
         if kind == "commit":
-            committed.append(_commit(store, rng, held))
+            committed.append(_commit(store, rng, held, made))
         elif kind == "get" and committed:
             record = rng.choice(committed)
             assert store.get_record(record.id) == record, (seed, step)
@@ -79,6 +100,8 @@ def walk(directory, seed: int, steps: int) -> None:
         elif kind == "second" and second is None:
             second, seen = EpisodicStore.open(directory), len(committed)
         assert store.next_record_id() == len(committed) + 1, (seed, step)
+        confidence = {item.id: item.confidence for item in store.knowledge}
+        assert confidence == _replay(committed, made), (seed, step)
         if second is not None:
             # it reads what was there when it opened, however many lines came after
             assert second.next_record_id() == seen + 1, (seed, step)
