@@ -21,9 +21,11 @@ every later one of the encounter (not made), reads as an empty reply,
 which each phase parses as usual, and the encounter is encoded as a
 failure without replanning.
 
-Request-builder functions are the complete prompt surface, one per
-template slot, distillation included: fixtures and tests construct the
-exact requests the loop will make by calling them.
+The kit's template table is the complete prompt surface: each model
+call is ``request(kit, slot, **subs)``, one template slot (distillation
+included) with its placeholders named, under the kit's system prompt.
+Fixtures and tests build the exact requests the loop will make by
+calling ``request`` the same way.
 """
 
 from __future__ import annotations
@@ -111,9 +113,11 @@ class StarterKit:
             raise ValueError("context_token_budget must be positive")
         if missing := [name for name in TEMPLATE_NAMES if name not in self.prompt_templates]:
             raise ValueError(f"prompt_templates missing slots: {', '.join(missing)}")
-        # a blank text would fail only at the first request built from it
-        texts = {**self.prompt_templates, "system_prompt": self.system_prompt}
-        if blank := [k for k in ("system_prompt", *TEMPLATE_NAMES) if not texts[k].strip()]:
+        # a text that renders blank would fail only at the first request built
+        # from it; {context} is the one placeholder the loop may fill with ""
+        texts = {"system_prompt": self.system_prompt}
+        texts.update({k: render(self.prompt_templates[k], context="") for k in TEMPLATE_NAMES})
+        if blank := [k for k, text in texts.items() if not text.strip()]:
             raise ValueError(f"kit text must not be blank: {', '.join(blank)}")
         object.__setattr__(self, "prompt_templates", dict(self.prompt_templates))
         object.__setattr__(self, "tool_allowlist", tuple(self.tool_allowlist))
@@ -183,50 +187,14 @@ class Solution:
 
 
 # --------------------------------------------------------------------------
-# Request builders: the complete prompt surface of the agent
+# Requests: the kit's template table is the complete prompt surface
 # --------------------------------------------------------------------------
 
 
-def _request(kit: StarterKit, template_name: str, **subs: str) -> ProviderRequest:
-    body = render(kit.prompt_templates[template_name], **subs)
-    return ProviderRequest(kit.system_prompt, body)
-
-
-def system1_request(kit, query, context=""):
-    return _request(kit, "confidence", query=query, context=context)
-
-
-def situation_request(kit, query, context=""):
-    return _request(kit, "situation", query=query, context=context)
-
-
-def decompose_request(kit, query, context=""):
-    return _request(kit, "decompose", query=query, context=context)
-
-
-def plan_request(kit, query, context=""):
-    return _request(kit, "plan", query=query, context=context)
-
-
-def forecast_request(kit, query, plan_text):
-    return _request(kit, "forecast", query=query, plan=plan_text)
-
-
-def execute_request(kit, query, context, step_line, step_output):
-    return _request(
-        kit, "execute", query=query, context=context, plan=step_line,
-        step_output=step_output or "(none yet)",
-    )
-
-
-def evaluate_request(kit, query, expected, actual):
-    return _request(kit, "evaluate", query=query, expected=expected, actual=actual)
-
-
-def distill_request(kit, query, plan_text, expected, actual):
-    return _request(
-        kit, "distill", query=query, plan=plan_text, expected=expected, actual=actual
-    )
+def request(kit: StarterKit, slot: str, **subs: str) -> ProviderRequest:
+    """The request for template ``slot`` of ``kit``, its placeholders
+    filled from ``subs``, under the kit's system prompt."""
+    return ProviderRequest(kit.system_prompt, render(kit.prompt_templates[slot], **subs))
 
 
 # --------------------------------------------------------------------------
@@ -466,8 +434,9 @@ def _step_outcome(enc, context, step, prior_outputs, evidence):
     if directive is not None:
         result = enc.call_tool(directive, evidence)
         return result.ok, (result.output if result.ok else result.error_detail or "tool failed")
-    text = enc.reply(execute_request(enc.kit, enc.query, context, step_line(step),
-                                     "\n".join(prior_outputs)))
+    text = enc.reply(request(enc.kit, "execute", query=enc.query, context=context,
+                             plan=step_line(step),
+                             step_output="\n".join(prior_outputs) or "(none yet)"))
     if enc.error is not None:
         return False, f"provider error: {enc.error}"
     parts = [text.strip()] if text.strip() else []
@@ -569,7 +538,8 @@ def _evaluate(enc, steps, forecast, evidence):
         )
         return outcome, CoTaskState.DONE, answer
 
-    text = enc.reply(evaluate_request(enc.kit, enc.query, forecast.expected_result, answer))
+    text = enc.reply(request(enc.kit, "evaluate", query=enc.query,
+                             expected=forecast.expected_result, actual=answer))
     success, feedback = parse_verdict(text)
     if enc.error is not None:
         feedback = f"evaluation unavailable: {enc.error}"
@@ -604,11 +574,11 @@ def run_system2(
 
     state = EncounterState()
     state = advance(state, EncounterEvent.IDENTIFY, kit.r_max)
-    description = enc.reply(situation_request(kit, query, context)).strip()
+    description = enc.reply(request(kit, "situation", query=query, context=context)).strip()
     situation = Situation(description or f"User query: {query}", source=enc.source)
 
     state = advance(state, EncounterEvent.DEFINE_TASK, kit.r_max)
-    subtasks = parse_subtasks(enc.reply(decompose_request(kit, query, context)))
+    subtasks = parse_subtasks(enc.reply(request(kit, "decompose", query=query, context=context)))
 
     state = advance(state, EncounterEvent.PLAN, kit.r_max)
     failure_note: Optional[str] = None
@@ -618,14 +588,14 @@ def run_system2(
         if failure_note is not None:
             joiner = "\n" if context else ""
             plan_context = f"{context}{joiner}Previous attempt failed: {failure_note}"
-        steps = parse_plan(enc.reply(plan_request(kit, query, plan_context)))
+        steps = parse_plan(enc.reply(request(kit, "plan", query=query, context=plan_context)))
         # a failed plan call proposed nothing: its placeholder is not shown
         if plan_review is not None and enc.error is None and not plan_review(steps):
             raise ReviewRejected("plan rejected by reviewer")
 
         state = advance(state, EncounterEvent.FORECAST, kit.r_max)
         plan_text = render_plan(steps)
-        forecast = parse_forecast(enc.reply(forecast_request(kit, query, plan_text)))
+        forecast = parse_forecast(enc.reply(request(kit, "forecast", query=query, plan=plan_text)))
 
         state = advance(state, EncounterEvent.BEGIN_EXECUTION, kit.r_max)
         executed, evidence = _execute_steps(enc, plan_context, steps)
@@ -666,10 +636,8 @@ def run_system2(
     for a_steps, a_forecast, a_outcome in failed_attempts:
         snapshot = replace(draft, plan=a_steps, forecast=a_forecast, outcome=a_outcome)
         new_items.extend(extract_knowledge(snapshot))
-    lesson = enc.reply(
-        distill_request(kit, query, render_plan(executed), forecast.expected_result,
-                        outcome.actual_result)
-    )
+    lesson = enc.reply(request(kit, "distill", query=query, plan=render_plan(executed),
+                               expected=forecast.expected_result, actual=outcome.actual_result))
     new_items.extend(extract_knowledge(draft, lesson))
 
     reinforced = enc.used_ids if outcome.success and forecast_matched(draft) else ()
@@ -716,8 +684,7 @@ def solve(
     """
     enc = _Encounter(query, kit, provider, registry, store, source)
     answer, explanation, confidence = parse_system1(
-        enc.reply(system1_request(kit, enc.query, enc.context))
-    )
+        enc.reply(request(kit, "confidence", query=enc.query, context=enc.context)))
     # a fast path whose call failed has no answer to accept: it escalates
     if enc.error is None and (system1_only or route(confidence, kit) is Route.SYSTEM1):
         record = _lightweight_record(enc, answer, confidence)

@@ -12,8 +12,9 @@ Answer equality is string equality after normalization, falling back to
 exact rational comparison (or 1e-6 relative float agreement) when both
 sides parse as arithmetic expressions. Symbolic equivalence is out of
 scope: "x+1" and "1+x" are unequal. Normalizing drops ``$`` and ``\\$``,
-``\\left`` and ``\\right``, and a leading "the answer is"; reads ``\\dfrac``
-and ``\\tfrac`` as ``\\frac``; writes ``\\frac{p}{q}`` as ``p/q`` and
+``\\left`` and ``\\right`` as whole control words (``\\leftarrow`` stays),
+and every leading "the answer is"; reads ``\\dfrac`` and ``\\tfrac`` as
+``\\frac``; writes ``\\frac{p}{q}`` as ``p/q`` and
 ``\\sqrt{x}`` as ``sqrt(x)``; and collapses whitespace. It recurses only
 into nested ``\\frac`` and ``\\sqrt`` groups, and keeps them as written
 past ``calculator.MAX_NESTING`` levels; extraction scans each character once.
@@ -133,15 +134,27 @@ def _rewrite_all(text: str, depth: int = 0) -> str:
     return _rewrite(text, depth, "\\sqrt{", 1, lambda inner: f"sqrt({inner})")
 
 
+# \left and \right as whole control words: not the start of \leftarrow
+_DELIMITER_RE = re.compile(r"\\(?:left|right)(?![A-Za-z])")
+_ANSWER_PREFIX_RE = re.compile(r"^(?:(?:the\s+)?(?:final\s+)?answer\s+is\s*:?\s*)+", re.I)
+
+
+def _plain(text: str) -> str:
+    """``text`` without ``\\left`` and ``\\right``; ``\\dfrac``, ``\\tfrac`` read as ``\\frac``."""
+    return _DELIMITER_RE.sub("", text).replace("\\dfrac", "\\frac").replace("\\tfrac", "\\frac")
+
+
 def normalize_answer(raw: str) -> str:
-    """Canonical form of an answer string. Idempotent."""
-    s = raw.strip()
-    s = s.replace("\\$", "").replace("$", "")
-    s = s.replace("\\left", "").replace("\\right", "")
-    s = s.replace("\\dfrac", "\\frac").replace("\\tfrac", "\\frac")
-    s = re.sub(r"^(?:the\s+)?(?:final\s+)?answer\s+is\s*:?\s*", "", s, flags=re.IGNORECASE)
+    """Canonical form of an answer string. Idempotent: one pass, linear in
+    the length of ``raw``, reaches the fixed point. ``\\left`` and ``\\right``
+    go only as whole control words (``\\rightarrow`` stays), and every
+    leading "the answer is" goes."""
+    s = _plain(raw.replace("\\$", "").replace("$", "")).strip()
+    s = _ANSWER_PREFIX_RE.sub("", s)
     try:
-        s = _rewrite_all(s)
+        # a rewritten group can glue onto the text before it (\lef\frac{t}{2}
+        # becomes \left/2), so the result is read again
+        s = _plain(_rewrite_all(s))
     except RecursionError:  # nested too deeply: keep the groups as written
         pass
     s = re.sub(r"\s+", " ", s)

@@ -8,7 +8,7 @@ import pytest
 
 from neolaf import cognition
 from neolaf.cli import main
-from neolaf.cognition import default_kit, system1_request
+from neolaf.cognition import default_kit, request
 from neolaf.provider import fingerprint, save_script
 
 
@@ -18,7 +18,7 @@ QUERY = "What is 2+2?"
 def _script_path(tmp_path, answer="4", confidence="0.9"):
     kit = default_kit()
     script = {
-        fingerprint(system1_request(kit, QUERY, "")): (
+        fingerprint(request(kit, "confidence", query=QUERY, context="")): (
             f"ANSWER: {answer}\nEXPLANATION: known\nCONFIDENCE: {confidence}"
         )
     }
@@ -108,15 +108,13 @@ def test_solve_review_rejection(tmp_path, capsys, monkeypatch):
     # escalate to system-2 so a plan exists, then reject it
     kit = default_kit()
     script = {
-        fingerprint(system1_request(kit, QUERY, "")): (
+        fingerprint(request(kit, "confidence", query=QUERY, context="")): (
             "ANSWER: ?\nEXPLANATION: unsure\nCONFIDENCE: 0.1"
         )
     }
-    from neolaf.cognition import situation_request, decompose_request, plan_request
-
-    script[fingerprint(situation_request(kit, QUERY, ""))] = "a sum"
-    script[fingerprint(decompose_request(kit, QUERY, ""))] = "- add"
-    script[fingerprint(plan_request(kit, QUERY, ""))] = (
+    script[fingerprint(request(kit, "situation", query=QUERY, context=""))] = "a sum"
+    script[fingerprint(request(kit, "decompose", query=QUERY, context=""))] = "- add"
+    script[fingerprint(request(kit, "plan", query=QUERY, context=""))] = (
         'STEP 1: self | TOOL calc(expr="2+2") | exact'
     )
     path = tmp_path / "script.json"
@@ -315,6 +313,7 @@ def test_malformed_kit_file_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("kit, blank", [
     ({"system_prompt": ""}, "system_prompt"),
     ({"prompt_templates": {"plan": " \n"}}, "plan"),
+    ({"prompt_templates": {"confidence": "{context}"}}, "confidence"),
 ])
 def test_a_kit_with_blank_text_fails_at_load(tmp_path, capsys, kit, blank):
     """Not at its first request: the error names the kit file, also under compare."""

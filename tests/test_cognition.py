@@ -15,12 +15,7 @@ from neolaf.cognition import (
     Route,
     Solution,
     StarterKit,
-    decompose_request,
     default_kit,
-    distill_request,
-    evaluate_request,
-    execute_request,
-    forecast_request,
     kit_from_dict,
     knowledge_context,
     load_kit,
@@ -29,13 +24,11 @@ from neolaf.cognition import (
     parse_plan,
     parse_system1,
     parse_verdict,
-    plan_request,
+    request,
     route,
     run_system2,
     save_kit,
-    situation_request,
     solve,
-    system1_request,
 )
 from neolaf.harness import answers_equal, load_dataset
 from neolaf.kstar import CoTaskState, GroundingEvidence, StepStatus
@@ -90,18 +83,20 @@ def happy_system2_script(kit, query, expr, context=""):
     steps = parse_plan(plan_text)
     expected = f"the exact value of {expr}"
     script = {
-        fp(situation_request(kit, query, context)): f"A math question: {query}",
-        fp(decompose_request(kit, query, context)): (
+        fp(request(kit, "situation", query=query, context=context)): f"A math question: {query}",
+        fp(request(kit, "decompose", query=query, context=context)): (
             "- understand the expression\n- compute the exact value"
         ),
-        fp(plan_request(kit, query, context)): plan_text,
-        fp(forecast_request(kit, query, render_plan(steps))): (
+        fp(request(kit, "plan", query=query, context=context)): plan_text,
+        fp(request(kit, "forecast", query=query, plan=render_plan(steps))): (
             f"EXPECTED: {expected}\nPROBABILITY: 0.8"
         ),
-        fp(execute_request(kit, query, context, step_line(steps[0]), "")): (
+        fp(request(kit, "execute", query=query, context=context, plan=step_line(steps[0]),
+                   step_output="(none yet)")): (
             "The expression is restated; ready to compute."
         ),
-        fp(distill_request(kit, query, render_plan(steps), expected, answer)): (
+        fp(request(kit, "distill", query=query, plan=render_plan(steps), expected=expected,
+                   actual=answer)): (
             "Lesson: ground arithmetic with the exact calculator."
         ),
     }
@@ -239,6 +234,17 @@ def test_kit_validation():
         StarterKit(prompt_templates={"plan": "only one slot"})
 
 
+def test_kit_refuses_a_template_that_renders_blank_with_an_empty_context():
+    """{context} is the one placeholder the loop may fill with "": on an empty
+    store such a template would fail its first request, not the kit's load."""
+    templates = default_kit().prompt_templates
+    with pytest.raises(ValueError, match="^kit text must not be blank: confidence, plan$"):
+        StarterKit(prompt_templates={**templates, "confidence": "{context}",
+                                     "plan": " {context}\n"})
+    kit = StarterKit(prompt_templates={**templates, "confidence": "{context}{query}"})
+    assert request(kit, "confidence", query="q", context="").user == "q"
+
+
 def test_kit_file_round_trip(tmp_path, kit):
     path = tmp_path / "kit.json"
     save_kit(kit, path)
@@ -322,6 +328,44 @@ def test_readme_kit_example_names_every_kit_field():
 
 
 # ---------------------------------------------------------------------------
+# The prompt surface: one request per template slot
+# ---------------------------------------------------------------------------
+
+
+PROMPT_SUBS = {"query": "What is 2+2?", "plan": "STEP 1: self | add the numbers",
+               "step_output": "4", "expected": "the number 4", "actual": "4"}
+KNOWN = "- [0.90] two plus two is four"
+
+# Each slot's default request, by fingerprint, with an empty and a non-empty
+# context: a prompt byte that drifts changes one. A slot whose template has
+# no {context} reads the same with both.
+PROMPT_FINGERPRINTS = {
+    ("confidence", ""): "fbf4ee5424d571f5",
+    ("situation", ""): "c3e4fc501948f62a",
+    ("decompose", ""): "24f35e4dbcf0aef1",
+    ("plan", ""): "27ad9ccb688cfcd9",
+    ("forecast", ""): "27bf63b83bdd1b39",
+    ("execute", ""): "4eccbb6763f24d3a",
+    ("evaluate", ""): "d927c8d51120a2f6",
+    ("distill", ""): "b2292a2191a73fe1",
+    ("confidence", KNOWN): "d41d9261b17af965",
+    ("situation", KNOWN): "aaae896cb4ab6a4f",
+    ("decompose", KNOWN): "f3a8c638dab458ad",
+    ("plan", KNOWN): "2d0fd96deecb86e8",
+    ("forecast", KNOWN): "27bf63b83bdd1b39",
+    ("execute", KNOWN): "4eccbb6763f24d3a",
+    ("evaluate", KNOWN): "d927c8d51120a2f6",
+    ("distill", KNOWN): "b2292a2191a73fe1",
+}
+
+
+@pytest.mark.parametrize("slot, context", PROMPT_FINGERPRINTS)
+def test_each_slot_request_is_pinned(kit, slot, context):
+    got = fp(request(kit, slot, context=context, **PROMPT_SUBS))
+    assert got == PROMPT_FINGERPRINTS[slot, context]
+
+
+# ---------------------------------------------------------------------------
 # Slow path, end to end with scripts
 # ---------------------------------------------------------------------------
 
@@ -357,8 +401,8 @@ def test_run_system2_unscripted_distill_still_encodes(kit, store, tmp_path, no_n
         query, kit, ScriptedProvider(script), default_registry(),
         EpisodicStore.open(tmp_path / "full"),
     )
-    del script[fp(distill_request(kit, query, render_plan(steps), "the exact value of 1/3+1/6",
-                                  "1/2"))]
+    del script[fp(request(kit, "distill", query=query, plan=render_plan(steps),
+                          expected="the exact value of 1/3+1/6", actual="1/2"))]
     solution, record = run_system2(
         query, kit, ScriptedProvider(script), default_registry(), store
     )
@@ -380,17 +424,20 @@ def test_run_system2_failure_then_replan(kit, store, no_network):
     good_plan = 'STEP 1: self | TOOL calc(expr="5/8-1/8") | exact'
     good_steps = parse_plan(good_plan)
     script = {
-        fp(situation_request(kit, query, context)): f"A subtraction task: {query}",
-        fp(decompose_request(kit, query, context)): "- compute the difference",
-        fp(plan_request(kit, query, context)): bad_plan,
-        fp(forecast_request(kit, query, render_plan(bad_steps))): (
+        fp(request(kit, "situation", query=query, context=context)): (
+            f"A subtraction task: {query}"
+        ),
+        fp(request(kit, "decompose", query=query, context=context)): "- compute the difference",
+        fp(request(kit, "plan", query=query, context=context)): bad_plan,
+        fp(request(kit, "forecast", query=query, plan=render_plan(bad_steps))): (
             "EXPECTED: an exact fraction\nPROBABILITY: 0.8"
         ),
-        fp(plan_request(kit, query, retry_context)): good_plan,
-        fp(forecast_request(kit, query, render_plan(good_steps))): (
+        fp(request(kit, "plan", query=query, context=retry_context)): good_plan,
+        fp(request(kit, "forecast", query=query, plan=render_plan(good_steps))): (
             "EXPECTED: an exact fraction\nPROBABILITY: 0.8"
         ),
-        fp(distill_request(kit, query, render_plan(good_steps), "an exact fraction", "1/2")): (
+        fp(request(kit, "distill", query=query, plan=render_plan(good_steps),
+                   expected="an exact fraction", actual="1/2")): (
             "Lesson: never divide by zero."
         ),
     }
@@ -426,15 +473,15 @@ def test_run_system2_budget_exhausted_encodes_failure(kit, store, no_network):
     retry_context = f"Previous attempt failed: {failure_note}"
     forecast_text = "EXPECTED: a number\nPROBABILITY: 0.8"
     script = {
-        fp(situation_request(kit, query, context)): "An impossible division.",
-        fp(decompose_request(kit, query, context)): "- divide",
-        fp(plan_request(kit, query, context)): bad_plan,
-        fp(plan_request(kit, query, retry_context)): bad_plan,
-        fp(forecast_request(kit, query, render_plan(bad_steps))): forecast_text,
+        fp(request(kit, "situation", query=query, context=context)): "An impossible division.",
+        fp(request(kit, "decompose", query=query, context=context)): "- divide",
+        fp(request(kit, "plan", query=query, context=context)): bad_plan,
+        fp(request(kit, "plan", query=query, context=retry_context)): bad_plan,
+        fp(request(kit, "forecast", query=query, plan=render_plan(bad_steps))): forecast_text,
         fp(
-            distill_request(
-                kit, query, render_plan(bad_steps), "a number",
-                f"step '{bad_steps[0].skill}' failed: {failure_note}",
+            request(
+                kit, "distill", query=query, plan=render_plan(bad_steps), expected="a number",
+                actual=f"step '{bad_steps[0].skill}' failed: {failure_note}",
             )
         ): "Lesson: division by zero cannot be repaired by retrying.",
     }
@@ -471,13 +518,14 @@ def test_run_system2_approved_review_sees_each_attempt(kit, store, no_network):
     good_steps = parse_plan(good_plan)
     forecast_text = "EXPECTED: an exact fraction\nPROBABILITY: 0.8"
     script = {
-        fp(situation_request(kit, query, "")): f"A subtraction task: {query}",
-        fp(decompose_request(kit, query, "")): "- compute the difference",
-        fp(plan_request(kit, query, "")): bad_plan,
-        fp(forecast_request(kit, query, render_plan(bad_steps))): forecast_text,
-        fp(plan_request(kit, query, retry_context)): good_plan,
-        fp(forecast_request(kit, query, render_plan(good_steps))): forecast_text,
-        fp(distill_request(kit, query, render_plan(good_steps), "an exact fraction", "1/2")): (
+        fp(request(kit, "situation", query=query, context="")): f"A subtraction task: {query}",
+        fp(request(kit, "decompose", query=query, context="")): "- compute the difference",
+        fp(request(kit, "plan", query=query, context="")): bad_plan,
+        fp(request(kit, "forecast", query=query, plan=render_plan(bad_steps))): forecast_text,
+        fp(request(kit, "plan", query=query, context=retry_context)): good_plan,
+        fp(request(kit, "forecast", query=query, plan=render_plan(good_steps))): forecast_text,
+        fp(request(kit, "distill", query=query, plan=render_plan(good_steps),
+                   expected="an exact fraction", actual="1/2")): (
             "Lesson: never divide by zero."
         ),
     }
@@ -506,7 +554,7 @@ def test_run_system2_approved_review_sees_each_attempt(kit, store, no_network):
 
 def confident_script(kit, query, answer):
     return {
-        fp(system1_request(kit, query, "")): (
+        fp(request(kit, "confidence", query=query, context="")): (
             f"ANSWER: {answer}\nEXPLANATION: directly known\nCONFIDENCE: 0.9"
         )
     }
@@ -533,7 +581,7 @@ def test_solve_accepts_confident_fast_answer(kit, store, no_network):
 def test_solve_escalates_low_confidence(kit, store, no_network):
     query = "Compute 1/3 + 1/6 exactly."
     script, _, _ = happy_system2_script(kit, query, "1/3+1/6")
-    script[fp(system1_request(kit, query, ""))] = (
+    script[fp(request(kit, "confidence", query=query, context=""))] = (
         "ANSWER: unsure\nEXPLANATION: needs tools\nCONFIDENCE: 0.3"
     )
     solution = solve(
@@ -568,7 +616,7 @@ def test_one_retrieve_per_encounter(kit, store, monkeypatch, no_network, way_in)
     assert context  # the first encounter left knowledge to retrieve
     script, answer, _ = happy_system2_script(kit, query, "1/3+1/6", context)
     confidence = 0.9 if way_in == "fast solve" else 0.3
-    script[fp(system1_request(kit, query, context))] = (
+    script[fp(request(kit, "confidence", query=query, context=context))] = (
         f"ANSWER: {answer}\nEXPLANATION: known\nCONFIDENCE: {confidence}"
     )
     provider = RecordingProvider(script)
@@ -586,11 +634,12 @@ def test_one_retrieve_per_encounter(kit, store, monkeypatch, no_network, way_in)
     assert retrieves == [(query, kit.retrieval_k)]
     assert solution.answer == answer
     seen = [fp(request) for request in provider.requests]
-    fast, slow = fp(system1_request(kit, query, context)), fp(situation_request(kit, query, context))
+    fast = fp(request(kit, "confidence", query=query, context=context))
+    slow = fp(request(kit, "situation", query=query, context=context))
     assert seen[:2] == {
         "fast solve": [fast],
         "escalated solve": [fast, slow],  # the slow path reads the fast path's context
-        "run_system2": [slow, fp(decompose_request(kit, query, context))],
+        "run_system2": [slow, fp(request(kit, "decompose", query=query, context=context))],
     }[way_in]
 
 
@@ -640,7 +689,7 @@ def test_experience_moves_repeat_problems_to_the_fast_path(kit, store, no_networ
 def test_solve_system1_only_accepts_anything(kit, store):
     query = "Compute 1/3 + 1/6 exactly."
     script = {
-        fp(system1_request(kit, query, "")): (
+        fp(request(kit, "confidence", query=query, context="")): (
             "ANSWER: 2/6\nEXPLANATION: guessing\nCONFIDENCE: 0.1"
         )
     }
@@ -655,7 +704,7 @@ def test_solve_system1_only_accepts_anything(kit, store):
 def test_solve_deterministic_modulo_elapsed(kit, tmp_path, no_network):
     query = "Compute 1/3 + 1/6 exactly."
     script, _, _ = happy_system2_script(kit, query, "1/3+1/6")
-    script[fp(system1_request(kit, query, ""))] = (
+    script[fp(request(kit, "confidence", query=query, context=""))] = (
         "ANSWER: unsure\nEXPLANATION: needs tools\nCONFIDENCE: 0.3"
     )
     solutions = []
@@ -706,15 +755,16 @@ def one_attempt(kit, store, plan_text, replies=(), registry=None):
     unscripted, so they fail and are caught."""
     query, steps = "Work out the sum.", parse_plan(plan_text)
     script = {
-        fp(situation_request(kit, query)): "A sum.",
-        fp(decompose_request(kit, query)): "- add",
-        fp(plan_request(kit, query)): plan_text,
-        fp(forecast_request(kit, query, render_plan(steps))): (
+        fp(request(kit, "situation", query=query, context="")): "A sum.",
+        fp(request(kit, "decompose", query=query, context="")): "- add",
+        fp(request(kit, "plan", query=query, context="")): plan_text,
+        fp(request(kit, "forecast", query=query, plan=render_plan(steps))): (
             "EXPECTED: a number\nPROBABILITY: 0.8"
         ),
     }
     for index, prior, reply in replies:
-        script[fp(execute_request(kit, query, "", step_line(steps[index]), prior))] = reply
+        script[fp(request(kit, "execute", query=query, context="", plan=step_line(steps[index]),
+                          step_output=prior or "(none yet)"))] = reply
     registry = registry or default_registry()
     return run_system2(query, replace(kit, r_max=0), ScriptedProvider(script), registry, store)
 
@@ -844,7 +894,9 @@ def test_no_calc_check_without_calc_in_the_allowlist(kit, store, no_network):
 def test_lone_surrogate_in_a_fast_reply_is_encoded(kit, tmp_path, no_network):
     query = "What is 2+2?"
     script = {
-        fp(system1_request(kit, query, "")): "ANSWER: 4 \ud800\nEXPLANATION: sum\nCONFIDENCE: 0.9"
+        fp(request(kit, "confidence", query=query, context="")): (
+            "ANSWER: 4 \ud800\nEXPLANATION: sum\nCONFIDENCE: 0.9"
+        )
     }
     store = EpisodicStore.open(tmp_path / "store")
     solution = solve(query, kit, ScriptedProvider(script), default_registry(), store)
@@ -857,7 +909,8 @@ def test_lone_surrogate_in_a_fast_reply_is_encoded(kit, tmp_path, no_network):
 def test_lone_surrogate_in_a_slow_path_lesson_is_encoded(kit, tmp_path, no_network):
     query = "Compute 1/3 + 1/6 exactly."
     script, _answer, steps = happy_system2_script(kit, query, "1/3+1/6")
-    lesson = fp(distill_request(kit, query, render_plan(steps), "the exact value of 1/3+1/6", "1/2"))
+    lesson = fp(request(kit, "distill", query=query, plan=render_plan(steps),
+                        expected="the exact value of 1/3+1/6", actual="1/2"))
     script[lesson] = "Lesson: ground \udfff arithmetic with the calculator."
     store = EpisodicStore.open(tmp_path / "store")
     _solution, record = run_system2(query, kit, ScriptedProvider(script), default_registry(), store)
@@ -873,7 +926,7 @@ def test_record_failing_validation_raises_validation_failed(
 ):
     query = "Compute 1/3 + 1/6 exactly."
     script, _, _ = happy_system2_script(kit, query, "1/3+1/6")
-    script[fp(system1_request(kit, query, ""))] = (
+    script[fp(request(kit, "confidence", query=query, context=""))] = (
         f"ANSWER: 1/2\nEXPLANATION: sum\nCONFIDENCE: {confidence}"
     )
     # A store that already holds a record and an item; with retrieval_k 0
@@ -967,14 +1020,19 @@ def every_phase_script(kit, query):
     steps = parse_plan(plan_text)
     plan = render_plan(steps)
     replies = {
-        "confidence": (system1_request(kit, query, ""), "ANSWER: ?\nCONFIDENCE: 0.1"),
-        "situation": (situation_request(kit, query, ""), "A colour question."),
-        "decompose": (decompose_request(kit, query, ""), "- name it"),
-        "plan": (plan_request(kit, query, ""), plan_text),
-        "forecast": (forecast_request(kit, query, plan), "EXPECTED: a colour\nPROBABILITY: 0.8"),
-        "execute": (execute_request(kit, query, "", step_line(steps[0]), ""), "ANSWER: blue"),
-        "evaluate": (evaluate_request(kit, query, "a colour", "blue"), "VERDICT: success"),
-        "distill": (distill_request(kit, query, plan, "a colour", "blue"), "Lesson: say it."),
+        "confidence": (request(kit, "confidence", query=query, context=""),
+                       "ANSWER: ?\nCONFIDENCE: 0.1"),
+        "situation": (request(kit, "situation", query=query, context=""), "A colour question."),
+        "decompose": (request(kit, "decompose", query=query, context=""), "- name it"),
+        "plan": (request(kit, "plan", query=query, context=""), plan_text),
+        "forecast": (request(kit, "forecast", query=query, plan=plan),
+                     "EXPECTED: a colour\nPROBABILITY: 0.8"),
+        "execute": (request(kit, "execute", query=query, context="", plan=step_line(steps[0]),
+                            step_output="(none yet)"), "ANSWER: blue"),
+        "evaluate": (request(kit, "evaluate", query=query, expected="a colour", actual="blue"),
+                     "VERDICT: success"),
+        "distill": (request(kit, "distill", query=query, plan=plan, expected="a colour",
+                            actual="blue"), "Lesson: say it."),
     }
     requests = {phase: request for phase, (request, _text) in replies.items()}
     return requests, {fp(request): text for request, text in replies.values()}

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from neolaf.cognition import default_kit, system1_request
+from neolaf.cognition import default_kit, request
 from neolaf.harness import (
     Aggregate,
     EvalConfig,
@@ -92,6 +92,13 @@ CASES = [
     ("\\tfrac{3}{4}", "3/4"),
     ("\\$18", "18"),
     ("$\\$5$", "5"),
+    ("the answer is the answer is 5", "5"),
+    ("answer is $answer is 2", "2"),
+    ("$ answer is 5", "5"),
+    ("\\left answer is 5", "5"),
+    ("\\lef\\leftt 1", "\\lef\\leftt 1"),  # \leftt is no \left
+    ("x \\rightarrow y", "x \\rightarrow y"),
+    ("\\lef\\frac{t}{2}", "/2"),  # the rewrite glues \lef and t into \left
 ]
 
 
@@ -104,6 +111,15 @@ def test_normalize_idempotent_on_curated_cases():
     for raw, _ in CASES:
         once = normalize_answer(raw)
         assert normalize_answer(once) == once
+
+
+def test_normalize_reaches_its_fixed_point_in_one_linear_pass():
+    """Each pass of a fixed-point loop would uncover one more \\left here."""
+    raw = "\\lef" * 20_000 + "\\left" + "t" * 20_000  # 100 kB
+    started = time.perf_counter()
+    once = normalize_answer(raw)
+    assert time.perf_counter() - started < 1.0
+    assert normalize_answer(once) == once
 
 
 def test_normalize_idempotent_on_random_strings():
@@ -273,7 +289,7 @@ def _confident_config(name="test", wrong=()):
     script = {}
     for problem in _problems():
         answer = "0" if problem.id in wrong else problem.reference_answer
-        script[fingerprint(system1_request(kit, problem.statement, ""))] = (
+        script[fingerprint(request(kit, "confidence", query=problem.statement, context=""))] = (
             f"ANSWER: {answer}\nEXPLANATION: known\nCONFIDENCE: 0.9"
         )
     return EvalConfig(name=name, kit=kit, provider=ScriptedProvider(script))
@@ -328,7 +344,7 @@ def test_run_eval_records_provider_failures_and_continues(tmp_path):
 def test_run_eval_scores_a_deeply_nested_fast_path_answer_after_writing_its_record(tmp_path):
     kit, deep = default_kit(), "(" * 200 + "4" + ")" * 200
     script = {
-        fingerprint(system1_request(kit, problem.statement, "")):
+        fingerprint(request(kit, "confidence", query=problem.statement, context="")):
             f"ANSWER: {answer}\nEXPLANATION: known\nCONFIDENCE: 0.9"
         for problem, answer in zip(_problems(), (deep, "6"))
     }

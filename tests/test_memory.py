@@ -45,7 +45,7 @@ from neolaf.memory import (
     similarity,
 )
 from neolaf.cli import main
-from neolaf.cognition import default_kit, distill_request
+from neolaf.cognition import default_kit, request
 from neolaf.provider import DeterministicEmbedder, ScriptedProvider, fingerprint
 
 from conftest import make_record
@@ -1412,9 +1412,9 @@ def test_rule_layer_is_pure():
 
 
 def _distill_request(record):
-    return distill_request(
-        default_kit(), record.task.goal, render_plan(record.plan),
-        record.forecast.expected_result, record.outcome.actual_result,
+    return request(
+        default_kit(), "distill", query=record.task.goal, plan=render_plan(record.plan),
+        expected=record.forecast.expected_result, actual=record.outcome.actual_result,
     )
 
 

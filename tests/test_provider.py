@@ -9,7 +9,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from neolaf.cli import main
-from neolaf.cognition import Route, default_kit, solve, system1_request
+from neolaf.cognition import Route, default_kit, request, solve
 from neolaf.kstar import serialize_record
 from neolaf.memory import EpisodicStore
 from neolaf.provider import (
@@ -222,13 +222,13 @@ def test_remote_provider_null_usage_counts_no_tokens(local_server, mode):
 
 
 def test_remote_provider_posts_the_agent_request(local_server):
-    request = system1_request(default_kit(), "What is 2+2?")
-    RemoteProvider(url=local_server, model="m").complete(request)
+    agent_request = request(default_kit(), "confidence", query="What is 2+2?", context="")
+    RemoteProvider(url=local_server, model="m").complete(agent_request)
     assert _Handler.bodies == [{
         "model": "m",
         "messages": [
-            {"role": "system", "content": request.system},
-            {"role": "user", "content": request.user},
+            {"role": "system", "content": agent_request.system},
+            {"role": "user", "content": agent_request.user},
         ],
         "temperature": 0.0,
         "max_tokens": 1024,
