@@ -136,7 +136,8 @@ def _rewrite_all(text: str, depth: int = 0) -> str:
 
 # \left and \right as whole control words: not the start of \leftarrow
 _DELIMITER_RE = re.compile(r"\\(?:left|right)(?![A-Za-z])")
-_ANSWER_PREFIX_RE = re.compile(r"^(?:(?:the\s+)?(?:final\s+)?answer\s+is\s*:?\s*)+", re.I)
+# "is" as a whole word: "answer isotope" keeps its "isotope"
+_ANSWER_PREFIX_RE = re.compile(r"^(?:(?:the\s+)?(?:final\s+)?answer\s+is(?![a-z])\s*:?\s*)+", re.I)
 
 
 def _plain(text: str) -> str:

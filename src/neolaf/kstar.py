@@ -479,9 +479,12 @@ def loads(text: str) -> Any:
 
 
 def deserialize_record(text: str) -> KstarRecord:
-    """Parse canonical record text; inverse of :func:`serialize_record`."""
+    """Parse canonical record text; inverse of :func:`serialize_record`. A record
+    that :func:`validate_record` refuses raises too, naming its violations."""
     try:
         obj = loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedRecord(f"invalid JSON: {exc.msg}", position=exc.pos) from exc
-    return _build(KstarRecord, obj, "")
+    if violations := validate_record(record := _build(KstarRecord, obj, "")):
+        raise MalformedRecord("record failed validation: " + "; ".join(violations))
+    return record

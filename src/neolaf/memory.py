@@ -7,10 +7,11 @@ The two JSON Lines files under a store directory are the single source
 of truth; the in-memory indexes are rebuildable caches. Both files are
 append-only, and a knowledge line is written once: the open raises the items each
 record's ``knowledge_delta`` reinforced (an older store's version lines load, the last wins).
-``kstar.dumps`` writes every line. The record decoder, ``kstar._build``, reads record and
-consolidation lines, checking each value against its field's type hint. A knowledge line has
-a decoder of its own, with like checks, that sets each field by slot, as an open builds every
-item: a generic slot-setting ``_build`` took 2.3-2.8 times as long on the 10k items below.
+``kstar.dumps`` writes every line. ``kstar._build`` reads record and consolidation lines,
+checking each value against its field's type hint; a record must meet ``validate_record``
+too. A knowledge line has a decoder of its own, with like checks, that sets each field by
+slot, as an open builds every item: a generic slot-setting ``_build`` took 2.3-2.8 times as
+long on the 10k items below. It holds no vector (an older store's ``embedding`` is ignored).
 
 Opening a store scans every line of both files. It decodes every knowledge line, but a
 record line only when it lacks the canonical ``{"id":N,`` prefix or ``knowledge_delta``
@@ -27,14 +28,14 @@ StorageError naming its file and line. The benchmark's seed-0 store (10k items, 
 2-vCPU VM, Python 3.11, at quiet and busy times) and then holds 4.4 MB (tracemalloc), as
 much after a ``consolidate``.
 
-Retrieval keeps one more rebuildable cache, built on the first ``retrieve``
-after open rather than at load. For embedder scoring it holds each item's
-vector and norm. For Jaccard scoring it gives each item a bit slot, in id
-order, and keeps one int bitmask per token and one per token-set size. A
-query adds its tokens' masks into bit-sliced overlap counts, and as a
-Jaccard score depends only on the overlap and the item's size, it ranks
-whole masks of equal score at a time, taking the highest slots (the newest
-ids) first. Updates never change an item's statement, and new items take
+Retrieval keeps one more rebuildable cache. For embedder scoring the open builds it:
+it derives each item's vector from its statement, and keeps in flat arrays the values
+of its nonzero buckets, their places by bucket, and the item's norm. For Jaccard scoring,
+built by the first ``retrieve``, it gives each item a bit slot, in id order, and keeps
+one int bitmask per token and one per token-set size. A query adds its tokens' masks
+into bit-sliced overlap counts, and as a Jaccard score depends only on the overlap and
+the item's size, it ranks whole masks of equal score at a time, taking the highest
+slots (the newest ids) first. Updates never change an item's statement, and new items take
 the next id, so an add only sets the top slot's bits.
 
 An encounter is one commit, ``store_record(record, items)``: the record and its
@@ -65,7 +66,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial, reduce
-from operator import attrgetter, mul, or_
+from operator import attrgetter, or_
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -74,7 +75,7 @@ from .kstar import (
     KstarRecord, _build, deserialize_record, dumps, enum_decoder, loads, serialize_record,
     validate_record,
 )
-from .provider import DeterministicEmbedder, cosine
+from .provider import DeterministicEmbedder, cosine, tokens
 
 # Fixed starter-kit constants for the knowledge update rules.
 CORRECTIVE_CONFIDENCE = 0.5
@@ -115,35 +116,24 @@ class KnowledgeItem:
     kind: KnowledgeKind
     provenance: tuple[int, ...]
     confidence: float
-    embedding: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "confidence", _clamp(self.confidence))
-        _check_embedding(self.embedding or ())  # so no item is written that the open refuses
-
-
-def _check_embedding(values) -> None:
-    """Raise ValueError unless every value is a finite number."""
-    try:
-        if all(map(math.isfinite, values)):
-            return
-    except (TypeError, OverflowError):  # not a number, or an int past a float's range
-        raise ValueError(f"embedding must be an array of numbers, not {list(values)!r}") from None
-    raise ValueError("embedding values must be finite")
 
 
 _kind = enum_decoder(KnowledgeKind)
 # Each field's slot setter: a frozen instance's ``__setattr__`` does not guard it
-_set_id, _set_statement, _set_kind, _set_provenance, _set_confidence, _set_embedding = (
+_set_id, _set_statement, _set_kind, _set_provenance, _set_confidence = (
     KnowledgeItem.__dict__[name].__set__ for name in KnowledgeItem.__slots__
 )
 
 
 def _knowledge_line(line: str) -> KnowledgeItem:
     """``KnowledgeItem(...)`` of the line's fields, each checked and set by slot in its
-    argument order: the open's hot path, written out as ``kstar._build`` is over twice as slow."""
-    obj = loads(line)
-    embedding = obj.get("embedding")  # read first, so a line not an object fails here
+    argument order: the open's hot path, written out as ``kstar._build`` is over twice as slow.
+    Any other key, as the ``embedding`` an older store wrote, is ignored."""
+    if type(obj := loads(line)) is not dict:
+        raise ValueError("knowledge line must be a JSON object")
     item = object.__new__(KnowledgeItem)
     # A string id breaks the comparisons of id order, a float one (or a bool) the next id
     if type(item_id := obj["id"]) is not int:
@@ -163,11 +153,6 @@ def _knowledge_line(line: str) -> KnowledgeItem:
             raise ValueError(f"confidence must be a number, not {confidence!r}")
         confidence = _clamp(confidence)
     _set_confidence(item, confidence)
-    if embedding is not None:
-        if type(embedding) is not list:
-            raise ValueError(f"embedding must be an array of numbers, not {embedding!r}")
-        _check_embedding(embedding := tuple(embedding))
-    _set_embedding(item, embedding)
     return item
 
 
@@ -192,12 +177,8 @@ def read_consolidation(path) -> list[ConsolidationExample]:
 # Similarity
 # --------------------------------------------------------------------------
 
-# For ``[a-z0-9]+`` runs: a non-ASCII character becomes ``?``, and every byte but [0-9a-z] a space
-_TOKEN_BYTES = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32 for b in range(256))
-
-
 def _tokens(text: str) -> set[str]:
-    return set(text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).decode().split())
+    return set(tokens(text))
 
 
 def similarity(a: str, b: str, embedder: Optional[DeterministicEmbedder] = None) -> float:
@@ -327,38 +308,44 @@ class _TokenIndex:
 
 
 class _VectorIndex:
-    """Embedder top-k over each item's vector and its norm."""
+    """Embedder top-k over each item's vector, derived from its statement: the values of
+    its nonzero buckets, flat in slot order and within a slot in bucket order (slot s holds
+    ``ends[s - 1]:ends[s]``), the places of each bucket's values, and each item's norm."""
 
     def __init__(self, embedder: DeterministicEmbedder, items: Iterable[KnowledgeItem]):
-        self.embedder = embedder
-        self.ids: list[int] = []
-        self.vectors: list[tuple[float, ...]] = []
-        self.norms = array("d")
-        self.mismatched = 0  # vectors whose dimension is not the embedder's
+        self.derive = embedder.derive
+        self.ids, self.ends, self.norms = array("q"), array("q"), array("d")
+        self.values = array("d")
+        self.places: defaultdict[int, array] = defaultdict(partial(array, "q"))
         for item in items:
             self.add(item)
 
     def add(self, item: KnowledgeItem) -> None:
-        vec = item.embedding or self.embedder.embed(item.statement)
+        # an empty statement has norm 0, and scores 0 as ``similarity`` has it
+        buckets, values = self.derive(item.statement) if item.statement else ((), ())
+        for place, bucket in enumerate(buckets, len(self.values)):
+            self.places[bucket].append(place)
+        self.values.extend(values)
         self.ids.append(item.id)
-        self.vectors.append(vec)
-        self.norms.append(math.sqrt(sum(map(mul, vec, vec))))  # as ``cosine``
-        if len(vec) != self.embedder.dimension:
-            self.mismatched += 1
+        self.ends.append(len(self.values))
+        # ``cosine``'s norm without its 0.0 terms: leaving one out never changes a float sum
+        self.norms.append(math.sqrt(sum([x * x for x in values])))
 
     def top(self, query: str, k: int) -> list[int]:
         """Every item, scored ``(cosine + 1) / 2``."""
-        values = self.embedder.embed(query)
-        if self.mismatched:
-            raise ValueError("cannot compare embeddings of different dimensions")
-        nq = math.sqrt(sum(map(mul, values, values)))
-        # ``cosine``'s dot product over the query's nonzero buckets only, in
-        # bucket order: leaving out 0.0 terms never changes a float sum
-        nonzero = [(bucket, x) for bucket, x in enumerate(values) if x]
-        keys = []
-        for item_id, vec, na in zip(self.ids, self.vectors, self.norms):
-            c = sum([x * vec[b] for b, x in nonzero]) / (nq * na) if nq and na else 0.0
-            keys.append((-(c + 1.0) / 2.0, -item_id))
+        buckets, values = self.derive(query)
+        nq = math.sqrt(sum([x * x for x in values]))
+        # ``cosine``'s dot products, each over its item's buckets in bucket order, as 0.0
+        # where the query's bucket is 0.0: a 0.0 term, like one left out, changes no sum
+        products, item_values = [0.0] * len(self.values), self.values
+        for bucket, x in zip(buckets, values):
+            for place in self.places.get(bucket, ()):
+                products[place] = x * item_values[place]
+        keys, start = [], 0
+        for item_id, end, na in zip(self.ids, self.ends, self.norms):
+            score = (sum(products[start:end]) / (nq * na) + 1.0) / 2.0 if na else 0.0
+            keys.append((-score, -item_id))
+            start = end
         return [-negated for _, negated in heapq.nsmallest(k, keys)]
 
 
@@ -414,7 +401,7 @@ class EpisodicStore:
         self._places = array("q")
         self._knowledge: dict[int, KnowledgeItem] = {}
         self._next_knowledge_id = 1
-        self._index: _TokenIndex | _VectorIndex | None = None  # built by retrieve
+        self._index: _TokenIndex | _VectorIndex | None = None  # built by _load or retrieve
         self._load()
 
     @classmethod
@@ -438,6 +425,8 @@ class EpisodicStore:
         for _, item, _, _ in lines:
             self._knowledge[item.id] = item
         self._next_knowledge_id = max(self._knowledge, default=0) + 1
+        if self.embedder is not None:
+            self._index = _VectorIndex(self.embedder, self._knowledge.values())
         self._fold(zip(self._ids, loads(f"[{','.join(deltas)}]")))
 
     def _read_back(self, indexes: Iterable[int]) -> Iterator[KstarRecord]:
@@ -500,16 +489,12 @@ class EpisodicStore:
         self._next_knowledge_id = named + 1
 
     def _new_item(self, item: KnowledgeItem, item_id: int, provenance: tuple) -> KnowledgeItem:
-        """``item`` checked, numbered ``item_id`` with ``provenance``, and
-        embedded if configured."""
+        """``item`` checked and numbered ``item_id`` with ``provenance``."""
         if not item.statement.strip():
             raise ValueError("knowledge statement must be non-empty")
         if not provenance:
             raise ValueError("knowledge provenance must be non-empty")
-        embedding = item.embedding
-        if embedding is None and self.embedder is not None:
-            embedding = self.embedder.embed(item.statement)
-        return replace(item, id=item_id, provenance=provenance, embedding=embedding)
+        return replace(item, id=item_id, provenance=provenance)
 
     # -- records ------------------------------------------------------
 
@@ -570,7 +555,7 @@ class EpisodicStore:
             return self._knowledge.get(item_id)
 
     def add_knowledge(self, item: KnowledgeItem) -> int:
-        """Assign the next item id, embed if configured, and append."""
+        """Assign the next item id, and append."""
         with self.lock:
             stored = self._new_item(item, self._next_knowledge_id, item.provenance)
             self._write_knowledge([stored])
@@ -598,11 +583,7 @@ class EpisodicStore:
             ranked = []
             if query:
                 if self._index is None:
-                    items = self._knowledge.values()
-                    self._index = (
-                        _TokenIndex(items) if self.embedder is None
-                        else _VectorIndex(self.embedder, items)
-                    )
+                    self._index = _TokenIndex(self._knowledge.values())
                 ranked = self._index.top(query, k)
             if len(ranked) < k:
                 # the rest score 0: most recent first

@@ -25,7 +25,9 @@ encodes as a failed encounter that makes no further call (see cognition).
 Embeddings: an embedding is a plain ``tuple[float, ...]``, its dimension
 its length. ``DeterministicEmbedder`` hashes a bag of tokens into a fixed
 number of signed buckets and L2-normalizes, so retrieval is fully testable
-offline. A remote embedder could implement the same ``embed``; none ships.
+offline. ``embed`` is the whole vector; ``derive``, which it goes through,
+is its nonzero buckets and their values, which an embedder store keeps for
+each item, derived from its statement: no store writes a vector.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ import hashlib
 import json
 import math
 import os
-import re
 import time
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Optional
 
@@ -267,7 +269,13 @@ def cosine(a: tuple[float, ...], b: tuple[float, ...]) -> float:
     return dot / (na * nb)
 
 
-_TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
+# For ``[a-z0-9]+`` runs: a non-ASCII character becomes ``?``, and every byte but [0-9a-z] a space
+_TOKEN_BYTES = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32 for b in range(256))
+
+
+def tokens(text: str) -> list[str]:
+    """The ``[a-z0-9]+`` runs of ``text.lower()``, in order."""
+    return text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).decode().split()
 
 
 class DeterministicEmbedder:
@@ -282,6 +290,7 @@ class DeterministicEmbedder:
         if dimension <= 0:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
+        self._signed: dict[str, tuple[int, float]] = {}  # each token's bucket and sign
 
     def _bucket(self, token: str) -> tuple[int, float]:
         digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
@@ -289,19 +298,24 @@ class DeterministicEmbedder:
         sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
         return h % self.dimension, sign
 
-    def embed(self, text: str) -> tuple[float, ...]:
+    def derive(self, text: str) -> tuple[list[int], list[float]]:
+        """The nonzero buckets of ``text``'s embedding, ascending, and their values."""
         if not text:
             raise ValueError("cannot embed empty text")
-        tokens = _TOKEN_PATTERN.findall(text.lower()) or [text]
-        values = [0.0] * self.dimension
-        for token in tokens:
-            index, sign = self._bucket(token)
-            values[index] += sign
-        norm = math.sqrt(sum(v * v for v in values))
-        if norm == 0.0:
-            # opposite-sign bucket collisions cancelled everything out;
-            # fall back to the whole text as a single token
-            index, sign = self._bucket(text)
-            values[index] = sign
-            norm = 1.0
-        return tuple(v / norm for v in values)
+        signed, counts = self._signed, [0.0] * self.dimension
+        for token in tokens(text) or [text]:
+            if (pair := signed.get(token)) is None:
+                pair = signed[token] = self._bucket(token)
+            counts[pair[0]] += pair[1]
+        if not (buckets := list(compress(range(self.dimension), counts))):
+            bucket, sign = self._bucket(text)  # opposite signs cancelled: the text is one token
+            return [bucket], [sign]
+        # the counts are whole numbers, so their squares sum exactly in any order
+        norm = math.sqrt(sum([counts[bucket] * counts[bucket] for bucket in buckets]))
+        return buckets, [counts[bucket] / norm for bucket in buckets]
+
+    def embed(self, text: str) -> tuple[float, ...]:
+        vector = [0.0] * self.dimension
+        for bucket, value in zip(*self.derive(text)):
+            vector[bucket] = value
+        return tuple(vector)

@@ -22,6 +22,7 @@ from neolaf.cognition import (
     parse_forecast,
     parse_labeled_sections,
     parse_plan,
+    parse_subtasks,
     parse_system1,
     parse_verdict,
     request,
@@ -116,6 +117,16 @@ def test_knowledge_context_empty_and_budget():
     assert knowledge_context([], 100) == ""
     with pytest.raises(ValueError):
         knowledge_context([], 0)
+
+
+def test_knowledge_context_with_a_budget_of_one_word_holds_no_item():
+    """A budget of 1 is a budget: no item line fits it, and it raises nothing."""
+    assert knowledge_context([_item("x")], 1) == ""
+
+
+def test_parse_subtasks_keeps_only_the_bullet_lines():
+    reply = "Subtasks:\n- add the parts\nthen check them\n-\n-  \n-x y\n  - reduce  \n"
+    assert [task.goal for task in parse_subtasks(reply)] == ["add the parts", "reduce"]
 
 
 def test_knowledge_context_truncates_at_whole_items():

@@ -99,12 +99,21 @@ CASES = [
     ("\\lef\\leftt 1", "\\lef\\leftt 1"),  # \leftt is no \left
     ("x \\rightarrow y", "x \\rightarrow y"),
     ("\\lef\\frac{t}{2}", "/2"),  # the rewrite glues \lef and t into \left
+    ("answer isotope", "answer isotope"),  # "is" is a whole word
+    ("The answer island", "The answer island"),
+    ("the answer is answer isotope", "answer isotope"),
 ]
 
 
 @pytest.mark.parametrize("raw,expected", CASES)
 def test_normalize_cases(raw, expected):
     assert normalize_answer(raw) == expected
+
+
+def test_an_answer_that_starts_with_a_word_in_is_keeps_it():
+    """The "answer is" prefix once took the "is" of "island" and "isotope"."""
+    assert not answers_equal("answer island", "land")
+    assert answers_equal("the answer is: island", "island")
 
 
 def test_normalize_idempotent_on_curated_cases():

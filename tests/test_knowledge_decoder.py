@@ -3,12 +3,12 @@
 ``memory._knowledge_line`` builds items through the slot setters of the
 frozen ``KnowledgeItem``, not its constructor. ``oracle`` is the
 constructor-based decoder it replaced, given the same checks of each
-value's JSON type: an integer id, a string statement, an array provenance,
-a number confidence, and an array of finite numbers or null as embedding.
-On seeded knowledge lines (valid ones, ones with keys deleted or values
-replaced by junk, bad kinds, odd confidences and embeddings, lines that are
-not objects or not JSON) both must give the same item, field by field, or
-raise the same exception type with the same text.
+value's JSON type: an object line, an integer id, a string statement, an
+array provenance and a number confidence. On seeded knowledge lines (valid
+ones, ones with keys deleted or values replaced by junk, bad kinds, odd
+confidences, an older store's ``embedding`` of any value, which both ignore,
+lines that are not objects or not JSON) both must give the same item, field
+by field, or raise the same exception type with the same text.
 
 Tier-1 runs 2,000 cases. For a longer run, give the number of cases and,
 optionally, the seeds:
@@ -33,9 +33,7 @@ CONFIDENCES = (0, 1, True, False, -0.0, 0.0, 1.0, 1.5, -0.5, NAN, INF, -INF, "x"
 JUNK = (None, True, False, 0, 1, -1, 7.5, -0.0, NAN, INF, "", "x", "corrective", [], [1, 2],
         ["a"], {}, {"a": 1}, 2 ** 70)
 KINDS = ("corrective", "reinforcement", "distilled", "Corrective", "CORRECTIVE", "bogus", "")
-EMBEDDINGS = (None, [], [0.5, -0.25], [1.0] * 8, [1, 2, 3], [NAN], [INF, 1.0], ["a"], [None],
-              [[1.0]], [True], [2 ** 1100], [0.5, NAN, "a"], "ab", 5, 0.5, True, {"x": 1.0})
-FIELDS = ("id", "statement", "kind", "provenance", "confidence", "embedding")
+FIELDS = ("id", "statement", "kind", "provenance", "confidence")
 NOT_OBJECTS = ("[]", "[1, 2]", "5", "1.5", '"text"', "null", "true", "{", '{"id": 1', "")
 
 
@@ -52,20 +50,16 @@ _id = _checked(lambda value: type(value) is int, "id must be an integer")
 _text = _checked(lambda value: type(value) is str, "statement must be a string")
 _array = _checked(lambda value: type(value) is list, "provenance must be an array")
 _number = _checked(lambda value: type(value) in (int, float), "confidence must be a number")
-_vector = _checked(lambda value: value is None or type(value) is list,
-                   "embedding must be an array of numbers")
 
 
 def oracle(line: str) -> KnowledgeItem:
-    """The decoder as it was: the frozen dataclass's own constructor, which checks
-    that an embedding's values are finite numbers, given each value once it is
-    checked to have its field's JSON type, in argument order."""
-    obj = loads(line)
-    embedding = obj.get("embedding")
+    """The decoder as it was: the frozen dataclass's own constructor, given each
+    value once it is checked to have its field's JSON type, in argument order."""
+    if type(obj := loads(line)) is not dict:
+        raise ValueError("knowledge line must be a JSON object")
     return KnowledgeItem(
         _id(obj["id"]), _text(obj["statement"]), _kind(obj["kind"]),
         tuple(_array(obj["provenance"])), _number(obj["confidence"]),
-        None if _vector(embedding) is None else tuple(embedding),
     )
 
 
@@ -76,16 +70,15 @@ def knowledge_object(rng: random.Random) -> dict:
         "kind": rng.choice(KINDS[:3]),
         "provenance": [rng.randint(1, 99) for _ in range(rng.randint(0, 3))],
         "confidence": rng.choice(CONFIDENCES),
-        "embedding": rng.choice(EMBEDDINGS[:4]),
     }
-    if rng.random() < 0.3:
-        del obj["embedding"]
+    if rng.random() < 0.3:  # an older store's key, ignored whatever it holds
+        obj["embedding"] = rng.choice(JUNK)
     return obj
 
 
 def mutate(obj: dict, rng: random.Random) -> dict:
     """``obj`` with one key deleted, or one value replaced by junk or by a
-    bad kind, confidence or embedding."""
+    bad kind or confidence."""
     key = rng.choice(FIELDS)
     how = rng.randrange(3)
     if how == 0:
@@ -93,9 +86,7 @@ def mutate(obj: dict, rng: random.Random) -> dict:
     elif how == 1:
         obj[key] = rng.choice(JUNK)
     else:
-        obj["kind"], obj["confidence"], obj["embedding"] = (
-            rng.choice(KINDS), rng.choice(CONFIDENCES), rng.choice(EMBEDDINGS)
-        )
+        obj["kind"], obj["confidence"] = rng.choice(KINDS), rng.choice(CONFIDENCES)
     return obj
 
 

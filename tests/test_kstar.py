@@ -341,7 +341,10 @@ def test_each_missing_field_is_named(path, message):
 
 @pytest.mark.parametrize("path", sorted(_OPTIONAL))
 def test_missing_optional_field_decodes_as_none(path):
-    record = deserialize_record(_edited(path, delete=True))
+    obj = json.loads(_edited(path, delete=True))
+    if path[0] == "plan":  # a step with no output is not executed, or the record is invalid
+        obj["plan"][path[1]]["status"] = "planned"
+    record = deserialize_record(json.dumps(obj))
     step_or_outcome = record.plan[path[1]] if path[0] == "plan" else record.outcome
     assert getattr(step_or_outcome, path[-1]) is None
 

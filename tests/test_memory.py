@@ -161,27 +161,41 @@ def test_a_record_and_a_knowledge_add_are_one_write_each(store, rng, count_write
     assert writes[1] == (dumps(store.get_knowledge(item_id)) + "\n").encode("utf-8")
 
 
+def test_an_empty_statement_scores_0_with_an_embedder(tmp_path):
+    """A hand-written line whose statement is "" once made every embedder retrieve
+    raise ``cannot embed empty text``; it scores 0, as ``similarity`` has it."""
+    store_dir = tmp_path / "s"
+    _write_knowledge_file(store_dir, [(1, "sum"), (2, ""), (3, "prime roots"), (4, "?!")])
+    embedder = DeterministicEmbedder()
+    store = EpisodicStore.open(store_dir, embedder)
+    for query in ("sum", "prime", "?!", "sum prime roots"):
+        expected = sorted(
+            store.knowledge,
+            key=lambda item: (-similarity(query, item.statement, embedder), -item.id),
+        )
+        assert [item.id for item in store.retrieve(query, 4)] == [item.id for item in expected]
+    assert store.retrieve("sum", 1)[0].id == 1 and store.retrieve("sum", 4)[-1].id == 2
+
+
 def test_golden_knowledge_lines():
     """The exact bytes of knowledge lines, each decoding back to its item."""
     signs = "check the sign of each root twice"
     items = [
         KnowledgeItem(1, "check the denominators", KnowledgeKind.CORRECTIVE, (1,), 0.5),
-        KnowledgeItem(2, signs, KnowledgeKind.DISTILLED, (2,), 0.6,
-                      DeterministicEmbedder(dimension=8).embed(signs)),
+        KnowledgeItem(2, signs, KnowledgeKind.DISTILLED, (2,), 0.6),
         KnowledgeItem(3, "分母を確認 — ½", KnowledgeKind.REINFORCEMENT, (3,), 0.1 + 0.2),
         KnowledgeItem(4, "two sources", KnowledgeKind.DISTILLED, (4, 12), 1.0),
     ]
     data = memory._knowledge_bytes(items)
     assert data == (
         '{"id":1,"statement":"check the denominators","kind":"corrective",'
-        '"provenance":[1],"confidence":0.5,"embedding":null}\n'
+        '"provenance":[1],"confidence":0.5}\n'
         '{"id":2,"statement":"check the sign of each root twice","kind":"distilled",'
-        '"provenance":[2],"confidence":0.6,"embedding":[0.2581988897471611,0.0,'
-        '0.2581988897471611,-0.5163977794943222,0.0,0.0,0.7745966692414834,0.0]}\n'
+        '"provenance":[2],"confidence":0.6}\n'
         '{"id":3,"statement":"分母を確認 — ½","kind":"reinforcement",'
-        '"provenance":[3],"confidence":0.30000000000000004,"embedding":null}\n'
+        '"provenance":[3],"confidence":0.30000000000000004}\n'
         '{"id":4,"statement":"two sources","kind":"distilled",'
-        '"provenance":[4,12],"confidence":1.0,"embedding":null}\n'
+        '"provenance":[4,12],"confidence":1.0}\n'
     ).encode("utf-8")
     lines = data.decode("utf-8").splitlines()
     assert [memory._knowledge_line(line) for line in lines] == items
@@ -302,9 +316,8 @@ def test_reopened_items_behave_like_constructed_ones(tmp_path, embedder):
     assert reopened == store.knowledge
     for item in reopened:
         built = KnowledgeItem(item.id, item.statement, item.kind, item.provenance,
-                              item.confidence, item.embedding)
+                              item.confidence)
         assert item == built and hash(item) == hash(built)
-        assert (item.embedding is None) is (embedder is None)
         with pytest.raises(FrozenInstanceError):
             item.confidence = 0.9
         assert item.confidence == 0.6
@@ -315,13 +328,16 @@ def test_reopened_items_behave_like_constructed_ones(tmp_path, embedder):
 
 @pytest.mark.parametrize("embedder", [None, DeterministicEmbedder()], ids=["jaccard", "embedder"])
 def test_an_item_with_an_empty_embedding_reopens_equal(tmp_path, embedder):
+    """An older store wrote an ``embedding`` on each line; the open ignores it."""
     store = EpisodicStore.open(tmp_path / "s", embedder)
-    store.add_knowledge(KnowledgeItem(0, "check denominators", KnowledgeKind.DISTILLED, (1,),
-                                      0.6, embedding=()))
+    _add_statement(store, "check denominators")
     _add_statement(store, "reduce fractions")
+    lines = store.knowledge_path.read_text(encoding="utf-8").splitlines()
+    lines[0] = lines[0][:-1] + ',"embedding":[]}'
+    store.knowledge_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     reopened = EpisodicStore.open(tmp_path / "s", embedder)
-    assert reopened.knowledge == store.knowledge and reopened.knowledge[0].embedding == ()
-    # ranked as an item without one: by its statement's own embedding
+    assert reopened.knowledge == store.knowledge
+    # ranked by its statement's own embedding
     assert [item.id for item in reopened.retrieve("check denominators", 2)] == [1, 2]
 
 
@@ -480,22 +496,12 @@ def test_knowledge_statement_that_is_not_text_fails_the_open(tmp_path, capsys, s
         ("confidence", None, "confidence must be a number, not None"),
         ("confidence", True, "confidence must be a number, not True"),
         ("confidence", [0.5], "confidence must be a number, not [0.5]"),
-        ("embedding", "ab", "embedding must be an array of numbers, not 'ab'"),
-        ("embedding", 0, "embedding must be an array of numbers, not 0"),
-        ("embedding", {}, "embedding must be an array of numbers, not {}"),
-        ("embedding", [0.5, "a"], "embedding must be an array of numbers, not [0.5, 'a']"),
-        ("embedding", [None], "embedding must be an array of numbers, not [None]"),
-        ("embedding", [10 ** 400], f"embedding must be an array of numbers, not [{10 ** 400}]"),
-        ("embedding", [float("inf")], "embedding values must be finite"),
     ],
     ids=["text-provenance", "number-provenance", "text-confidence", "null-confidence",
-         "bool-confidence", "array-confidence", "text-embedding", "number-embedding",
-         "object-embedding", "text-in-embedding", "null-in-embedding", "huge-int-in-embedding",
-         "infinite-embedding"],
+         "bool-confidence", "array-confidence"],
 )
 def test_knowledge_value_of_the_wrong_type_fails_the_open(tmp_path, capsys, field, value, detail):
-    """A provenance given as text once loaded as its characters, and an embedding
-    int past a float's range crashed the open with an OverflowError traceback."""
+    """A provenance given as text once loaded as its characters."""
     store_dir = tmp_path / "s"
     _write_knowledge_file(store_dir, [(1, "a")])
     obj = {"id": 2, "statement": "b", "kind": "distilled", "provenance": [1],
@@ -511,19 +517,29 @@ def test_knowledge_value_of_the_wrong_type_fails_the_open(tmp_path, capsys, fiel
     assert err == f"neolaf: error: {message}\n" and "Traceback" not in out
 
 
-def test_an_item_with_an_embedding_that_is_not_finite_is_never_built_or_written(store):
-    for bad in ((float("nan"),), (1.0, float("inf")), ("a",)):
-        with pytest.raises(ValueError, match="embedding"):
-            KnowledgeItem(0, "x", KnowledgeKind.DISTILLED, (1,), 0.5, embedding=bad)
-    store.store_record(_sample_record())
-    _add_statement(store, "alpha")
-    files = {path: path.read_bytes() for path in (store.log_path, store.knowledge_path)}
-    item = KnowledgeItem(0, "x", KnowledgeKind.DISTILLED, (1,), 0.5)
-    object.__setattr__(item, "embedding", (float("nan"),))  # past the constructor's check
-    with pytest.raises(ValueError, match="embedding values must be finite"):
-        store.add_knowledge(item)
-    assert {path: path.read_bytes() for path in files} == files
-    assert EpisodicStore.open(store.log_path.parent).knowledge == store.knowledge
+@pytest.mark.parametrize(
+    "embedding",
+    [[0.5, -0.25], [1.0] * 64, list(DeterministicEmbedder(8).embed("prime roots")),
+     "ab", 0, {}, [0.5, "a"], [None], [10 ** 400], [float("inf")]],
+    ids=["short-embedding", "array-embedding", "another-dimension-embedding", "text-embedding",
+         "number-embedding", "object-embedding", "text-in-embedding", "null-in-embedding",
+         "huge-int-in-embedding", "infinite-embedding"],
+)
+def test_a_stored_embedding_is_ignored_at_the_open(tmp_path, embedding):
+    """An older store wrote an ``embedding`` on each knowledge line; an item's vector is
+    derived from its statement, so the open ignores the key, whatever it holds. A vector
+    of another embedder's dimension once made every retrieve raise."""
+    store_dir = tmp_path / "s"
+    _write_knowledge_file(store_dir, [(1, "solve sums")])
+    obj = {"id": 2, "statement": "prime roots", "kind": "distilled", "provenance": [1],
+           "confidence": 0.5, "embedding": embedding}
+    with open(store_dir / "knowledge.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj) + "\n")
+    store = EpisodicStore.open(store_dir, DeterministicEmbedder())
+    assert store.get_knowledge(2) == KnowledgeItem(
+        2, "prime roots", KnowledgeKind.DISTILLED, (1,), 0.5
+    )
+    assert [item.id for item in store.retrieve("prime roots", 2)] == [2, 1]
 
 
 _KNOWLEDGE_LINE = (
@@ -537,8 +553,8 @@ _KNOWLEDGE_LINE = (
         (_KNOWLEDGE_LINE + " x", "Extra data: line 1 column 84 (char 83)"),
         (_KNOWLEDGE_LINE + "{}", "Extra data: line 1 column 83 (char 82)"),
         (_KNOWLEDGE_LINE[:-1], "Expecting ',' delimiter: line 1 column 82 (char 81)"),
-        ("[1]", "'list' object has no attribute 'get'"),
-        ("NaN", "'float' object has no attribute 'get'"),
+        ("[1]", "knowledge line must be a JSON object"),
+        ("NaN", "knowledge line must be a JSON object"),
     ],
     ids=["trailing-word", "trailing-object", "unterminated", "array", "nan"],
 )
@@ -799,6 +815,75 @@ def test_a_commit_numbers_its_line_by_the_lines_before_it(tmp_path, rng, change,
     )
 
 
+@pytest.mark.parametrize("blank_lines", [0, 2])
+def test_a_first_commit_numbers_its_line_by_the_blank_lines_before_it(tmp_path, rng, blank_lines):
+    """A store with no record counts its log's lines from line 1."""
+    store_dir = tmp_path / "s"
+    store_dir.mkdir()
+    path = store_dir / "episodic.jsonl"
+    path.write_bytes(b"\n" * blank_lines)
+    store = EpisodicStore.open(store_dir)
+    record = store.store_record(make_record(rng))
+    with open(path, "r+b") as fh:
+        fh.truncate(path.stat().st_size - 40)
+    with pytest.raises(StorageError) as excinfo:
+        store.get_record(record.id)
+    assert str(excinfo.value) == (
+        _log_corrupt(store_dir, blank_lines + 1)
+        + "the log is shorter than when the store was opened"
+    )
+
+
+def test_a_commit_after_lines_it_did_not_write_counts_them_from_the_last_known_line(tmp_path, rng):
+    """The last line the handle knows is not at offset 0: the count starts at its offset."""
+    store_dir = tmp_path / "s"
+    store = EpisodicStore.open(store_dir)
+    for _ in range(2):
+        store.store_record(make_record(rng))
+    with open(store.log_path, "ab") as fh:
+        fh.write(b"\n\n")  # lines 3 and 4
+    record = store.store_record(make_record(rng))
+    with open(store.log_path, "r+b") as fh:
+        fh.truncate(store.log_path.stat().st_size - 40)
+    with pytest.raises(StorageError) as excinfo:
+        store.get_record(record.id)
+    assert str(excinfo.value) == (
+        _log_corrupt(store_dir, 5) + "the log is shorter than when the store was opened"
+    )
+
+
+@pytest.mark.parametrize(
+    "edit, violation",
+    [
+        (lambda obj: obj.update(plan=[]), "plan empty: at least one action step is required"),
+        (lambda obj: obj["situation"].update(description=""), "situation.description empty"),
+        (lambda obj: obj["forecast"].update(success_probability=7.5),
+         "forecast.success_probability 7.5 outside [0, 1]"),
+    ],
+    ids=["empty-plan", "empty-description", "probability-past-1"],
+)
+def test_a_record_line_that_no_commit_could_write_fails_its_read(
+    tmp_path, rng, capsys, edit, violation
+):
+    """The read-back once checked only each value's type, so such a line opened,
+    read back and listed; it fails as ``store_record`` would refuse it."""
+    store_dir = tmp_path / "s"
+    lines = _three_record_lines(store_dir, rng)
+    for number in (2, 3):
+        obj = json.loads(lines[number - 1])
+        edit(obj)
+        edited = [*lines]
+        edited[number - 1] = json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+        _write_log(store_dir, edited)
+        message = f"{_log_corrupt(store_dir, number)}record failed validation: {violation}"
+        with pytest.raises(StorageError) as excinfo:
+            EpisodicStore.open(store_dir).get_record(number)  # the open decodes line 3
+        assert str(excinfo.value) == message
+        assert main(["memory", "show", str(number), "--store", str(store_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"neolaf: error: {message}\n" and out == ""
+
+
 @pytest.mark.parametrize("line", [1, 2], ids=["middle", "last"])
 def test_duplicate_id_key_is_caught_at_decode(tmp_path, rng, line):
     """The decoder keeps the last ``id`` key, the open reads the first."""
@@ -887,8 +972,7 @@ def test_reopened_store_reproduces_every_line_and_item(tmp_path):
         KnowledgeItem(0, "vérifier les dénominateurs", KnowledgeKind.CORRECTIVE, (1,), 0.5)
     )
     store.add_knowledge(
-        KnowledgeItem(0, "分母を確認", KnowledgeKind.DISTILLED, (2, 3), 0.6,
-                      embedding=(0.6, -0.8, 0.0))
+        KnowledgeItem(0, "分母を確認", KnowledgeKind.DISTILLED, (2, 3), 0.6)
     )
     store.add_knowledge(
         KnowledgeItem(0, "lesson", KnowledgeKind.REINFORCEMENT, (3,), 0.8)
@@ -907,15 +991,16 @@ def test_reopened_store_reproduces_every_line_and_item(tmp_path):
     assert reopened.knowledge == store.knowledge
     assert EpisodicStore.open(tmp_path / "e").knowledge == with_embedder.knowledge
 
-    nan_line = json.dumps({
+    # an older store's line, with keys no item has, reopens as the item without them
+    older_line = json.dumps({
         "id": 9, "statement": "x", "kind": "distilled", "provenance": [1],
         "confidence": 0.5, "usage_count": 0, "embedding": [float("nan"), 1.0],
     })
     with open(store_dir / "knowledge.jsonl", "a", encoding="utf-8") as fh:
-        fh.write(nan_line + "\n")
-    with pytest.raises(StorageError) as excinfo:
-        EpisodicStore.open(store_dir)
-    assert str(excinfo.value) == _knowledge_corrupt(store_dir, 4) + "embedding values must be finite"
+        fh.write(older_line + "\n")
+    assert EpisodicStore.open(store_dir).knowledge == (
+        *store.knowledge, KnowledgeItem(9, "x", KnowledgeKind.DISTILLED, (1,), 0.5)
+    )
 
 
 def test_concurrent_appends_serialize(tmp_path, rng):
@@ -1259,13 +1344,19 @@ def test_the_fold_reads_a_line_without_the_canonical_tail_by_decoding_it(tmp_pat
     assert [item.confidence for item in reopened.knowledge] == [0.5 + 0.1, 0.5]
 
 
-def test_retrieve_with_embedder_uses_cached_embeddings(tmp_path):
-    store = EpisodicStore.open(tmp_path / "s", embedder=DeterministicEmbedder())
-    a = _add_statement(store, "quadratic equation roots")
+def test_retrieve_with_embedder_uses_cached_embeddings(tmp_path, monkeypatch):
+    """Each statement's vector is derived once, by the open or the add that holds it."""
+    embedder = DeterministicEmbedder()
+    derived = []
+    derive = embedder.derive
+    monkeypatch.setattr(embedder, "derive", lambda text: derived.append(text) or derive(text))
+    _add_statement(EpisodicStore.open(tmp_path / "s"), "quadratic equation roots")
+    store = EpisodicStore.open(tmp_path / "s", embedder=embedder)
     b = _add_statement(store, "ocean tides")
-    assert store.get_knowledge(a).embedding is not None
-    top = store.retrieve("quadratic equation", 1)
-    assert top[0].id == a and top[0].id != b
+    assert derived == ["quadratic equation roots", "ocean tides"]
+    assert [item.id for item in store.retrieve("quadratic equation", 2)] == [1, b]
+    assert [item.id for item in store.retrieve("ocean", 1)] == [b]
+    assert derived[2:] == ["quadratic equation", "ocean"]
 
 
 def test_retrieve_embedder_path_matches_similarity_oracle(tmp_path):
@@ -1291,11 +1382,14 @@ def test_retrieval_index_matches_oracle_across_writes_and_reopens(tmp_path, scor
     rng = random.Random(31337)
     words = ("solve", "sum", "fraction", "root", "prime", "area", "angle", "mod")
     store_dir = tmp_path / "s"
-    # an older store: items written without an embedder carry "embedding": null
-    older = EpisodicStore.open(store_dir)
-    for statement in ("solve sum", "?!", "prime root area"):
-        _add_statement(older, statement)
-    assert '"embedding":null' in (store_dir / "knowledge.jsonl").read_text()
+    # an older store's lines carry an "embedding", null or an array, which the open ignores
+    store_dir.mkdir()
+    (store_dir / "knowledge.jsonl").write_text("".join(
+        dumps(KnowledgeItem(i, statement, KnowledgeKind.DISTILLED, (1,), 0.5))[:-1]
+        + f',"embedding":{embedding}}}\n'
+        for i, statement, embedding in ((1, "solve sum", "null"), (2, "?!", "[1.0]"),
+                                        (3, "prime root area", "null"))
+    ), encoding="utf-8")
 
     def check(store, query, k):
         expected = sorted(
@@ -1364,17 +1458,45 @@ def test_concurrent_adds_and_retrieves_keep_the_index_exact(tmp_path):
         assert [i.id for i in store.retrieve(query, 10)] == [i.id for i in expected]
 
 
-def test_retrieve_with_embedder_rejects_an_embedding_of_another_dimension(tmp_path):
-    store = EpisodicStore.open(tmp_path / "s", embedder=DeterministicEmbedder())
-    _add_statement(store, "solve sums")
-    store.add_knowledge(
-        KnowledgeItem(
-            0, "short vector", KnowledgeKind.DISTILLED, (1,), 0.5,
-            embedding=DeterministicEmbedder(8).embed("short vector"),
-        )
-    )
-    with pytest.raises(ValueError, match="dimensions"):
-        store.retrieve("solve", 1)
+
+def test_stores_sharing_one_embedder_across_threads_rank_exactly(tmp_path):
+    """The embedder's memo of each token's bucket and sign is shared by every store
+    and query that uses it; concurrent derivations must leave it exact."""
+    import sys
+    import threading
+
+    embedder = DeterministicEmbedder()
+    words = [f"w{n}" for n in range(60)]
+    errors = []
+
+    def worker(seed):
+        local = random.Random(seed)
+        try:
+            store = EpisodicStore.open(tmp_path / f"s{seed}", embedder)
+            for _ in range(30):
+                _add_statement(store, " ".join(local.sample(words, local.randint(1, 6))))
+                store.retrieve(" ".join(local.sample(words, 2)), 3)
+        except Exception as exc:  # surface failures to the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    fresh = DeterministicEmbedder()
+    for n in range(4):
+        store = EpisodicStore.open(tmp_path / f"s{n}", embedder)
+        for query in words[:10]:
+            expected = sorted(store.knowledge, key=lambda item: (
+                -similarity(query, item.statement, fresh), -item.id))[:5]
+            assert [item.id for item in store.retrieve(query, 5)] == [i.id for i in expected]
 
 
 # ---------------------------------------------------------------------------
@@ -1402,6 +1524,14 @@ def test_failure_yields_one_corrective():
 def test_success_with_mismatched_forecast_is_corrective():
     items = extract_knowledge(_sample_record(success=True, probability=0.2))
     assert items[0].kind is KnowledgeKind.CORRECTIVE
+
+
+def test_a_forecast_of_exactly_one_half_predicts_success():
+    """The forecast predicts success at a probability of at least 0.5."""
+    assert memory.forecast_matched(_sample_record(success=True, probability=0.5))
+    assert not memory.forecast_matched(_sample_record(success=False, probability=0.5))
+    items = extract_knowledge(_sample_record(success=True, probability=0.5))
+    assert items[0].kind is KnowledgeKind.REINFORCEMENT
 
 
 def test_rule_layer_is_pure():
