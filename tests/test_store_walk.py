@@ -1,14 +1,21 @@
-"""A seeded random walk over the store's record reads.
+"""A seeded random walk over the store's record reads and retrievals.
 
 An open store keeps no record: each read is decoded again from the record's
-place in the log. The walk mixes commits, reads, consolidation, reopens and a
-second read-only handle, and after every step checks that each record read
-equals the record its commit returned, that ``next_record_id`` agrees, and
-that each held item's confidence equals a naive replay of every committed
-record from scratch (``_replay``), float for float.
+place in the log. The walk mixes commits, reads, consolidation, retrievals,
+reopens and a second read-only handle, and after every step checks that each
+record read equals the record its commit returned, that ``next_record_id``
+agrees, and that each held item's confidence equals a naive replay of every
+committed record from scratch (``_replay``), float for float.
 It also cuts the final newline of either file, as a crash can leave it, and
 reopens both handles: the next append must end that line first, which every
 later reopen checks, of the records and of the items' ids.
+
+Each retrieval, by either handle, must rank the items that handle holds as
+brute-force ``similarity`` does, ties going to the higher id. Each item's
+statement ends in a number that drifts up as items are made, as a topic
+would: a number first held late is held by fewer items than one in
+``memory._SLOT_BITS``, so the token index keeps its slots, until later
+commits push it over that line into a mask.
 
 Tier-1 walks 300 steps. For a longer walk, give the number of steps per seed
 and the seeds:
@@ -26,23 +33,29 @@ from pathlib import Path
 
 from neolaf.memory import (
     KNOWLEDGE_FILE_NAME, RECORD_LOG_NAME, REINFORCEMENT_BOOST, EpisodicStore, KnowledgeItem,
-    KnowledgeKind,
+    KnowledgeKind, similarity,
 )
 
 from conftest import make_record, make_words
 
 
+def _number(rng, held) -> str:
+    return str(len(held) // 8 + rng.randrange(4))
+
+
 def _commit(store, rng, held, made):
-    """Commit a record whose delta names up to two held items, with 0-2 new ones, each
-    of which ``made`` maps to the id of that record and its base confidence."""
+    """Commit a record whose delta names up to two held items, with 0-4 new ones, each
+    of which ``made`` maps to the id of that record, its base confidence and statement."""
     delta = tuple(rng.sample(held, min(len(held), rng.randint(0, 2))))
-    items = [KnowledgeItem(0, make_words(rng), rng.choice(list(KnowledgeKind)), (), 0.5)
-             for _ in range(rng.randint(0, 2))]
+    items = [KnowledgeItem(0, f"{make_words(rng)} {_number(rng, held)}",
+                           rng.choice(list(KnowledgeKind)), (), 0.5)
+             for _ in range(rng.randint(0, 4))]
     expected_id = store.next_record_id()
     record = store.store_record(replace(make_record(rng), knowledge_delta=delta), items)
     assert record.id == expected_id and record.knowledge_delta[:len(delta)] == delta
     new = record.knowledge_delta[len(delta):]
-    made.update((item_id, (record.id, item.confidence)) for item_id, item in zip(new, items))
+    made.update((item_id, (record.id, item.confidence, item.statement))
+                for item_id, item in zip(new, items))
     held.extend(new)
     return record
 
@@ -53,12 +66,21 @@ def _replay(committed, made):
     confidence = {}
     for record in committed:
         for item_id in record.knowledge_delta:
-            maker, base = made[item_id]
+            maker, base, _ = made[item_id]
             if maker == record.id:
                 confidence[item_id] = base
             elif item_id in confidence:
                 confidence[item_id] = min(1.0, max(0.0, confidence[item_id] + REINFORCEMENT_BOOST))
     return confidence
+
+
+def _check_retrieve(store, rng, held, made):
+    """``store.retrieve`` of a random query ranks the ``held`` ids as ``similarity`` does."""
+    number = _number(rng, held)
+    query = rng.choice((make_words(rng, 1, 3), f"{make_words(rng, 1, 3)} {number}", number))
+    k = rng.randint(0, len(held) + 2)
+    want = sorted(held, key=lambda i: (-similarity(query, made[i][2]), -i))[:k]
+    assert [item.id for item in store.retrieve(query, k)] == want, (query, k)
 
 
 def walk(directory, seed: int, steps: int) -> None:
@@ -68,8 +90,9 @@ def walk(directory, seed: int, steps: int) -> None:
     committed, held, made = [], [], {}
     for step in range(steps):
         kind = rng.choices(
-            ("commit", "get", "miss", "records", "consolidate", "reopen", "second", "cut"),
-            (8, 5, 2, 2, 1, 1, 1, 1))[0]
+            ("commit", "get", "miss", "records", "consolidate", "reopen", "second", "cut",
+             "retrieve"),
+            (8, 5, 2, 2, 1, 1, 1, 1, 3))[0]
         if kind == "commit":
             committed.append(_commit(store, rng, held, made))
         elif kind == "get" and committed:
@@ -99,6 +122,10 @@ def walk(directory, seed: int, steps: int) -> None:
                     second, seen = EpisodicStore.open(directory), len(committed)
         elif kind == "second" and second is None:
             second, seen = EpisodicStore.open(directory), len(committed)
+        elif kind == "retrieve":
+            _check_retrieve(store, rng, held, made)
+            if second is not None:  # it holds the items of the records it saw
+                _check_retrieve(second, rng, [i for i in held if made[i][0] <= seen], made)
         assert store.next_record_id() == len(committed) + 1, (seed, step)
         confidence = {item.id: item.confidence for item in store.knowledge}
         assert confidence == _replay(committed, made), (seed, step)
