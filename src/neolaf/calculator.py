@@ -259,14 +259,12 @@ def _call(name: str, args: list[NumericValue]) -> NumericValue:
                 raise DomainError("gcd requires integer arguments")
             ints.append(abs(a.numerator))
         return Fraction(math.gcd(ints[0], ints[1]))
-    if name == "mod":
-        a, b = args
-        if b == 0:
-            raise DivisionByZero("mod by zero")
-        if _both_exact(a, b):
-            return a % b
-        return _check_float(_to_float(a) % _to_float(b))
-    raise DomainError(f"unknown function {name}")
+    a, b = args  # mod: ``atom`` refuses every name not in _FUNCTIONS
+    if b == 0:
+        raise DivisionByZero("mod by zero")
+    if _both_exact(a, b):
+        return a % b
+    return _check_float(_to_float(a) % _to_float(b))
 
 
 def eval_expression(expr: str) -> NumericValue:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .cognition import ReviewRejected, Solution, default_kit, kit_from_dict, load_kit, solve
@@ -19,6 +19,7 @@ from .harness import (
     load_dataset,
     render_comparison,
     run_eval,
+    save_report,
 )
 from .kstar import serialize_record
 from .memory import EpisodicStore, render_plan
@@ -50,7 +51,8 @@ def _build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="solve one problem")
     p_solve.add_argument("problem")
     p_solve.add_argument("--kit", help="starter kit JSON file")
-    p_solve.add_argument("--system1-only", action="store_true")
+    p_solve.add_argument("--system1-only", action="store_true",
+                         help="accept every fast answer: the kit's route_threshold set to 0")
     p_solve.add_argument("--review", action="store_true",
                          help="print the plan and confirm before execution")
     p_solve.add_argument("--store", default=DEFAULT_STORE_DIR)
@@ -128,6 +130,8 @@ def _review_callback(steps) -> bool:
 
 def _cmd_solve(args) -> int:
     kit = _kit_from_args(args)
+    if args.system1_only:
+        kit = replace(kit, route_threshold=0.0)
     provider = provider_from_config(_provider_config(args))
     store = EpisodicStore.open(args.store)
     try:
@@ -137,7 +141,6 @@ def _cmd_solve(args) -> int:
             provider,
             default_registry(),
             store,
-            system1_only=args.system1_only,
             plan_review=_review_callback if args.review else None,
         )
     except ReviewRejected:
@@ -158,12 +161,12 @@ def _cmd_eval(args) -> int:
         limit=args.limit,
         fresh_store=args.fresh_store,
         store_dir=args.store,
-        out_path=args.out,
     )
     agg = report.aggregate
     print(f"n={agg.n} correct={agg.n_correct} accuracy={agg.accuracy:.3f} "
           f"mean_ms={agg.mean_elapsed_ms:.1f} median_ms={agg.median_elapsed_ms:.1f}")
     if args.out:
+        save_report(report, args.out)
         print(f"report written to {args.out}")
     return 0
 

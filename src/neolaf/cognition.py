@@ -671,22 +671,21 @@ def solve(
     registry: ToolRegistry,
     store: EpisodicStore,
     source: SituationSource = SituationSource.USER,
-    system1_only: bool = False,
     plan_review: Optional[Callable[[tuple[ActionStep, ...]], bool]] = None,
 ) -> Solution:
     """Answer a query by the fast path, escalating to the slow path when
     self-confidence falls below the kit threshold.
 
-    With ``system1_only`` the fast answer is accepted unconditionally
-    (the comparison baseline). Either way the encounter is encoded, and
-    one encounter object counts and times it for both the record and the
+    A kit whose ``route_threshold`` is 0 accepts every fast answer (the
+    system1-only baseline). Either way the encounter is encoded, and one
+    encounter object counts and times it for both the record and the
     Solution.
     """
     enc = _Encounter(query, kit, provider, registry, store, source)
     answer, explanation, confidence = parse_system1(
         enc.reply(request(kit, "confidence", query=enc.query, context=enc.context)))
     # a fast path whose call failed has no answer to accept: it escalates
-    if enc.error is None and (system1_only or route(confidence, kit) is Route.SYSTEM1):
+    if enc.error is None and route(confidence, kit) is Route.SYSTEM1:
         record = _lightweight_record(enc, answer, confidence)
         return enc.commit(record, Route.SYSTEM1, answer, explanation)[0]
     return run_system2(query, kit, enc, registry, store, source=source,

@@ -306,7 +306,6 @@ def run_eval(
     limit: Optional[int] = None,
     fresh_store: bool = False,
     store_dir=None,
-    out_path=None,
 ) -> EvalReport:
     """Solve each problem and score against its reference answer.
 
@@ -318,11 +317,13 @@ def run_eval(
     as ``shared``. A problem whose provider fails is encoded as a failed
     slow-path encounter, so its row is incorrect and counts the calls its
     record counts, and the run continues. A negative ``limit`` raises
-    ValueError.
+    ValueError. ``config.system1_only`` runs the kit with its
+    ``route_threshold`` at 0.
     """
     if limit is not None and limit < 0:
         raise ValueError("limit must be >= 0")
     usable = [p for p in problems if p.reference_answer][:limit]
+    kit = replace(config.kit, route_threshold=0.0) if config.system1_only else config.kit
 
     rows: list[ProblemResult] = []
     registry = default_registry()
@@ -335,12 +336,11 @@ def run_eval(
                 store = EpisodicStore.open(base / f"problem-{index}")
             solution = solve(
                 problem.statement,
-                config.kit,
+                kit,
                 config.provider,
                 registry,
                 store,
                 source=SituationSource.HARNESS,
-                system1_only=config.system1_only,
             )
             rows.append(
                 ProblemResult(
@@ -356,14 +356,11 @@ def run_eval(
             )
 
     rows.sort(key=lambda r: r.problem_id)
-    report = EvalReport(
+    return EvalReport(
         config_name=config.name,
         per_problem=tuple(rows),
         aggregate=_aggregate(rows),
     )
-    if out_path is not None:
-        save_report(report, out_path)
-    return report
 
 
 @dataclass(frozen=True)
@@ -385,8 +382,6 @@ def compare(
     """
     if not configs:
         raise ValueError("compare needs at least one configuration")
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be >= 0")
     rows = []
     for config in configs:
         report = run_eval(config, problems, limit=limit)

@@ -28,17 +28,17 @@ StorageError naming its file and line. The benchmark's seed-0 store (10k items, 
 2-vCPU VM, Python 3.11, at quiet and busy times) and then holds 4.4 MB (tracemalloc), as
 much after a ``consolidate``.
 
-Retrieval keeps one more rebuildable cache. For embedder scoring the open builds it:
-it derives each item's vector from its statement, and keeps in flat arrays the values
-of its nonzero buckets, their places by bucket, and the item's norm. For Jaccard scoring,
-built by the first ``retrieve``, it gives each item a slot, in id order, and keeps an int
-bitmask per token-set size and per token, but a token's slots stay in an ``array("i")``
-until they reach one in 32 of the slots held: on the seed-0 store 1,694 of 1,807 tokens
-are in fewer than 32 items, and the index retains 0.67 MiB (tracemalloc), not 2.19. A
-query adds its tokens' masks into bit-sliced overlap counts, and as a Jaccard score depends
-only on the overlap and the item's size, it ranks whole masks of equal score at a time,
-taking the highest slots (the newest ids) first. Updates never change an item's statement,
-and new items take the next id, so an add only sets, or appends, the top slot.
+Retrieval keeps one more rebuildable cache. For embedder scoring the open builds it: it
+derives each item's vector from its statement, and keeps in flat arrays the values of its
+nonzero buckets, their places by bucket, and the item's norm. For Jaccard scoring, built by
+the first ``retrieve`` whose query has a token, it gives each item a slot, in id order, and
+keeps an int bitmask per token-set size and per token, but a token's slots stay in an
+``array("i")`` until they reach one in 32 of the slots held: on the seed-0 store 1,694 of
+1,807 tokens are in fewer than 32 items, and the index retains 0.67 MiB (tracemalloc), not
+2.19. A query adds its tokens' masks into bit-sliced overlap counts, and as a Jaccard score
+depends only on the overlap and the item's size, it ranks whole masks of equal score at a
+time, taking the highest slots (the newest ids) first. Updates never change an item's
+statement, and new items take the next id, so an add only sets, or appends, the top slot.
 
 An encounter is one commit, ``store_record(record, items)``: the record and its
 new items are numbered, checked and encoded; then the record line is appended,
@@ -611,9 +611,9 @@ class EpisodicStore:
             if k == 0 or not self._knowledge:
                 return []
             ranked = []
-            if query:
-                if self._index is None:
-                    self._index = _TokenIndex(self._knowledge.values())
+            if self._index is None and _tokens(query):
+                self._index = _TokenIndex(self._knowledge.values())
+            if query and self._index is not None:
                 ranked = self._index.top(query, k)
             if len(ranked) < k:
                 # the rest score 0: most recent first

@@ -180,6 +180,28 @@ def test_float_overflow():
         eval_expression("sqrt(99)^1000")
 
 
+@pytest.mark.parametrize("expr, value", (
+    ("sqrt(2) + 1", 2.414213562373095),
+    ("mod(sqrt(2), 1)", 0.41421356237309515),
+    ("1/sqrt(4)", 0.5),
+))
+def test_float_path_values(expr, value):
+    result = eval_expression(expr)
+    assert isinstance(result, float) and result == value
+
+
+@pytest.mark.parametrize("expr, error, message", (
+    ("1/sqrt(0)", DivisionByZero, "division by zero"),
+    ("sqrt(0)^-1", DivisionByZero, "zero raised to a negative power"),
+    ("sqrt(2) * 10^200 * 10^200", Overflow, "float result out of range"),
+    ("10^400 + sqrt(2)", Overflow, "rational too large for the float path"),
+))
+def test_float_path_errors(expr, error, message):
+    with pytest.raises(error) as caught:
+        eval_expression(expr)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_exact_power_guard_refuses_gigantic_results():
     # these must fail fast instead of materializing astronomically
     # large integers

@@ -665,12 +665,10 @@ def assert_record_matches(store, solution):
 @pytest.mark.parametrize("system1_only", (False, True))
 def test_solve_records_carry_their_solution_counts(kit, store, system1_only, no_network):
     provider = ScriptedProvider(load_script(FIXTURES / "script.json"))
+    kit = replace(kit, route_threshold=0.0) if system1_only else kit
     routes = []
     for problem in load_dataset(FIXTURES / "math20", "math_dir"):
-        solution = solve(
-            problem.statement, kit, provider, default_registry(), store,
-            system1_only=system1_only,
-        )
+        solution = solve(problem.statement, kit, provider, default_registry(), store)
         assert_record_matches(store, solution)
         routes.append(solution.route)
     # the fixture escalates its six tool problems unless system1_only
@@ -704,10 +702,8 @@ def test_solve_system1_only_accepts_anything(kit, store):
             "ANSWER: 2/6\nEXPLANATION: guessing\nCONFIDENCE: 0.1"
         )
     }
-    solution = solve(
-        query, kit, ScriptedProvider(script), default_registry(), store,
-        system1_only=True,
-    )
+    fast_only = replace(kit, route_threshold=0.0)
+    solution = solve(query, fast_only, ScriptedProvider(script), default_registry(), store)
     assert solution.route is Route.SYSTEM1
     assert solution.answer == "2/6"
 
@@ -961,14 +957,12 @@ def test_each_encounter_is_one_commit(kit, store, count_writes, system1_only, no
     makes two, its record and then its new knowledge, also when it reinforced
     what it used. The retrieve writes nothing, whether or not it ranks anything."""
     provider = ScriptedProvider(load_script(FIXTURES / "script.json"))
+    kit = replace(kit, route_threshold=0.0) if system1_only else kit
     writes = count_writes()
     seen, reinforced = set(), 0
     for problem in load_dataset(FIXTURES / "math20", "math_dir"):
         before = len(writes)
-        solution = solve(
-            problem.statement, kit, provider, default_registry(), store,
-            system1_only=system1_only,
-        )
+        solution = solve(problem.statement, kit, provider, default_registry(), store)
         record = store.get_record(solution.record_id)
         used = bool(record.knowledge_used)
         assert len(writes) - before == (1 if solution.route is Route.SYSTEM1 else 2), problem.id
@@ -1109,9 +1103,9 @@ def test_a_failed_plan_is_encoded_without_review(kit, store, no_network, phase):
 @pytest.mark.parametrize("system1_only", (False, True))
 def test_a_dead_provider_costs_one_call_per_encounter(kit, store, no_network, system1_only):
     provider = FailingProvider({}, lambda request: True)
+    kit = replace(kit, route_threshold=0.0) if system1_only else kit
     for n, query in enumerate(("What is 2+2?", "What colour is the sky?"), 1):
-        solution = solve(query, kit, provider, default_registry(), store,
-                         system1_only=system1_only)
+        solution = solve(query, kit, provider, default_registry(), store)
         assert solution.route is Route.SYSTEM2
         assert solution.provider_calls == 1 and provider.calls == n
         assert "provider error: endpoint down" in solution.explanation

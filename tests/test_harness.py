@@ -102,6 +102,10 @@ CASES = [
     ("answer isotope", "answer isotope"),  # "is" is a whole word
     ("The answer island", "The answer island"),
     ("the answer is answer isotope", "answer isotope"),
+    ("\\frac{1}2", "\\frac{1}2"),  # a missing group: the command stays as written
+    ("\\frac{1}", "\\frac{1}"),
+    ("\\frac{1}{2", "\\frac{1}{2"),  # an unbalanced group: the rest stays as written
+    ("\\frac{(a+b)}{c}", "(a+b)/c"),  # a parenthesized part is not wrapped again
 ]
 
 
@@ -371,7 +375,8 @@ def test_run_eval_wrong_answers_counted():
 
 
 def test_report_round_trip(tmp_path):
-    report = run_eval(_confident_config(), _problems(), out_path=tmp_path / "r.json")
+    report = run_eval(_confident_config(), _problems())
+    save_report(report, tmp_path / "r.json")
     written = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
     assert written == json.loads(json.dumps(report_to_dict(report)))
 

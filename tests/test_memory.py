@@ -1258,6 +1258,17 @@ def test_retrieve_past_the_matching_items_ranks_them_then_the_rest(store):
     assert _ids(store.retrieve("alpha", 10)) == [one, two, three, newer, older]
 
 
+def test_a_query_with_no_token_builds_no_index(tmp_path):
+    """No item can share a token with it, so the newest items are its answer."""
+    store_dir = tmp_path / "s"
+    _write_knowledge_file(store_dir, [(1, "alpha beta"), (2, "gamma"), (3, "alpha")])
+    store = EpisodicStore.open(store_dir)
+    assert _ids(store.retrieve("?!", 2)) == [3, 2]
+    assert store._index is None
+    assert _ids(store.retrieve("alpha", 1)) == [3]
+    assert isinstance(store._index, memory._TokenIndex)
+
+
 def test_retrieve_sees_adds_after_the_index_is_built_and_across_a_reopen(tmp_path):
     store_dir = tmp_path / "s"
     store = EpisodicStore.open(store_dir)
