@@ -212,7 +212,7 @@ def _existing_store(directory) -> EpisodicStore:
 def _cmd_memory(args) -> int:
     store = _existing_store(args.store)
     if args.memory_command == "list":
-        for record in store.records:
+        for record in store.iter_records():
             status = "ok" if record.outcome.success else "failed"
             print(f"{record.id}\t{record.timestamp.isoformat()}\t{status}\t{record.task.goal}")
         return 0

@@ -13,20 +13,21 @@ too. A knowledge line has a decoder of its own, with like checks, that sets each
 slot, as an open builds every item: a generic slot-setting ``_build`` took 2.3-2.8 times as
 long on the 10k items below. It holds no vector (an older store's ``embedding`` is ignored).
 
-Opening a store scans every line of both files. It decodes every knowledge line, but a
-record line only when it lacks the canonical ``{"id":N,`` prefix or ``knowledge_delta``
-tail, or is the last; open checks that ids increase, and reads the other lines' deltas
-from their tails in one ``loads``. Of each record, the ones it commits too, it keeps only
-the place of its line in the log (line number, byte offset, length), as Bitcask's keydir
-does, so an open store's memory grows with the number of records, not with their bytes.
-Each ``records``, ``get_record`` or ``consolidate`` call reads the records it returns back
-from the log (opened once per call), decodes them, checks each id against the prefix's,
-and keeps none. Read by ``errors.read_lines``, a corrupt line (one nested too deeply to
-decode too), or one cut or replaced since the open, fails the open, or that call, with a
-StorageError naming its file and line. The benchmark's seed-0 store (10k items, 5k records,
-9.2 MB) opens in 55-100 ms (fastest of 15 in-process opens on one pinned core of a shared
-2-vCPU VM, Python 3.11, at quiet and busy times) and then holds 4.4 MB (tracemalloc), as
-much after a ``consolidate``.
+Opening a store scans every line of both files, the knowledge file first. It decodes every
+knowledge line, but a record line only when it lacks the canonical ``{"id":N,`` prefix or
+``knowledge_delta`` tail, or is the last; it checks that ids increase, and folds in the
+other lines' deltas from their tails, ``_FOLD_CHUNK`` lines to a ``loads``, as it streams
+the log. Of each record, the ones it commits too, it keeps only its line's place in the log
+(line number, byte offset, length), as Bitcask's keydir does: an open store's memory grows
+with the number of records, not their bytes, and the open's scratch is one chunk's. Each
+``iter_records``, ``records``, ``get_record`` or ``consolidate`` call reads the records
+back from the log (opened once per call), decodes them, checks each id against the
+prefix's, and keeps none. Read by ``errors.read_lines``, a corrupt line (one nested too
+deeply to decode too), or one cut or replaced since the open, fails the open, or that call,
+with a StorageError naming its file and line. The benchmark's seed-0 store (10k items, 5k
+records, 9.0 MB) opens in a median 48 ms (8 runs of 15 in-process opens on one pinned core
+of a shared 2-vCPU VM, Python 3.11) and then holds 4.14 MiB (tracemalloc), as much after a
+``consolidate``; it peaks at 4.35 MiB, where one ``loads`` of every delta peaked at 5.25.
 
 Retrieval keeps one more rebuildable cache. For embedder scoring the open builds it: it
 derives each item's vector from its statement, and keeps in flat arrays the values of its
@@ -68,6 +69,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial, reduce
+from itertools import chain
 from operator import attrgetter, or_
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional
@@ -367,16 +369,14 @@ class _VectorIndex:
         nq = math.sqrt(sum([x * x for x in values]))
         # ``cosine``'s dot products, each over its item's buckets in bucket order, as 0.0
         # where the query's bucket is 0.0: a 0.0 term, like one left out, changes no sum
-        products, item_values = [0.0] * len(self.values), self.values
+        products, item_values = array("d", [0.0]) * len(self.values), self.values
         for bucket, x in zip(buckets, values):
             for place in self.places.get(bucket, ()):
                 products[place] = x * item_values[place]
-        keys, start = [], 0
-        for item_id, end, na in zip(self.ids, self.ends, self.norms):
-            score = (sum(products[start:end]) / (nq * na) + 1.0) / 2.0 if na else 0.0
-            keys.append((-score, -item_id))
-            start = end
-        return [-negated for _, negated in heapq.nsmallest(k, keys)]
+        starts = chain((0,), self.ends)
+        scores = (((sum(products[start:end]) / (nq * na) + 1.0) / 2.0 if na else 0.0, item_id)
+                  for item_id, start, end, na in zip(self.ids, starts, self.ends, self.norms))
+        return [item_id for _, item_id in heapq.nlargest(k, scores)]  # ties: the higher id
 
 
 # --------------------------------------------------------------------------
@@ -390,6 +390,7 @@ _ID_PREFIX = re.compile(r'\{"id":(0|[1-9][0-9]*),')
 # quote in a JSON string is escaped, so ``rfind`` of the key finds a key, the one JSON reads.
 _DELTA_TAIL = re.compile(
     r'"knowledge_delta":(\[(?:[1-9]\d{0,17}(?:,[1-9]\d{0,17})*)?\]),"metrics":\{[^}]*\}\}', re.A)
+_FOLD_CHUNK = 1024  # the record lines an open reads, at most, before it folds their deltas
 
 
 def _record_entry(line: str) -> tuple[int, str]:
@@ -439,6 +440,10 @@ class EpisodicStore:
         return cls(directory, embedder)
 
     def _load(self) -> None:
+        corrupt = _corrupt(f"knowledge file {self.knowledge_path}")
+        for _, item, _, _ in read_lines(self.knowledge_path, _knowledge_line, corrupt, True):
+            self._knowledge[item.id] = item
+        self._next_knowledge_id = max(self._knowledge, default=0) + 1
         last_id, deltas = 0, []
         lines = read_lines(self.log_path, _record_entry, self._log_corrupt, True)
         for number, (record_id, delta), offset, length in lines:
@@ -448,16 +453,14 @@ class EpisodicStore:
             self._ids.append(record_id)
             self._places.extend((number, offset, length))
             deltas.append(delta)
+            if len(deltas) == _FOLD_CHUNK:
+                self._fold(deltas)
+                deltas.clear()
+        self._fold(deltas)
         if self._ids:  # a torn last line fails here, not under the next append
             next(self._read_back([len(self._ids) - 1]))
-        knowledge_corrupt = _corrupt(f"knowledge file {self.knowledge_path}")
-        lines = read_lines(self.knowledge_path, _knowledge_line, knowledge_corrupt, True)
-        for _, item, _, _ in lines:
-            self._knowledge[item.id] = item
-        self._next_knowledge_id = max(self._knowledge, default=0) + 1
-        if self.embedder is not None:
+        if self.embedder is not None:  # after the log, which may fail the open faster
             self._index = _VectorIndex(self.embedder, self._knowledge.values())
-        self._fold(zip(self._ids, loads(f"[{','.join(deltas)}]")))
 
     def _read_back(self, indexes: Iterable[int]) -> Iterator[KstarRecord]:
         """Each record at ``indexes``, read back from its place in the log, which is opened
@@ -506,11 +509,13 @@ class EpisodicStore:
             self._knowledge[item.id] = item
         self._next_knowledge_id = items[-1].id + 1
 
-    def _fold(self, deltas: Iterable[tuple[int, Iterable[int]]]) -> None:
-        """Fold in records' ``(id, knowledge_delta)``, in log order: each id of a held item
-        whose provenance does not name that record raises it; new ids start past them all."""
+    def _fold(self, deltas: list[str]) -> None:
+        """Fold in the last ``len(deltas)`` records' ``knowledge_delta`` JSON texts, in one
+        ``loads``: each id of a held item whose provenance lacks that record raises it; new ids
+        start past them all."""
         held, raised, named = self._knowledge.get, [], self._next_knowledge_id - 1
-        for record_id, item_ids in deltas:
+        ids = self._ids[len(self._ids) - len(deltas):]
+        for record_id, item_ids in zip(ids, loads(f"[{','.join(deltas)}]")):
             for item_id in item_ids:
                 if (item := held(item_id)) is not None and record_id not in item.provenance:
                     raised.append(item_id)
@@ -528,10 +533,15 @@ class EpisodicStore:
 
     # -- records ------------------------------------------------------
 
+    def iter_records(self) -> Iterator[KstarRecord]:
+        """Each record in log order, read back one at a time: a corrupt line fails when it is
+        reached, after the records before it. The lock is held until the iteration ends."""
+        with self.lock:
+            yield from self._read_back(range(len(self._ids)))
+
     @property
     def records(self) -> tuple[KstarRecord, ...]:
-        with self.lock:
-            return tuple(self._read_back(range(len(self._ids))))
+        return tuple(self.iter_records())
 
     def get_record(self, record_id: int) -> Optional[KstarRecord]:
         with self.lock:
@@ -569,7 +579,7 @@ class EpisodicStore:
                     number += os.pread(log.fileno(), max(start - offset, 0), offset).count(b"\n")
             self._places.extend((number, start, len(line)))
             self._ids.append(record.id)
-            self._fold([(record.id, delta)])
+            self._fold([dumps(delta)])
             self._write_knowledge(new, data)
             return record
 
@@ -632,15 +642,14 @@ class EpisodicStore:
         per line.
         """
         examples = []
-        with self.lock:
-            for record in self._read_back(range(len(self._ids))):
-                if not record.outcome.success:
-                    continue
-                prompt = f"{record.situation.description}\n{record.task.goal}"
-                completion = f"{render_plan(record.plan)}\n{record.outcome.actual_result}"
-                examples.append(ConsolidationExample(
-                    prompt, completion, record.id, record.situation.context_tags
-                ))
+        for record in self.iter_records():
+            if not record.outcome.success:
+                continue
+            prompt = f"{record.situation.description}\n{record.task.goal}"
+            completion = f"{render_plan(record.plan)}\n{record.outcome.actual_result}"
+            examples.append(ConsolidationExample(
+                prompt, completion, record.id, record.situation.context_tags
+            ))
         if out_path is not None:
             try:
                 text = "".join([dumps(example) + "\n" for example in examples])

@@ -616,6 +616,18 @@ def test_open_leaves_the_collector_on(tmp_path, rng, corrupt):
     assert gc.isenabled()
 
 
+def test_a_store_whose_two_files_are_corrupt_names_the_knowledge_file(tmp_path, rng):
+    """The open reads the knowledge file first, so that the log's deltas fold as it streams."""
+    store_dir = tmp_path / "s"
+    _store_with_one_line_each(store_dir, rng)
+    for name in ("episodic.jsonl", "knowledge.jsonl"):
+        with open(store_dir / name, "a", encoding="utf-8") as fh:
+            fh.write("{\n")
+    with pytest.raises(StorageError) as excinfo:
+        EpisodicStore.open(store_dir)
+    assert str(excinfo.value).startswith(_knowledge_corrupt(store_dir, 2))
+
+
 def test_open_leaves_a_paused_collector_paused(tmp_path, rng):
     store_dir = tmp_path / "s"
     _store_with_one_line_each(store_dir, rng)
@@ -661,6 +673,18 @@ def test_a_field_of_the_wrong_type_fails_each_command_that_reads_it(tmp_path, rn
         assert main([*command, "--store", str(store_dir)]) == 2
         out, err = capsys.readouterr()
         assert err == f"neolaf: error: {message}\n" and "Traceback" not in out
+
+
+def test_memory_list_prints_the_records_before_a_corrupt_line_then_fails(tmp_path, rng, capsys):
+    """``memory list`` streams the log: the records that read back print before the error."""
+    store_dir = tmp_path / "s"
+    lines = _three_record_lines(store_dir, rng)
+    lines[1] = _without_status_of_first_step(lines[1], dumps)  # keeps the id prefix
+    _write_log(store_dir, lines)
+    assert main(["memory", "list", "--store", str(store_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert [line.split("\t")[0] for line in out.splitlines()] == ["1"]
+    assert err == f"neolaf: error: {_log_corrupt(store_dir, 2)}missing field plan[0].status\n"
 
 
 @pytest.mark.parametrize("change", ["emptied", "cut-in-line-2", "deleted"])
@@ -761,6 +785,39 @@ def test_a_handle_keeps_no_record_it_commits(tmp_path, rng):
         lambda: _commit_long_records(EpisodicStore.open(tmp_path / "s"), rng))
     log_bytes = store.log_path.stat().st_size
     assert log_bytes > 2_000_000 and retained < log_bytes / 20
+
+
+def _log_of_records_with_deltas(store_dir, rng, count):
+    """A log of ``count`` records, each naming a dozen unheld item ids, written directly."""
+    line = serialize_record(replace(make_record(rng), knowledge_delta=tuple(range(300, 312))))
+    assert line.startswith('{"id":1,')
+    store_dir.mkdir(parents=True, exist_ok=True)
+    _write_log(store_dir, [f'{{"id":{n},' + line[len('{"id":1,'):] for n in range(1, count + 1)])
+
+
+def _open_scratch(store_dir):
+    """What an open of ``store_dir`` allocates at its peak beyond what it keeps (tracemalloc)."""
+    EpisodicStore.open(store_dir)  # the first open's one-off costs, as regex compiles, are not scratch
+    gc.collect()
+    tracemalloc.start()
+    try:
+        store = EpisodicStore.open(store_dir)
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+        return store, peak - retained
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_scratch_memory_of_an_open_does_not_grow_with_the_log(tmp_path, rng):
+    """The deltas are folded a chunk of lines at a time, never held for the whole log."""
+    scratch = {}
+    for count in (1_500, 6_000):
+        _log_of_records_with_deltas(tmp_path / str(count), rng, count)
+        store, scratch[count] = _open_scratch(tmp_path / str(count))
+        assert store.next_record_id() == count + 1
+    # about 0.7 MB at both sizes: one chunk's deltas; one ``loads`` of them all took 1.0 and 4.1
+    assert scratch[6_000] < scratch[1_500] + 150_000, scratch
 
 
 def test_torn_final_record_line_fails_the_open(tmp_path, rng):
@@ -1353,6 +1410,42 @@ def test_the_fold_reads_a_line_without_the_canonical_tail_by_decoding_it(tmp_pat
         fh.write(nested + "\n" + last + "\n")
     reopened = EpisodicStore.open(store_dir)
     assert [item.confidence for item in reopened.knowledge] == [0.5 + 0.1, 0.5]
+
+
+def test_a_log_of_several_fold_chunks_reopens_as_a_naive_replay(tmp_path, rng):
+    """Deltas that reinforce items made chunks earlier, and name unheld and future ids. The
+    last id the second chunk names is the largest, and the last chunk only reinforces: the
+    next item id is right only if the fold carries the ids named, held or not, across chunks."""
+    store_dir, chunk = tmp_path / "s", memory._FOLD_CHUNK
+    lines, items, next_id = [], [], 1
+    for record_id in range(1, 2 * chunk + 301):
+        delta = [item.id for item in rng.sample(items, min(len(items), rng.randint(0, 3)))]
+        if record_id == 2 * chunk:
+            delta.append(next_id + 3)
+        elif record_id < 2 * chunk and rng.random() < 0.2:  # a held id, a gap or a future id
+            delta.append(rng.randint(1, next_id) if rng.random() < 0.5 else next_id + 3)
+        next_id = max([next_id - 1, *delta]) + 1
+        if record_id < 2 * chunk and rng.random() < 0.5:
+            items.append(KnowledgeItem(next_id, f"s{next_id}", KnowledgeKind.DISTILLED,
+                                       (record_id,), rng.choice((0.2, 0.5))))
+            delta.append(next_id)
+            next_id += 1
+        record = replace(make_record(rng), id=record_id, knowledge_delta=tuple(delta))
+        lines.append((record_id, delta, serialize_record(record)))
+    store_dir.mkdir()
+    _write_log(store_dir, [line for _, _, line in lines])
+    (store_dir / "knowledge.jsonl").write_text(
+        "".join(dumps(item) + "\n" for item in items), encoding="utf-8")
+    # the naive replay: each record naming a held item that another record made raises it
+    confidence = {item.id: item.confidence for item in items}
+    maker = {item.id: item.provenance[0] for item in items}
+    for record_id, delta, _ in lines:
+        for item_id in delta:
+            if item_id in maker and maker[item_id] != record_id:
+                confidence[item_id] = min(1.0, confidence[item_id] + memory.REINFORCEMENT_BOOST)
+    reopened = EpisodicStore.open(store_dir)
+    assert {item.id: item.confidence for item in reopened.knowledge} == confidence
+    assert _add_statement(reopened, "next") == next_id
 
 
 def test_retrieve_with_embedder_uses_cached_embeddings(tmp_path, monkeypatch):

@@ -5,7 +5,11 @@ place in the log. The walk mixes commits, reads, consolidation, retrievals,
 reopens and a second read-only handle, and after every step checks that each
 record read equals the record its commit returned, that ``next_record_id``
 agrees, and that each held item's confidence equals a naive replay of every
-committed record from scratch (``_replay``), float for float.
+committed record from scratch (``_replay``), float for float. Some commits' deltas
+also name ids no item holds, below the next item id or past it; new items, and the
+next item id of each handle and reopen, must start past every id named. Its opens
+fold in the log's deltas ``CHUNK`` lines at a time, so that each reopen crosses
+many of the fold's chunk boundaries.
 It also cuts the final newline of either file, as a crash can leave it, and
 reopens both handles: the next append must end that line first, which every
 later reopen checks, of the records and of the items' ids.
@@ -31,6 +35,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+from neolaf import memory
 from neolaf.memory import (
     KNOWLEDGE_FILE_NAME, RECORD_LOG_NAME, REINFORCEMENT_BOOST, EpisodicStore, KnowledgeItem,
     KnowledgeKind, similarity,
@@ -38,15 +43,28 @@ from neolaf.memory import (
 
 from conftest import make_record, make_words
 
+CHUNK = 7  # for ``memory._FOLD_CHUNK``, 1,024 lines, which a walk's log seldom reaches
+
 
 def _number(rng, held) -> str:
     return str(len(held) // 8 + rng.randrange(4))
 
 
-def _commit(store, rng, held, made):
-    """Commit a record whose delta names up to two held items, with 0-4 new ones, each
-    of which ``made`` maps to the id of that record, its base confidence and statement."""
+def _next_item_id(made, unheld) -> int:
+    return max([0, *made, *unheld]) + 1
+
+
+def _commit(store, rng, held, made, unheld):
+    """Commit a record whose delta names up to two held items, and at times an id that
+    ``unheld`` then holds, with 0-4 new ones, each of which ``made`` maps to the id of
+    that record, its base confidence and statement."""
     delta = tuple(rng.sample(held, min(len(held), rng.randint(0, 2))))
+    if rng.random() < 0.2:  # an id below the next item id (held, or a gap), or a future id
+        next_id = _next_item_id(made, unheld)
+        delta += (rng.randint(1, next_id - 1) if next_id > 1 and rng.random() < 0.5
+                  else next_id + rng.randrange(3),)
+    unheld.update(item_id for item_id in delta if item_id not in made)
+    first = _next_item_id(made, unheld)
     items = [KnowledgeItem(0, f"{make_words(rng)} {_number(rng, held)}",
                            rng.choice(list(KnowledgeKind)), (), 0.5)
              for _ in range(rng.randint(0, 4))]
@@ -54,6 +72,7 @@ def _commit(store, rng, held, made):
     record = store.store_record(replace(make_record(rng), knowledge_delta=delta), items)
     assert record.id == expected_id and record.knowledge_delta[:len(delta)] == delta
     new = record.knowledge_delta[len(delta):]
+    assert new == tuple(range(first, first + len(items)))
     made.update((item_id, (record.id, item.confidence, item.statement))
                 for item_id, item in zip(new, items))
     held.extend(new)
@@ -66,6 +85,8 @@ def _replay(committed, made):
     confidence = {}
     for record in committed:
         for item_id in record.knowledge_delta:
+            if item_id not in made:
+                continue
             maker, base, _ = made[item_id]
             if maker == record.id:
                 confidence[item_id] = base
@@ -87,14 +108,14 @@ def walk(directory, seed: int, steps: int) -> None:
     rng = random.Random(seed)
     store, second, seen = EpisodicStore.open(directory), None, 0
     # the records the commits returned; the ids of the items they made, and each one's maker
-    committed, held, made = [], [], {}
+    committed, held, made, unheld = [], [], {}, set()
     for step in range(steps):
         kind = rng.choices(
             ("commit", "get", "miss", "records", "consolidate", "reopen", "second", "cut",
              "retrieve"),
             (8, 5, 2, 2, 1, 1, 1, 1, 3))[0]
         if kind == "commit":
-            committed.append(_commit(store, rng, held, made))
+            committed.append(_commit(store, rng, held, made, unheld))
         elif kind == "get" and committed:
             record = rng.choice(committed)
             assert store.get_record(record.id) == record, (seed, step)
@@ -127,6 +148,7 @@ def walk(directory, seed: int, steps: int) -> None:
             if second is not None:  # it holds the items of the records it saw
                 _check_retrieve(second, rng, [i for i in held if made[i][0] <= seen], made)
         assert store.next_record_id() == len(committed) + 1, (seed, step)
+        assert store._next_knowledge_id == _next_item_id(made, unheld), (seed, step)
         confidence = {item.id: item.confidence for item in store.knowledge}
         assert confidence == _replay(committed, made), (seed, step)
         if second is not None:
@@ -139,12 +161,14 @@ def walk(directory, seed: int, steps: int) -> None:
     assert EpisodicStore.open(directory).records == tuple(committed)
 
 
-def test_every_read_back_equals_its_commit(tmp_path):
+def test_every_read_back_equals_its_commit(tmp_path, monkeypatch):
+    monkeypatch.setattr(memory, "_FOLD_CHUNK", CHUNK)
     walk(tmp_path / "store", seed=1, steps=300)
 
 
 if __name__ == "__main__":
     steps, *seeds = map(int, sys.argv[1:])
+    memory._FOLD_CHUNK = CHUNK
     for seed in seeds:
         with tempfile.TemporaryDirectory() as scratch:
             walk(Path(scratch) / "store", seed, steps)
