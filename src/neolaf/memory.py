@@ -26,20 +26,21 @@ prefix's, and keeps none. Read by ``errors.read_lines``, a corrupt line (one nes
 deeply to decode too), or one cut or replaced since the open, fails the open, or that call,
 with a StorageError naming its file and line. The benchmark's seed-0 store (10k items, 5k
 records, 9.0 MB) opens in a median 48 ms (8 runs of 15 in-process opens on one pinned core
-of a shared 2-vCPU VM, Python 3.11) and then holds 4.14 MiB (tracemalloc), as much after a
-``consolidate``; it peaks at 4.35 MiB, where one ``loads`` of every delta peaked at 5.25.
+of a shared 2-vCPU VM, Python 3.11) and then holds 4.21 MiB (tracemalloc; 0.05 are freed
+pairs of a chunk on CPython's tuple free list), peaking at 4.42, where one ``loads`` of every
+delta peaked at 5.25.
 
 Retrieval keeps one more rebuildable cache. For embedder scoring the open builds it: it
 derives each item's vector from its statement, and keeps in flat arrays the values of its
-nonzero buckets, their places by bucket, and the item's norm. For Jaccard scoring, built by
-the first ``retrieve`` whose query has a token, it gives each item a slot, in id order, and
-keeps an int bitmask per token-set size and per token, but a token's slots stay in an
-``array("i")`` until they reach one in 32 of the slots held: on the seed-0 store 1,694 of
-1,807 tokens are in fewer than 32 items, and the index retains 0.67 MiB (tracemalloc), not
-2.19. A query adds its tokens' masks into bit-sliced overlap counts, and as a Jaccard score
-depends only on the overlap and the item's size, it ranks whole masks of equal score at a
-time, taking the highest slots (the newest ids) first. Updates never change an item's
-statement, and new items take the next id, so an add only sets, or appends, the top slot.
+nonzero buckets, their places by bucket, and the item's norm. For Jaccard scoring the first
+``retrieve`` whose query has a token builds it, adding each item in id order as a commit
+adds its own: the item takes the next slot, its bit in the int mask of its token-set size,
+and its slot in each of its tokens' ``array("i")``, or its bit in the token's ``bytearray``
+row once the token holds one in 32 of the slots held. On the seed-0 store 190 of 1,807
+tokens hold rows, and the index retains 0.68 MiB (tracemalloc; an int mask per token took
+2.19) and peaks at 0.69 while built. A query adds its tokens' rows, as ints, into bit-sliced
+overlap counts, and as a Jaccard score depends only on the overlap and the item's size, it
+ranks whole masks of equal score at a time, taking the highest slots (the newest ids) first.
 
 An encounter is one commit, ``store_record(record, items)``: the record and its
 new items are numbered, checked and encoded; then the record line is appended,
@@ -63,7 +64,7 @@ import os
 import re
 import threading
 from array import array
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import defaultdict
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
@@ -208,91 +209,74 @@ def similarity(a: str, b: str, embedder: Optional[DeterministicEmbedder] = None)
 # toward the higher id; ``top`` may return fewer than k.
 
 
-# A slot takes this many bits in an ``array("i")`` and one in a mask, so a token's two forms
-# break even when it holds one slot in this many.
+# A slot takes this many bits in an ``array("i")`` and one in a bit row, so a token's two
+# forms break even when it holds one slot in this many.
 _SLOT_BITS = 8 * array("i").itemsize
+_WORD = bytes(8)  # 64 slots: bit rows widen by one at a time, never doubling
 
 
-def _row(slots: Iterable[int], count: int) -> bytearray:
-    """The little-endian bit row of ``count`` slots with each of ``slots`` set."""
-    row = bytearray((count >> 3) + 1)
+def _row(slots: Iterable[int], width: int) -> bytearray:
+    """The little-endian bit row of ``width`` bytes with each of ``slots`` set."""
+    row = bytearray(width)
     for slot in slots:
         row[slot >> 3] |= 1 << (slot & 7)
     return row
 
 
-def _masks(rows: dict) -> dict:
-    """Each little-endian bit row as an int; a row is freed once converted."""
-    masks = {}
-    while rows:
-        key, row = rows.popitem()
-        masks[key] = int.from_bytes(row, "little")
-    return masks
-
-
 class _TokenIndex:
-    """Jaccard top-k over slots, one slot per item, in id order.
+    """Jaccard top-k over slots, one slot per item, in id order, each added by ``add``.
 
     ``postings[token]`` holds the slots of the items holding the token, in an ``array("i")``
-    until they reach one in ``_SLOT_BITS`` of the slots held, then as an int mask whose bit
-    s is set when slot s holds it. A mask stays a mask; the build promotes as adding its
-    items one by one would. Bit s of ``sizes[n]`` is set when the item in slot s has n
-    distinct tokens. As slots follow ids, a mask's highest set bit is its newest item.
+    until they reach one in ``_SLOT_BITS`` of the slots held, then in a little-endian
+    ``bytearray`` row of ``width`` bytes, one of ``rows``, whose bit s is set when slot s
+    holds it. Bit s of the int mask ``sizes[n]`` is set when the item in slot s has n
+    distinct tokens. As slots follow ids, a row's highest set bit is its newest item, and as
+    an update never changes a statement, an item keeps its slot and bits once added.
     """
 
     def __init__(self, items: Iterable[KnowledgeItem]):
-        items = sorted(items, key=attrgetter("id"))
-        self.ids = [item.id for item in items]  # item id per slot, ascending
-        # A promoted token's bits are set in a bytearray row, each made an int once: OR-ing
-        # them into an int one at a time would copy a growing int per bit.
-        self.postings = postings = defaultdict(partial(array, "i"))  # str -> array | int
-        rows: dict[str, bytearray] = {}
-        new_row = partial(bytearray, (len(items) >> 3) + 1)
-        size_rows: defaultdict[int, bytearray] = defaultdict(new_row)
-        for slot, item in enumerate(items):
-            byte, bit, line = slot >> 3, 1 << (slot & 7), (slot + 1) // _SLOT_BITS
-            tokens = _tokens(item.statement)
-            for token in tokens:
-                if token in rows:
-                    rows[token][byte] |= bit
-                elif len(held := postings[token]) + 1 >= line:
-                    rows[token] = _row([*postings.pop(token), slot], len(items))
-                else:
-                    held.append(slot)
-            if tokens:
-                size_rows[len(tokens)][byte] |= bit
-        postings.update(_masks(rows))
-        self.sizes: dict[int, int] = _masks(size_rows)
-        self.size_order = sorted(self.sizes)
+        items = sorted(items, key=attrgetter("id"), reverse=True)
+        self.ids: list[int] = []  # item id per slot, ascending
+        self.postings = defaultdict(partial(array, "i"))  # str -> array | bytearray
+        self.rows: list[bytearray] = []
+        self.width = (len(items) + 63) >> 6 << 3  # the build's slots, in whole words
+        self.sizes: dict[int, int] = {}
+        while items:  # popped, so the sorted copy shrinks as the index grows
+            self.add(items.pop())
 
     def add(self, item: KnowledgeItem) -> None:
         """Put ``item``, whose id is above every id held, in the top slot."""
-        slot, bit = len(self.ids), 1 << len(self.ids)
+        postings, slot = self.postings, len(self.ids)
+        byte, bit, line = slot >> 3, 1 << (slot & 7), (slot + 1) // _SLOT_BITS
         self.ids.append(item.id)
+        if byte == self.width:  # past every row: widen each by one word, as a query reads all
+            self.width += len(_WORD)
+            for row in self.rows:
+                row += _WORD
         tokens = _tokens(item.statement)
         for token in tokens:
-            if type(held := self.postings[token]) is int:
-                self.postings[token] = held | bit
-            elif len(held) + 1 >= (slot + 1) // _SLOT_BITS:
-                self.postings[token] = int.from_bytes(_row([*held, slot], slot + 1), "little")
+            if type(held := postings[token]) is bytearray:
+                held[byte] |= bit
+            elif len(held) + 1 >= line:
+                postings[token] = row = _row([*held, slot], self.width)
+                self.rows.append(row)
             else:
                 held.append(slot)
         if n := len(tokens):
-            if n not in self.sizes:
-                insort(self.size_order, n)
-            self.sizes[n] = self.sizes.get(n, 0) | bit
+            self.sizes[n] = self.sizes.get(n, 0) | 1 << slot
 
     def top(self, query: str, k: int) -> list[int]:
         """Only items sharing a token with the query; all others score 0."""
         query_tokens = _tokens(query)
         # Bit-sliced overlap counts (O'Neil & Quass, SIGMOD 1997): bit s of
         # planes[i] is bit i of c, the number of query tokens slot s holds.
-        # Each token's mask (made from its slots if it has none) is added into
-        # the planes with a ripple carry.
+        # Each token's row (made from its slots if it has none) is added into
+        # the planes as an int, with a ripple carry.
         planes: list[int] = []
         for token in query_tokens:
-            if type(carry := self.postings.get(token, 0)) is array:
-                carry = int.from_bytes(_row(carry, len(self.ids)), "little")
+            if type(held := self.postings.get(token, b"")) is array:
+                held = _row(held, self.width)
+            carry = int.from_bytes(held, "little")
             for i, plane in enumerate(planes):
                 if not carry:
                     break
@@ -315,7 +299,7 @@ class _TokenIndex:
         # a fixed c it falls as n grows: walk each c's sizes in a heap, best
         # score first. c / (|q| + n - c) is the same int/int division as
         # |q & t| / |q | t|, so equal scores are equal floats.
-        nq, sizes, order = len(query_tokens), self.sizes, self.size_order
+        nq, sizes, order = len(query_tokens), self.sizes, sorted(self.sizes)
         left = dict(groups)  # items not yet ranked, by c
         heap = []
         for c, _ in groups:
@@ -404,6 +388,12 @@ def _record_entry(line: str) -> tuple[int, str]:
     return record.id, dumps(record.knowledge_delta)
 
 
+def _parsed(chunk: list[tuple[int, str]]) -> Iterator[tuple[int, list]]:
+    """The (record id, ``knowledge_delta`` JSON text) pairs, each text parsed, in one ``loads``."""
+    texts = ",".join([text for _, text in chunk])
+    return zip([record_id for record_id, _ in chunk], loads(f"[{texts}]"))
+
+
 def _consolidation_line(line: str) -> ConsolidationExample:
     return _build(ConsolidationExample, loads(line), "", "example")
 
@@ -444,19 +434,19 @@ class EpisodicStore:
         for _, item, _, _ in read_lines(self.knowledge_path, _knowledge_line, corrupt, True):
             self._knowledge[item.id] = item
         self._next_knowledge_id = max(self._knowledge, default=0) + 1
-        last_id, deltas = 0, []
+        last_id, chunk = 0, []
         lines = read_lines(self.log_path, _record_entry, self._log_corrupt, True)
-        for number, (record_id, delta), offset, length in lines:
-            if record_id <= last_id:
+        for number, entry, offset, length in lines:
+            if (record_id := entry[0]) <= last_id:
                 raise self._log_corrupt(f"id {record_id} after {last_id}", number)
             last_id = record_id
             self._ids.append(record_id)
             self._places.extend((number, offset, length))
-            deltas.append(delta)
-            if len(deltas) == _FOLD_CHUNK:
-                self._fold(deltas)
-                deltas.clear()
-        self._fold(deltas)
+            chunk.append(entry)
+            if len(chunk) == _FOLD_CHUNK:
+                self._fold(_parsed(chunk))
+                chunk.clear()
+        self._fold(_parsed(chunk))
         if self._ids:  # a torn last line fails here, not under the next append
             next(self._read_back([len(self._ids) - 1]))
         if self.embedder is not None:  # after the log, which may fail the open faster
@@ -509,13 +499,11 @@ class EpisodicStore:
             self._knowledge[item.id] = item
         self._next_knowledge_id = items[-1].id + 1
 
-    def _fold(self, deltas: list[str]) -> None:
-        """Fold in the last ``len(deltas)`` records' ``knowledge_delta`` JSON texts, in one
-        ``loads``: each id of a held item whose provenance lacks that record raises it; new ids
-        start past them all."""
+    def _fold(self, deltas: Iterable[tuple[int, Iterable[int]]]) -> None:
+        """Fold in records' ``knowledge_delta``s, each paired with its record's id: each id of a
+        held item whose provenance lacks that record raises it; new ids start past them all."""
         held, raised, named = self._knowledge.get, [], self._next_knowledge_id - 1
-        ids = self._ids[len(self._ids) - len(deltas):]
-        for record_id, item_ids in zip(ids, loads(f"[{','.join(deltas)}]")):
+        for record_id, item_ids in deltas:
             for item_id in item_ids:
                 if (item := held(item_id)) is not None and record_id not in item.provenance:
                     raised.append(item_id)
@@ -579,7 +567,7 @@ class EpisodicStore:
                     number += os.pread(log.fileno(), max(start - offset, 0), offset).count(b"\n")
             self._places.extend((number, start, len(line)))
             self._ids.append(record.id)
-            self._fold([dumps(delta)])
+            self._fold([(record.id, delta)])
             self._write_knowledge(new, data)
             return record
 
