@@ -6,9 +6,10 @@ state machine that orders an in-flight encounter, validation of the
 schema invariants, and a canonical JSON codec. Nothing here talks to a
 model, a tool, or the filesystem.
 
-The record dataclasses are the codec's one field list. The encoder writes
-each as an object of its fields in declaration order; the decoder walks
-the same fields with their type hints, so a field is added or renamed in
+The record dataclasses are the codec's one field list, and it decodes the
+store's knowledge and consolidation lines too. The encoder writes each as
+an object of its fields in declaration order; the decoder compiles, per
+dataclass, a builder of the same fields, so a field is added or renamed in
 its dataclass alone. Each value must have its field's type, and is taken as
 it is: a tuple is a JSON array, and a ``str``, ``int``, ``float`` or ``bool``
 is of that type (a float may be an int; a number is never a bool). A decoded
@@ -55,8 +56,8 @@ class ReplanBudgetExhausted(NeolafError):
         self.budget = budget
 
 
-class MalformedRecord(NeolafError):
-    """Raised when record text cannot be parsed back into a record.
+class MalformedRecord(NeolafError, ValueError):
+    """Raised when a store line cannot be parsed back into its dataclass.
 
     ``position`` is the character offset for JSON syntax errors, or None
     for schema-level problems (the message then names the field).
@@ -340,89 +341,133 @@ def validate_record(record: KstarRecord) -> list[str]:
 # RFC 3339 in UTC, ``str`` enums their values, tuples arrays.
 
 
+class _Invalid(Exception):
+    """``(detail, *keys)``: a bad value, or a missing field (``detail`` None), at the path each
+    builder it passes adds its key to, innermost first; ``line_decoder`` spells it out."""
+
+
 @cache
-def _schema(cls: type) -> tuple[tuple[str, Callable[[Any, str, Any], Any], bool], ...]:
-    """Each field of the dataclass ``cls`` in declaration order: its name, its
-    decoder, and whether it may be absent, as a field typed ``Optional[...]``
-    may (it then reads as None)."""
-    hints = get_type_hints(cls)
-    schema = []
+def _schema(cls: type) -> tuple[Callable[[Any], Any], Callable[[Any], bool], tuple[str, ...]]:
+    """The slotted dataclass ``cls`` compiled, once. ``build(obj)`` makes a ``cls`` of the JSON
+    object ``obj``, each field read, checked and set by its slot in declaration order, then runs
+    ``__post_init__``, if any. ``exact(instance)`` is whether each value an instance holds, at
+    every depth, has a type its field takes as it is, as then the instance's line builds. Then
+    come the field names, in declaration order."""
+    hints, steps = get_type_hints(cls), []
     for f in fields(cls):
-        hint, optional = hints[f.name], get_origin(hints[f.name]) is Union
-        if optional:
-            (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
-        schema.append((f.name, _decoder(hint), optional))
-    return tuple(schema)
+        hint, none = hints[f.name], ()
+        if get_origin(hint) is Union:  # an ``Optional`` field takes null, and may be absent
+            (hint,), none = [arg for arg in get_args(hint) if arg is not _NONE], (_NONE,)
+        types, decode, deep = _decoder(hint, cls)
+        # a frozen instance's ``__setattr__`` does not guard its slots' own setters
+        steps.append((f.name, cls.__dict__[f.name].__set__, types + none, decode, deep))
+    new, post_init = object.__new__, getattr(cls, "__post_init__", None)
+
+    def build(obj: Any) -> Any:
+        if type(obj) is not dict:
+            raise _Invalid(f"expected an object, not {type(obj).__name__}")
+        instance = new(cls)
+        for name, put, types, decode, _ in steps:
+            try:
+                value = obj[name]
+            except KeyError:
+                if _NONE not in types:
+                    raise _Invalid(None, name) from None
+                value = None
+            if type(value) not in types:
+                try:
+                    value = decode(value)
+                except _Invalid as exc:
+                    exc.args += (name,)
+                    raise
+                except (TypeError, ValueError, AttributeError) as exc:
+                    raise _Invalid(str(exc), name) from exc
+            put(instance, value)
+        if post_init is not None:
+            post_init(instance)
+        return instance
+
+    def exact(instance: Any) -> bool:
+        for name, _, types, _, deep in steps:
+            value = getattr(instance, name)
+            if type(value) not in types or deep and value is not None and not deep(value):
+                return False
+        return True
+    return build, exact, tuple([name for name, *_ in steps])
 
 
+_NONE = type(None)
 # The JSON values a scalar field takes as they are: a float field takes an int too, and
 # neither number field a bool, though ``bool`` is an ``int`` subclass
 _SCALARS = {str: (str,), int: (int,), float: (int, float), bool: (bool,)}
 
 
-def _decoder(hint: Any) -> Callable[[Any, str, Any], Any]:
-    """``decode(value, path, key)`` for a field typed ``hint``, found as field (or
-    item) ``key`` of the value at ``path``. The path is spelled out only where it
-    is needed: for a nested object, or in an error."""
+def _decoder(hint: Any, owner: type) -> tuple[tuple, Callable, Optional[Callable]]:
+    """For a field of ``owner`` typed ``hint``: the types of the values it takes as they are
+    (no JSON value is a dataclass, tuple, datetime or enum), ``decode`` of any other, and for a
+    dataclass or a tuple, whether the contents of a value it takes are taken as they are."""
+    if hint is owner:  # looked up at the call, as a TaskSpec holds TaskSpecs
+        return (hint,), lambda v: _schema(hint)[0](v), lambda v: _schema(hint)[1](v)
     if is_dataclass(hint):
-        return lambda value, path, key: _build(hint, value, _at(path, key))
+        return (hint,), *_schema(hint)[:2]
     if get_origin(hint) is tuple:
-        item = _decoder(get_args(hint)[0])
-        return lambda value, path, key: _build_each(item, value, _at(path, key))
+        types, decode, deep = _decoder(get_args(hint)[0], owner)
+
+        def each(items: Any) -> tuple:
+            if type(items) is not list:
+                raise TypeError(f"expected an array, not {items!r}")
+            built = []
+            for item in items:
+                try:
+                    built.append(item if type(item) in types else decode(item))
+                except _Invalid as exc:  # the index joins the path inside the item
+                    exc.args += (len(built),)
+                    raise
+            return tuple(built)
+
+        def exact(items: tuple) -> bool:
+            for item in items:
+                if type(item) not in types or deep and not deep(item):
+                    return False
+            return True
+        return (tuple,), each, exact
     if hint is datetime:
-        return _leaf(_parse_timestamp)
-    if isinstance(hint, type) and issubclass(hint, Enum):
-        return _leaf(enum_decoder(hint))
-    name, types = hint.__name__, _SCALARS[hint]
+        return (datetime,), _parse_timestamp, None
+    if isinstance(hint, type) and issubclass(hint, Enum):  # a miss raises the enum's error
+        members = {member.value: member for member in hint}
+        return (hint,), lambda v: members[v] if type(v) is str and v in members else hint(v), None
 
-    def scalar(value, path, key):
-        if type(value) in types:
-            return value
-        raise TypeError(f"expected {name}, not {value!r}")
-    return scalar
+    def refuse(value: Any) -> Any:
+        raise TypeError(f"expected {hint.__name__}, not {value!r}")
+    return _SCALARS[hint], refuse, None
 
 
-def _leaf(decode: Callable[[Any], Any]) -> Callable[[Any, str, Any], Any]:
-    return lambda value, path, key: decode(value)
+def line_decoder(cls: type, root: str = "record") -> Callable[[str], Any]:
+    """``decode(line)``, the ``cls`` of a JSON line: a line that is not an object, or whose
+    object ``cls``'s builder refuses, raises MalformedRecord, naming the object ``root``."""
+    build = _schema(cls)[0]
 
-
-def _at(path: str, key: Any) -> str:
-    """The path of field ``key``, or of item ``key`` if an int, of the value at ``path``."""
-    if type(key) is int:
-        return f"{path}[{key}]"
-    return f"{path}.{key}" if path else key
-
-
-def _build(cls: type, obj: Any, path: str, root: str = "record") -> Any:
-    """``cls`` from the JSON object ``obj`` found at ``path`` ("" for a line's own
-    object, called ``root`` in errors), its fields read and checked in declaration order."""
-    if type(obj) is not dict:
-        if not path:
+    def decode(line: str) -> Any:
+        if type(obj := loads(line)) is not dict:
             raise MalformedRecord(f"{root} must be a JSON object")
-        detail = f"expected an object, not {type(obj).__name__}"
-        raise MalformedRecord(f"bad field value at {path}: {detail}")
-    values = []
-    for name, decode, optional in _schema(cls):
-        if name in obj:
-            value = obj[name]
-        elif optional:
-            value = None
-        else:
-            raise MalformedRecord(f"missing field {path or root}.{name}")
-        if not (value is None and optional):
-            try:
-                value = decode(value, path, name)
-            except (TypeError, ValueError, AttributeError) as exc:
-                raise MalformedRecord(f"bad field value at {_at(path, name)}: {exc}") from exc
-        values.append(value)
-    return cls(*values)
+        try:
+            return build(obj)
+        except _Invalid as exc:
+            detail, *keys = exc.args  # outermost last: a path as ``plan[0].skill``
+            path = "".join([f"[{k}]" if type(k) is int else f".{k}" for k in reversed(keys)])[1:]
+            if detail is None:  # the path ends with the missing field's name
+                raise MalformedRecord(
+                    f"missing field {path if keys[1:] else f'{root}.{path}'}") from None
+            raise MalformedRecord(f"bad field value at {path}: {detail}") from exc.__cause__
+    return decode
 
 
-def _build_each(decode: Callable[[Any, str, Any], Any], items: Any, path: str) -> tuple:
-    """A tuple field from the JSON array ``items`` found at ``path``."""
-    if type(items) is not list:
-        raise TypeError(f"expected an array, not {items!r}")
-    return tuple([decode(item, path, i) for i, item in enumerate(items)])
+def check_line(obj: Any, line: str, root: str = "record") -> str:
+    """``line``, the JSON of the dataclass ``obj``, once ``line_decoder`` reads it back, or it
+    raises as that does; it is not read back when ``exact`` shows that it builds."""
+    if not _schema(type(obj))[1](obj):
+        line_decoder(type(obj), root)(line)
+    return line
 
 
 def _plain(obj: Any) -> Any:
@@ -430,7 +475,7 @@ def _plain(obj: Any) -> Any:
     declaration order, a ``datetime`` as RFC 3339 text in UTC."""
     if type(obj) is datetime:
         return obj.astimezone(timezone.utc).isoformat()
-    return {name: getattr(obj, name) for name, _, _ in _schema(type(obj))}
+    return {name: getattr(obj, name) for name in _schema(type(obj))[2]}
 
 
 # Every store line is ``dumps(obj)``; ``json.dumps`` would build a new encoder per call.
@@ -456,13 +501,6 @@ def _parse_timestamp(raw: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def enum_decoder(enum: type[Enum]) -> Callable[[Any], Any]:
-    """``enum(value)``, through a ``{value: member}`` table for a string value;
-    anything else, and every miss, goes to ``enum`` and raises its own error."""
-    members = {member.value: member for member in enum}
-    return lambda v: members[v] if isinstance(v, str) and v in members else enum(v)
-
-
 _scan_once = json.JSONDecoder().scan_once  # the C scanner json.loads calls
 
 
@@ -478,13 +516,16 @@ def loads(text: str) -> Any:
     return json.loads(text)
 
 
+_record_line = line_decoder(KstarRecord)
+
+
 def deserialize_record(text: str) -> KstarRecord:
     """Parse canonical record text; inverse of :func:`serialize_record`. A record
     that :func:`validate_record` refuses raises too, naming its violations."""
     try:
-        obj = loads(text)
+        record = _record_line(text)
     except json.JSONDecodeError as exc:
         raise MalformedRecord(f"invalid JSON: {exc.msg}", position=exc.pos) from exc
-    if violations := validate_record(record := _build(KstarRecord, obj, "")):
+    if violations := validate_record(record):
         raise MalformedRecord("record failed validation: " + "; ".join(violations))
     return record

@@ -7,11 +7,10 @@ The two JSON Lines files under a store directory are the single source
 of truth; the in-memory indexes are rebuildable caches. Both files are
 append-only, and a knowledge line is written once: the open raises the items each
 record's ``knowledge_delta`` reinforced (an older store's version lines load, the last wins).
-``kstar.dumps`` writes every line. ``kstar._build`` reads record and consolidation lines,
-checking each value against its field's type hint; a record must meet ``validate_record``
-too. A knowledge line has a decoder of its own, with like checks, that sets each field by
-slot, as an open builds every item: a generic slot-setting ``_build`` took 2.3-2.8 times as
-long on the 10k items below. It holds no vector (an older store's ``embedding`` is ignored).
+``kstar.dumps`` writes every line, a commit's once ``kstar.check_line`` shows that it decodes.
+``kstar.line_decoder`` decodes every line, checking each value against its field's type hint,
+and a record must meet ``validate_record`` too. A knowledge line holds no vector (an older
+store's ``embedding`` is ignored).
 
 Opening a store scans every line of both files, the knowledge file first. It decodes every
 knowledge line, but a record line only when it lacks the canonical ``{"id":N,`` prefix or
@@ -25,10 +24,11 @@ back from the log (opened once per call), decodes them, checks each id against t
 prefix's, and keeps none. Read by ``errors.read_lines``, a corrupt line (one nested too
 deeply to decode too), or one cut or replaced since the open, fails the open, or that call,
 with a StorageError naming its file and line. The benchmark's seed-0 store (10k items, 5k
-records, 9.0 MB) opens in a median 48 ms (8 runs of 15 in-process opens on one pinned core
-of a shared 2-vCPU VM, Python 3.11) and then holds 4.21 MiB (tracemalloc; 0.05 are freed
-pairs of a chunk on CPython's tuple free list), peaking at 4.42, where one ``loads`` of every
-delta peaked at 5.25.
+records, 9.0 MB) opens in a median 51 ms (8 runs of 15 in-process opens on one pinned core
+of a shared 2-vCPU VM, Python 3.11; 45 ms, run alternately, with the decoder written out by
+hand for knowledge lines that ``line_decoder`` replaced) and then holds 4.20 MiB
+(tracemalloc; 0.05 are freed pairs of a chunk on CPython's tuple free list), peaking at
+4.42, where one ``loads`` of every delta peaked at 5.25.
 
 Retrieval keeps one more rebuildable cache. For embedder scoring the open builds it: it
 derives each item's vector from its statement, and keeps in flat arrays the values of its
@@ -77,8 +77,8 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import BAD_INPUT, NeolafError, read_lines
 from .kstar import (
-    KstarRecord, _build, deserialize_record, dumps, enum_decoder, loads, serialize_record,
-    validate_record,
+    KstarRecord, MalformedRecord, check_line, deserialize_record, dumps, line_decoder, loads,
+    serialize_record, validate_record,
 )
 from .provider import DeterministicEmbedder, cosine, tokens
 
@@ -122,46 +122,12 @@ class KnowledgeItem:
     provenance: tuple[int, ...]
     confidence: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "confidence", _clamp(self.confidence))
+    def __post_init__(self):  # ``_clamp`` keeps such a float; it makes an int a float, NaN 0.0
+        if not (type(confidence := self.confidence) is float and 0.0 < confidence <= 1.0):
+            object.__setattr__(self, "confidence", _clamp(confidence))
 
 
-_kind = enum_decoder(KnowledgeKind)
-# Each field's slot setter: a frozen instance's ``__setattr__`` does not guard it
-_set_id, _set_statement, _set_kind, _set_provenance, _set_confidence = (
-    KnowledgeItem.__dict__[name].__set__ for name in KnowledgeItem.__slots__
-)
-
-
-def _knowledge_line(line: str) -> KnowledgeItem:
-    """``KnowledgeItem(...)`` of the line's fields, each checked and set by slot in its
-    argument order: the open's hot path, written out as ``kstar._build`` is over twice as slow.
-    Any other key, as the ``embedding`` an older store wrote, is ignored."""
-    if type(obj := loads(line)) is not dict:
-        raise ValueError("knowledge line must be a JSON object")
-    item = object.__new__(KnowledgeItem)
-    # A string id breaks the comparisons of id order, a float one (or a bool) the next id
-    if type(item_id := obj["id"]) is not int:
-        raise ValueError(f"id must be an integer, not {item_id!r}")
-    _set_id(item, item_id)
-    statement = obj["statement"]
-    if type(statement) is not str:  # retrieval tokenizes every statement
-        raise ValueError(f"statement must be a string, not {statement!r}")
-    _set_statement(item, statement)
-    _set_kind(item, _kind(obj["kind"]))
-    if type(provenance := obj["provenance"]) is not list:
-        raise ValueError(f"provenance must be an array, not {provenance!r}")
-    _set_provenance(item, tuple(provenance))
-    # ``_clamp`` keeps such a float; it makes an int a float, and NaN and -0.0 0.0
-    if not (type(confidence := obj["confidence"]) is float and 0.0 < confidence <= 1.0):
-        if type(confidence) not in (int, float):
-            raise ValueError(f"confidence must be a number, not {confidence!r}")
-        confidence = _clamp(confidence)
-    _set_confidence(item, confidence)
-    return item
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConsolidationExample:
     """One instruction-completion pair exported for offline tuning."""
 
@@ -330,7 +296,7 @@ class _VectorIndex:
 
     def __init__(self, embedder: DeterministicEmbedder, items: Iterable[KnowledgeItem]):
         self.derive = embedder.derive
-        self.ids, self.ends, self.norms = array("q"), array("q"), array("d")
+        self.ids, self.ends, self.norms = [], array("q"), array("d")  # ids: any int, in a list
         self.values = array("d")
         self.places: defaultdict[int, array] = defaultdict(partial(array, "q"))
         for item in items:
@@ -394,12 +360,12 @@ def _parsed(chunk: list[tuple[int, str]]) -> Iterator[tuple[int, list]]:
     return zip([record_id for record_id, _ in chunk], loads(f"[{texts}]"))
 
 
-def _consolidation_line(line: str) -> ConsolidationExample:
-    return _build(ConsolidationExample, loads(line), "", "example")
+_item_line = line_decoder(KnowledgeItem, "item")
+_consolidation_line = line_decoder(ConsolidationExample, "example")
 
 
 def _knowledge_bytes(items: list[KnowledgeItem]) -> bytes:
-    return "".join([dumps(item) + "\n" for item in items]).encode("utf-8")
+    return "".join([check_line(item, dumps(item), "item") + "\n" for item in items]).encode("utf-8")
 
 
 def _corrupt(what: str) -> Callable[[Any, int], StorageError]:
@@ -431,7 +397,7 @@ class EpisodicStore:
 
     def _load(self) -> None:
         corrupt = _corrupt(f"knowledge file {self.knowledge_path}")
-        for _, item, _, _ in read_lines(self.knowledge_path, _knowledge_line, corrupt, True):
+        for _, item, _, _ in read_lines(self.knowledge_path, _item_line, corrupt, True):
             self._knowledge[item.id] = item
         self._next_knowledge_id = max(self._knowledge, default=0) + 1
         last_id, chunk = 0, []
@@ -557,7 +523,11 @@ class EpisodicStore:
             record = replace(record, id=record_id, knowledge_delta=delta)
             if violations := validate_record(record):
                 raise ValidationFailed(violations)
-            data, line = _knowledge_bytes(new), (serialize_record(record) + "\n").encode("utf-8")
+            try:  # the open decodes the log's last line: a line it would refuse fails here
+                line = (check_line(record, serialize_record(record)) + "\n").encode("utf-8")
+            except MalformedRecord as exc:
+                raise ValidationFailed([str(exc)]) from exc
+            data = _knowledge_bytes(new)
             start = self._append(self.log_path, line) - len(line)
             number, offset, length = self._places[-3:] if self._ids else (1, 0, 0)
             if self._ids and start == offset + length:

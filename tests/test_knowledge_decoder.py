@@ -1,11 +1,13 @@
 """Differential test of the knowledge-line decoder.
 
-``memory._knowledge_line`` builds items through the slot setters of the
-frozen ``KnowledgeItem``, not its constructor. ``oracle`` is the
-constructor-based decoder it replaced, given the same checks of each
-value's JSON type: an object line, an integer id, a string statement, an
-array provenance and a number confidence. On seeded knowledge lines (valid
-ones, ones with keys deleted or values replaced by junk, bad kinds, odd
+The open decodes a knowledge line with ``kstar.line_decoder``, which sets each
+field of the frozen ``KnowledgeItem`` through its slot and then runs its
+``__post_init__``, not through its constructor. ``oracle`` is a
+constructor-based decoder, given the same checks of each value's JSON type:
+an object line, an integer id, a string statement, a valid kind, an array
+provenance of integers and a number confidence, each failing with
+the decoder's text. On seeded knowledge lines (valid ones, ones with keys
+deleted or values replaced by junk, bad kinds, provenance items, odd
 confidences, an older store's ``embedding`` of any value, which both ignore,
 lines that are not objects or not JSON) both must give the same item, field
 by field, or raise the same exception type with the same text.
@@ -24,8 +26,8 @@ import random
 import sys
 
 from neolaf import memory
-from neolaf.kstar import loads
-from neolaf.memory import KnowledgeItem, _kind
+from neolaf.kstar import MalformedRecord, loads
+from neolaf.memory import KnowledgeItem, KnowledgeKind
 
 NAN, INF = float("nan"), float("inf")
 CONFIDENCES = (0, 1, True, False, -0.0, 0.0, 1.0, 1.5, -0.5, NAN, INF, -INF, "x", None,
@@ -37,30 +39,40 @@ FIELDS = ("id", "statement", "kind", "provenance", "confidence")
 NOT_OBJECTS = ("[]", "[1, 2]", "5", "1.5", '"text"', "null", "true", "{", '{"id": 1', "")
 
 
-def _checked(test, message):
-    """``check(value)``: ``value`` if ``test`` holds for it, else ValueError."""
+def _checked(test, expected):
+    """``check(value)``: ``value`` if ``test`` holds for it, else TypeError."""
     def check(value):
         if not test(value):
-            raise ValueError(f"{message}, not {value!r}")
+            raise TypeError(f"expected {expected}, not {value!r}")
         return value
     return check
 
 
-_id = _checked(lambda value: type(value) is int, "id must be an integer")
-_text = _checked(lambda value: type(value) is str, "statement must be a string")
-_array = _checked(lambda value: type(value) is list, "provenance must be an array")
-_number = _checked(lambda value: type(value) in (int, float), "confidence must be a number")
+_integer = _checked(lambda value: type(value) is int, "int")
+_array = _checked(lambda value: type(value) is list, "an array")
+CHECKS = (
+    _integer,
+    _checked(lambda value: type(value) is str, "str"),
+    KnowledgeKind,
+    lambda value: tuple([_integer(item) for item in _array(value)]),
+    _checked(lambda value: type(value) in (int, float), "float"),
+)
 
 
 def oracle(line: str) -> KnowledgeItem:
-    """The decoder as it was: the frozen dataclass's own constructor, given each
-    value once it is checked to have its field's JSON type, in argument order."""
+    """A decoder by the frozen dataclass's own constructor, given each value once
+    it is checked to have its field's JSON type, in argument order."""
     if type(obj := loads(line)) is not dict:
-        raise ValueError("knowledge line must be a JSON object")
-    return KnowledgeItem(
-        _id(obj["id"]), _text(obj["statement"]), _kind(obj["kind"]),
-        tuple(_array(obj["provenance"])), _number(obj["confidence"]),
-    )
+        raise MalformedRecord("item must be a JSON object")
+    values = []
+    for name, check in zip(FIELDS, CHECKS):
+        if name not in obj:
+            raise MalformedRecord(f"missing field item.{name}")
+        try:
+            values.append(check(obj[name]))
+        except (TypeError, ValueError) as exc:
+            raise MalformedRecord(f"bad field value at {name}: {exc}") from exc
+    return KnowledgeItem(*values)
 
 
 def knowledge_object(rng: random.Random) -> dict:
@@ -77,16 +89,20 @@ def knowledge_object(rng: random.Random) -> dict:
 
 
 def mutate(obj: dict, rng: random.Random) -> dict:
-    """``obj`` with one key deleted, or one value replaced by junk or by a
-    bad kind or confidence."""
+    """``obj`` with one key deleted, or one value replaced by junk, by a bad kind or
+    confidence, or by a provenance holding junk."""
     key = rng.choice(FIELDS)
-    how = rng.randrange(3)
+    how = rng.randrange(4)
     if how == 0:
         obj.pop(key, None)
     elif how == 1:
         obj[key] = rng.choice(JUNK)
-    else:
+    elif how == 2:
         obj["kind"], obj["confidence"] = rng.choice(KINDS), rng.choice(CONFIDENCES)
+    else:
+        provenance = [rng.randint(1, 99) for _ in range(rng.randint(0, 2))]
+        provenance.insert(rng.randint(0, len(provenance)), rng.choice(JUNK))
+        obj["provenance"] = provenance
     return obj
 
 
@@ -119,7 +135,7 @@ def differ(seed: int, cases: int) -> dict[str, int]:
     counts = {"item": 0, "raised": 0}
     for n in range(cases):
         line = knowledge_line(rng)
-        got, want = outcome(memory._knowledge_line, line), outcome(oracle, line)
+        got, want = outcome(memory._item_line, line), outcome(oracle, line)
         assert got == want, (seed, n, line, got, want)
         counts[got[0]] += 1
     return counts

@@ -583,3 +583,60 @@ def test_error_in_a_nested_subtask_names_its_whole_path():
         "missing field task.subtasks[0].subtasks[1].cotasks.planning"
     )
 
+
+
+# Values of every JSON and schema type, each out of place in some field
+_JUNK = (None, True, False, 0, 1, -1, 1.5, float("nan"), 2 ** 70, "", "x", "done", "user",
+         "executed", [], [1], ["a"], (), (1,), ("a",), (None,), {}, {"goal": "x"},
+         CoTaskState.DONE, StepStatus.FAILED, SituationSource.AGENT, CoTasks(),
+         datetime(2024, 1, 1, tzinfo=timezone.utc), datetime(2024, 1, 1))
+
+
+def _objects(obj):
+    """Each dataclass instance of the tree ``obj``, ``obj`` first."""
+    if hasattr(obj, "__slots__"):
+        yield obj
+        for name in obj.__slots__:
+            yield from _objects(getattr(obj, name))
+    elif type(obj) is tuple:
+        for item in obj:
+            yield from _objects(item)
+
+
+def _verdict(check):
+    try:
+        return check()
+    except MalformedRecord as exc:
+        return str(exc)
+
+
+def test_a_written_line_is_checked_as_the_open_decodes_it():
+    """``check_line`` reads a line back only when the instance it encodes holds a value
+    whose type its field does not take as it is. On records with one value, at any depth,
+    swapped for another of any type, it must refuse a line exactly when the decoder refuses
+    it, with the same text, and else return the line."""
+    from neolaf.kstar import _schema, check_line, line_decoder
+
+    rng = random.Random(5)
+    counts = {"exact": 0, "read back": 0, "refused": 0}
+    for _ in range(3000):
+        record = make_record(rng)
+        if rng.random() < 0.9:
+            obj = rng.choice(list(_objects(record)))
+            name = rng.choice(obj.__slots__)
+            value = rng.choice(_JUNK)
+            if type(getattr(obj, name)) is tuple and rng.random() < 0.5:
+                items = list(getattr(obj, name))
+                items.insert(rng.randint(0, len(items)), value)
+                value = tuple(items)
+            object.__setattr__(obj, name, value)
+        try:
+            line = dumps(record)
+        except (TypeError, ValueError):  # not JSON: the writer fails before any check
+            continue
+        verdict = _verdict(lambda: check_line(record, line))
+        built = _verdict(lambda: line_decoder(KstarRecord)(line))
+        assert verdict == (line if type(built) is KstarRecord else built), line
+        counts["exact" if _schema(KstarRecord)[1](record) else "read back"] += 1
+        counts["refused"] += verdict != line
+    assert min(counts.values()) > 300, counts

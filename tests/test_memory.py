@@ -3,6 +3,7 @@
 import errno
 import gc
 import json
+import math
 import os
 import random
 import re
@@ -177,6 +178,19 @@ def test_an_empty_statement_scores_0_with_an_embedder(tmp_path):
     assert store.retrieve("sum", 1)[0].id == 1 and store.retrieve("sum", 4)[-1].id == 2
 
 
+@pytest.mark.parametrize(
+    "given, kept",
+    [(0.5, 0.5), (1.0, 1.0), (5e-324, 5e-324), (1, 1.0), (0, 0.0), (True, 1.0), (-0.0, 0.0),
+     (0.0, 0.0), (float("nan"), 0.0), (1.5, 1.0), (-0.5, 0.0), (float("inf"), 1.0)],
+)
+def test_an_items_confidence_is_a_float_clamped_to_the_unit_interval(given, kept):
+    """``__post_init__`` leaves a float in (0, 1] as it is and clamps any other number,
+    as an open, which builds each item by its slots and then runs it, needs."""
+    confidence = KnowledgeItem(1, "x", KnowledgeKind.DISTILLED, (1,), given).confidence
+    assert type(confidence) is float and confidence == kept
+    assert math.copysign(1, confidence) == 1  # no -0.0
+
+
 def test_golden_knowledge_lines():
     """The exact bytes of knowledge lines, each decoding back to its item."""
     signs = "check the sign of each root twice"
@@ -198,7 +212,7 @@ def test_golden_knowledge_lines():
         '"provenance":[4,12],"confidence":1.0}\n'
     ).encode("utf-8")
     lines = data.decode("utf-8").splitlines()
-    assert [memory._knowledge_line(line) for line in lines] == items
+    assert [memory._item_line(line) for line in lines] == items
 
 
 def test_store_record_commits_the_record_then_its_knowledge(store, rng, count_writes):
@@ -245,6 +259,57 @@ def test_a_commit_that_fails_a_check_writes_nothing(store, rng, count_writes, mo
     # nothing was used up: the next commit takes the ids the failed ones were given
     assert store.store_record(replace(reinforcing, knowledge_delta=()), [good]).id == 1
     assert store.get_knowledge(old + 1).provenance == (1,)
+
+
+@pytest.mark.parametrize(
+    "change, detail",
+    [
+        (lambda record: replace(record, metrics=replace(record.metrics, latency_ms=1.5)),
+         "bad field value at metrics.latency_ms: expected int, not 1.5"),
+        (lambda record: replace(record, situation=replace(record.situation, source="bogus")),
+         "bad field value at situation.source: 'bogus' is not a valid SituationSource"),
+    ],
+    ids=["float-latency", "text-source"],
+)
+def test_a_record_the_open_would_refuse_is_not_written(tmp_path, rng, count_writes,
+                                                       change, detail):
+    """``validate_record`` passes these records; their lines, once written, made the
+    open fail, as it decodes the log's last line."""
+    store = EpisodicStore.open(tmp_path / "s")
+    writes = count_writes()
+    with pytest.raises(ValidationFailed) as excinfo:
+        store.store_record(change(make_record(rng)))
+    assert str(excinfo.value) == f"record failed validation: {detail}"
+    assert excinfo.value.violations == [detail]
+    assert writes == [] and store.records == ()
+    assert EpisodicStore.open(tmp_path / "s").next_record_id() == 1
+
+
+@pytest.mark.parametrize(
+    "item, detail",
+    [
+        (KnowledgeItem(0, "x", "bogus", (1,), 0.5),
+         "bad field value at kind: 'bogus' is not a valid KnowledgeKind"),
+        (KnowledgeItem(0, "x", KnowledgeKind.DISTILLED, ("a",), 0.5),
+         "bad field value at provenance: expected int, not 'a'"),
+    ],
+    ids=["text-kind", "text-provenance"],
+)
+def test_a_knowledge_item_the_open_would_refuse_is_not_written(tmp_path, rng, count_writes,
+                                                               item, detail):
+    """Such an item's line, once written, made every later open fail."""
+    store = EpisodicStore.open(tmp_path / "s")
+    writes = count_writes()
+    with pytest.raises(ValueError) as excinfo:
+        store.add_knowledge(item)
+    assert str(excinfo.value) == detail
+    if item.kind == "bogus":  # a commit sets its items' provenance, not their kind
+        with pytest.raises(ValueError) as excinfo:
+            store.store_record(make_record(rng), [item])
+        assert str(excinfo.value) == detail
+    assert writes == [] and store.knowledge == () and store.records == ()
+    reopened = EpisodicStore.open(tmp_path / "s")
+    assert reopened.knowledge == () and reopened.next_record_id() == 1
 
 
 def test_short_writes_still_append_whole_lines(tmp_path, rng, monkeypatch):
@@ -469,7 +534,7 @@ def test_knowledge_id_that_is_not_an_integer_names_its_line(tmp_path, bad_id):
     with pytest.raises(StorageError) as excinfo:
         EpisodicStore.open(store_dir)
     assert str(excinfo.value) == (
-        f"{_knowledge_corrupt(store_dir, 2)}id must be an integer, not {bad_id!r}"
+        f"{_knowledge_corrupt(store_dir, 2)}bad field value at id: expected int, not {bad_id!r}"
     )
 
 
@@ -478,7 +543,8 @@ def test_knowledge_statement_that_is_not_text_fails_the_open(tmp_path, capsys, s
     """Retrieval tokenizes every statement, so such a line once broke every search."""
     store_dir = tmp_path / "s"
     _write_knowledge_file(store_dir, [(1, "a"), (2, statement)])
-    message = f"{_knowledge_corrupt(store_dir, 2)}statement must be a string, not {statement!r}"
+    message = (f"{_knowledge_corrupt(store_dir, 2)}"
+               f"bad field value at statement: expected str, not {statement!r}")
     with pytest.raises(StorageError) as excinfo:
         EpisodicStore.open(store_dir)
     assert str(excinfo.value) == message
@@ -490,18 +556,23 @@ def test_knowledge_statement_that_is_not_text_fails_the_open(tmp_path, capsys, s
 @pytest.mark.parametrize(
     "field, value, detail",
     [
-        ("provenance", "ab", "provenance must be an array, not 'ab'"),
-        ("provenance", 1, "provenance must be an array, not 1"),
-        ("confidence", "x", "confidence must be a number, not 'x'"),
-        ("confidence", None, "confidence must be a number, not None"),
-        ("confidence", True, "confidence must be a number, not True"),
-        ("confidence", [0.5], "confidence must be a number, not [0.5]"),
+        ("provenance", "ab", "bad field value at provenance: expected an array, not 'ab'"),
+        ("provenance", 1, "bad field value at provenance: expected an array, not 1"),
+        ("confidence", "x", "bad field value at confidence: expected float, not 'x'"),
+        ("confidence", None, "bad field value at confidence: expected float, not None"),
+        ("confidence", True, "bad field value at confidence: expected float, not True"),
+        ("confidence", [0.5], "bad field value at confidence: expected float, not [0.5]"),
+        ("provenance", [1, "5"], "bad field value at provenance: expected int, not '5'"),
+        ("provenance", [1, 1.5], "bad field value at provenance: expected int, not 1.5"),
+        ("provenance", [1, True], "bad field value at provenance: expected int, not True"),
     ],
     ids=["text-provenance", "number-provenance", "text-confidence", "null-confidence",
-         "bool-confidence", "array-confidence"],
+         "bool-confidence", "array-confidence", "text-in-provenance", "float-in-provenance",
+         "bool-in-provenance"],
 )
 def test_knowledge_value_of_the_wrong_type_fails_the_open(tmp_path, capsys, field, value, detail):
-    """A provenance given as text once loaded as its characters."""
+    """A provenance given as text once loaded as its characters, and one holding text, a
+    float or a bool, which names no record, loaded as it was."""
     store_dir = tmp_path / "s"
     _write_knowledge_file(store_dir, [(1, "a")])
     obj = {"id": 2, "statement": "b", "kind": "distilled", "provenance": [1],
@@ -515,6 +586,19 @@ def test_knowledge_value_of_the_wrong_type_fails_the_open(tmp_path, capsys, fiel
     assert main(["memory", "search", "a", "--store", str(store_dir)]) == 2
     out, err = capsys.readouterr()
     assert err == f"neolaf: error: {message}\n" and "Traceback" not in out
+
+
+def test_an_item_id_past_64_bits_opens_and_ranks_with_an_embedder(tmp_path):
+    """The embedder index once kept ids in an ``array("q")``, and such an id failed the
+    open with a bare OverflowError."""
+    store_dir = tmp_path / "s"
+    big = 2 ** 63
+    _write_knowledge_file(store_dir, [(1, "solve sums"), (big, "prime roots")])
+    store = EpisodicStore.open(store_dir, DeterministicEmbedder())
+    assert [item.id for item in store.retrieve("prime roots", 2)] == [big, 1]
+    assert store.add_knowledge(
+        KnowledgeItem(0, "prime sums", KnowledgeKind.DISTILLED, (1,), 0.5)
+    ) == big + 1
 
 
 @pytest.mark.parametrize(
@@ -553,8 +637,8 @@ _KNOWLEDGE_LINE = (
         (_KNOWLEDGE_LINE + " x", "Extra data: line 1 column 84 (char 83)"),
         (_KNOWLEDGE_LINE + "{}", "Extra data: line 1 column 83 (char 82)"),
         (_KNOWLEDGE_LINE[:-1], "Expecting ',' delimiter: line 1 column 82 (char 81)"),
-        ("[1]", "knowledge line must be a JSON object"),
-        ("NaN", "knowledge line must be a JSON object"),
+        ("[1]", "item must be a JSON object"),
+        ("NaN", "item must be a JSON object"),
     ],
     ids=["trailing-word", "trailing-object", "unterminated", "array", "nan"],
 )
